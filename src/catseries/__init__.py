@@ -46,7 +46,6 @@ from .mining import (
     db_features,
     dcc_features,
     distance_matrix,
-    feature_distance_matrix,
     outlier_scores,
     two_dimensional_scaling,
 )

@@ -10,16 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import graphics, io, mining, svg
 from .association import MEASURE_FUNCTIONS
 from .dispersion import chebycheff_dispersion, entropy, gini_index
-from .inference import cohens_kappa_test, cramers_v_test, holm_adjust
+from .inference import TEST_FAMILIES, holm_adjust
 from .series import Alphabet, CategoricalSeries, lag_tables, marginal_probabilities
 from .simulate import corpus_spec_from_dict, generate_corpus
 from .spectral import spectral_envelope
@@ -40,7 +38,7 @@ def _input_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_corpus(args) -> io.Corpus:
-    alphabet = Alphabet(tuple(args.alphabet.split(","))) if args.alphabet else None
+    alphabet = Alphabet(tuple(s.strip() for s in args.alphabet.split(","))) if args.alphabet else None
     return io.parse_corpus(args.input, alphabet, args.format, args.infer_alphabet)
 
 
@@ -62,6 +60,8 @@ def _series_features(series: CategoricalSeries, measures, lags, expand: bool):
     schema: list[str] = []
     symbols = series.alphabet.symbols
     p = marginal_probabilities(series)
+    needs_tables = any(name in MEASURE_FUNCTIONS for name in measures)
+    tables = [lag_tables(series, lag) for lag in lags] if needs_tables else []
     for name in measures:
         if name in _DISPERSION:
             values.append(_DISPERSION[name](p))
@@ -69,9 +69,9 @@ def _series_features(series: CategoricalSeries, measures, lags, expand: bool):
         elif name == "marginals":
             values.extend(p)
             schema.extend(f"p.{s}" for s in symbols)
-        elif name in MEASURE_FUNCTIONS:
-            for lag in lags:
-                result = MEASURE_FUNCTIONS[name](lag_tables(series, lag))
+        else:
+            for lag, table in zip(lags, tables):
+                result = MEASURE_FUNCTIONS[name](table)
                 if expand and result.components is not None:
                     values.extend(result.components)
                     schema.extend(
@@ -80,9 +80,6 @@ def _series_features(series: CategoricalSeries, measures, lags, expand: bool):
                 else:
                     values.append(result.value)
                     schema.append(f"{name}.l{lag}")
-        else:
-            known = sorted([*_DISPERSION, "marginals", *MEASURE_FUNCTIONS])
-            raise ValueError(f"unknown measure {name!r}; expected one of {known}")
     return values, schema
 
 
@@ -99,17 +96,17 @@ def _cmd_features(args) -> int:
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not measures:
         raise ValueError("no measures selected")
+    known = [*_DISPERSION, "marginals", *MEASURE_FUNCTIONS]
+    for name in measures:
+        if name not in known:
+            raise ValueError(f"unknown measure {name!r}; expected one of {sorted(known)}")
     lags = _parse_lags(args.lags)
-
-    def one(series):
-        return _series_features(series, measures, lags, args.expand)
-
-    workers = _worker_count(args)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, corpus.series))
-    else:
-        results = [one(s) for s in corpus.series]
+    results = []
+    for index, (series, series_id) in enumerate(zip(corpus.series, corpus.ids), start=1):
+        try:
+            results.append(_series_features(series, measures, lags, args.expand))
+        except ValueError as err:
+            raise ValueError(f"series {series_id!r} (index {index}): {err}") from None
     schema = results[0][1]
     for idx, (_, s) in enumerate(results):
         if s != schema:
@@ -122,12 +119,7 @@ def _cmd_features(args) -> int:
 def _cmd_test(args) -> int:
     corpus = _load_corpus(args)
     series = _pick_series(corpus, args.index)
-    if args.family in ("cramers_v", "v"):
-        report = cramers_v_test(series, args.max_lag, args.alpha)
-    elif args.family in ("kappa", "cohens_kappa"):
-        report = cohens_kappa_test(series, args.max_lag, args.alpha)
-    else:
-        raise ValueError(f"unknown test family {args.family!r}")
+    report = TEST_FAMILIES[args.family](series, args.max_lag, args.alpha)
     payload = {
         "family": report.family,
         "alpha": report.alpha,
@@ -155,7 +147,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_dist(args) -> int:
     corpus = _load_corpus(args)
-    dm = mining.distance_matrix(corpus.series, args.metric, args.max_lag, corpus.ids, _worker_count(args))
+    dm = mining.distance_matrix(corpus.series, args.metric, args.max_lag, corpus.ids)
     io.write_distance_csv(args.out, dm, args.bitexact)
     return 0
 
@@ -266,13 +258,6 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _worker_count(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("CATSERIES_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catseries",
@@ -288,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "uncertainty, pearson, phi2, sakoda, cramers_v, cohens_kappa, total_correlation")
     p.add_argument("--lags", "--lag", default="1", help="comma list of positive lags (default 1)")
     p.add_argument("--expand", action="store_true", help="emit per-component columns where defined")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for per-series extraction")
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
     p.set_defaults(func=_cmd_features)
@@ -308,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _input_args(p)
     p.add_argument("--metric", choices=("dcc", "db"), default="db")
     p.add_argument("--max-lag", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1, help="worker threads for per-series extraction")
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
     p.set_defaults(func=_cmd_dist)

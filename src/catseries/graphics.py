@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .inference import cohens_kappa_test, cramers_v_test
+from .inference import TEST_FAMILIES
 from .series import CategoricalSeries, binarize
 
 __all__ = [
@@ -160,12 +160,7 @@ def dependence_plot_data(
     series: CategoricalSeries, family: str = "cramers_v", max_lag: int = 10, alpha: float = 0.05
 ) -> DependenceTable:
     """Estimates of v or kappa at lags 1..max_lag plus critical limits."""
-    if family in ("cramers_v", "v"):
-        report = cramers_v_test(series, max_lag, alpha)
-    elif family in ("cohens_kappa", "kappa"):
-        report = cohens_kappa_test(series, max_lag, alpha)
-    else:
-        raise ValueError(f"unknown dependence family {family!r}")
+    report = TEST_FAMILIES[family](series, max_lag, alpha)
     return DependenceTable(
         report.family, alpha, report.lags, report.estimates, report.lower_critical, report.upper_critical
     )

@@ -27,6 +27,7 @@ from .series import CategoricalSeries, lag_tables, marginal_probabilities
 
 __all__ = [
     "TestReport",
+    "TEST_FAMILIES",
     "cramers_v_test",
     "cohens_kappa_test",
     "holm_adjust",
@@ -128,6 +129,18 @@ def cohens_kappa_test(series: CategoricalSeries, max_lag: int = 10, alpha: float
     return TestReport("cohens_kappa", alpha, max_lag, lags, estimates, statistics, p_values, lower, upper)
 
 
+class _FamilyTable(dict):
+    """Test functions by family name; an unknown name raises ValueError."""
+
+    def __missing__(self, family):
+        raise ValueError(f"unknown test family {family!r}; expected one of {sorted(self)}")
+
+
+TEST_FAMILIES = _FamilyTable(
+    cramers_v=cramers_v_test, v=cramers_v_test, cohens_kappa=cohens_kappa_test, kappa=cohens_kappa_test
+)
+
+
 def holm_adjust(p_values) -> np.ndarray:
     """Holm step-down adjustment controlling the family-wise error rate.
 
@@ -138,7 +151,7 @@ def holm_adjust(p_values) -> np.ndarray:
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1:
         raise ValueError("p-values must be a flat vector")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

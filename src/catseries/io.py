@@ -85,12 +85,11 @@ def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infe
         alphabet = Alphabet(tuple(seen))
     series = []
     for line_no, symbols in rows:
-        for pos, symbol in enumerate(symbols, start=1):
-            try:
-                alphabet.code(symbol)
-            except ValueError:
-                raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}") from None
-        series.append(CategoricalSeries.from_symbols(symbols, alphabet))
+        try:
+            series.append(CategoricalSeries.from_symbols(symbols, alphabet))
+        except ValueError:
+            pos, symbol = next((pos, s) for pos, s in enumerate(symbols, start=1) if s not in alphabet.symbols)
+            raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}") from None
     return Corpus(series, ids, labels if labels and any(labels) else None)
 
 
@@ -146,7 +145,7 @@ def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | N
 
 
 def format_number(value, bitexact: bool = False) -> str:
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(value)
     x = float(value)
     if bitexact:
@@ -178,7 +177,11 @@ def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None
 
 
 def read_distance_csv(path) -> DistanceMatrix:
-    """Read a matrix written by :func:`write_distance_csv` (hex floats OK)."""
+    """Read a matrix written by :func:`write_distance_csv` (hex floats OK).
+
+    Row ids must repeat the header ids in order, and the values must be
+    finite, non-negative, exactly symmetric and zero on the diagonal.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         rows = [row for row in reader if row]
@@ -186,10 +189,16 @@ def read_distance_csv(path) -> DistanceMatrix:
         raise ValueError(f"not a distance matrix file: {path}")
     ids = tuple(rows[0][1:])
     n = len(ids)
-    if len(rows) - 1 != n:
-        raise ValueError("distance matrix is not square")
-    values = [[_parse_number(cell) for cell in row[1:]] for row in rows[1:]]
-    return DistanceMatrix(np.asarray(values, dtype=float), "euclidean-on-features", 0, ids)
+    if len(rows) - 1 != n or any(len(row) != n + 1 for row in rows[1:]):
+        raise ValueError(f"distance matrix is not square: {path}")
+    if tuple(row[0] for row in rows[1:]) != ids:
+        raise ValueError(f"row ids do not match the header ids: {path}")
+    values = np.asarray([[_parse_number(cell) for cell in row[1:]] for row in rows[1:]], dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        raise ValueError(f"distances must be finite and non-negative: {path}")
+    if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
+        raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
+    return DistanceMatrix(values, "euclidean-on-features", 0, ids)
 
 
 def _parse_number(cell: str) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "dcc_features",
     "db_features",
     "distance_matrix",
-    "feature_distance_matrix",
     "two_dimensional_scaling",
     "outlier_scores",
     "boxplot_outlier_count",
@@ -117,13 +116,12 @@ def distance_matrix(
     metric: str = "db",
     max_lag: int = 1,
     ids: Sequence[str] | None = None,
-    workers: int = 1,
 ) -> DistanceMatrix:
     """Pairwise dissimilarity matrix over a corpus sharing one alphabet.
 
     Each unordered pair is evaluated once; the result has an exactly zero
-    diagonal and exact symmetry.  ``workers`` > 1 extracts per-series
-    features on a thread pool; the result does not depend on the schedule.
+    diagonal and exact symmetry.  A series whose features are undefined is
+    named in the error by its id (when given) and 1-based index.
     """
     if metric not in _METRIC_FEATURES:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FEATURES)}")
@@ -134,37 +132,20 @@ def distance_matrix(
         if series.alphabet.symbols != alphabet.symbols:
             raise ValueError(f"series at index {idx} does not share the corpus alphabet")
     extract = _METRIC_FEATURES[metric]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: extract(s, max_lag).values, corpus))
-    else:
-        rows = [extract(s, max_lag).values for s in corpus]
+    rows = []
+    for index, series in enumerate(corpus):
+        try:
+            rows.append(extract(series, max_lag).values)
+        except ValueError as err:
+            name = f"{ids[index]!r} " if ids is not None else ""
+            raise ValueError(f"series {name}(index {index + 1}): {err}") from None
     features = np.vstack(rows)
     n = len(corpus)
     values = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            diff = features[a] - features[b]
-            d = float(diff @ diff)
-            values[a, b] = d
-            values[b, a] = d
+    for a in range(n - 1):
+        diff = features[a + 1 :] - features[a]
+        values[a, a + 1 :] = values[a + 1 :, a] = np.einsum("ij,ij->i", diff, diff)
     return DistanceMatrix(values, metric, max_lag, tuple(ids) if ids is not None else None)
-
-
-def feature_distance_matrix(features: np.ndarray, ids: Sequence[str] | None = None) -> DistanceMatrix:
-    """Plain Euclidean distances between rows of an arbitrary feature matrix."""
-    x = np.asarray(features, dtype=float)
-    n = x.shape[0]
-    values = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            diff = x[a] - x[b]
-            d = float(np.sqrt(diff @ diff))
-            values[a, b] = d
-            values[b, a] = d
-    return DistanceMatrix(values, "euclidean-on-features", 0, tuple(ids) if ids is not None else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,10 +185,6 @@ class LagTables:
         return self.T - self.lag
 
     @classmethod
-    def from_series(cls, series: CategoricalSeries, lag: int) -> "LagTables":
-        return lag_tables(series, lag)
-
-    @classmethod
     def from_probabilities(
         cls,
         marginals: Sequence[float],

@@ -88,24 +88,6 @@ def test_features_byte_stable(corpus_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_features_workers_match_serial(corpus_file, tmp_path):
-    base = ["features", "--input", str(corpus_file), "--alphabet", "1,2,3",
-            "--measures", "cramers_v,gk_tau", "--lags", "1,3", "--bitexact"]
-    serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_dist_workers_match_serial(corpus_file, tmp_path):
-    base = ["dist", "--input", str(corpus_file), "--alphabet", "1,2,3",
-            "--metric", "dcc", "--bitexact"]
-    serial, threaded = tmp_path / "ds.csv", tmp_path / "dt.csv"
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_test_command_json(corpus_file, tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -246,3 +228,43 @@ def test_infer_alphabet_flag(corpus_file, tmp_path):
                  "--measures", "marginals", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "id,p.1,p.2,p.3,label"
+
+
+def test_alphabet_labels_are_stripped(corpus_file, tmp_path):
+    out = tmp_path / "features.csv"
+    assert main(["features", "--input", str(corpus_file), "--alphabet", "1, 2 ,3",
+                 "--measures", "marginals", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "id,p.1,p.2,p.3,label"
+
+
+@pytest.mark.parametrize("command", [["dist", "--metric", "db"], ["features", "--measures", "total_correlation"]])
+def test_degenerate_series_named_by_id_and_index(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("1,2,3,1,2,3,3\n2,2,2,2,2,2,2\n3,1,2,2,1,3,1\n")
+    code = main([command[0], "--input", str(corpus), "--alphabet", "1,2,3", *command[1:],
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert "series 'series_2' (index 2)" in capsys.readouterr().err
+
+
+def test_rate_table_counts_are_integers(corpus_file, tmp_path):
+    table = tmp_path / "rate.csv"
+    assert main(["plot", "rate", "--input", str(corpus_file), "--alphabet", "1,2,3",
+                 "--out", str(tmp_path / "rate.svg"), "--table", str(table), "--bitexact"]) == 0
+    lines = table.read_text().splitlines()
+    assert lines[0] == "t,count_1,count_2,count_3"
+    for t, line in enumerate(lines[1:], start=1):
+        cells = [int(cell) for cell in line.split(",")]
+        assert cells[0] == t and sum(cells[1:]) == t
+
+
+def test_unknown_family_same_error_in_test_and_plot(corpus_file, tmp_path, capsys):
+    from catseries import CategoricalSeries, dependence_plot_data
+
+    series = CategoricalSeries([1, 2, 3, 1, 2, 3], Alphabet.of_size(3))
+    with pytest.raises(ValueError) as err:
+        dependence_plot_data(series, "bogus")
+    assert main(["test", "--input", str(corpus_file), "--alphabet", "1,2,3",
+                 "--family", "bogus", "--out", str(tmp_path / "t.json")]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert "unknown test family 'bogus'" in str(err.value)

@@ -140,6 +140,8 @@ def test_holm_edge_cases():
     assert holm_adjust([0.2]).tolist() == [0.2]
     with pytest.raises(ValueError):
         holm_adjust([0.5, 1.2])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        holm_adjust([0.01, float("nan"), 0.2])
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=12))

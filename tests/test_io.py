@@ -83,6 +83,7 @@ def test_format_number_modes():
     assert format_number(0.05) == "0.05"
     assert format_number(1 / 3, bitexact=True) == (1 / 3).hex()
     assert format_number(7) == "7"
+    assert format_number(np.int64(7), bitexact=True) == "7"
 
 
 def test_distance_csv_round_trip(tmp_path):
@@ -94,3 +95,27 @@ def test_distance_csv_round_trip(tmp_path):
     back = read_distance_csv(path)
     assert back.ids == ("s0", "s1", "s2", "s3")
     assert np.array_equal(back.values, dm.values)  # hex floats are lossless
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ({(2, 0): "s9"}, "row ids"),
+        ({(1, 2): "nan", (2, 1): "nan"}, "finite"),
+        ({(1, 2): "-0.5", (2, 1): "-0.5"}, "non-negative"),
+        ({(1, 2): "0.5"}, "symmetric"),
+        ({(3, 3): "0.5"}, "zero diagonal"),
+    ],
+)
+def test_read_distance_csv_rejects_invalid_matrices(tmp_path, edits, message):
+    rng = np.random.default_rng(0)
+    corpus = [random_series(rng, r=3, T=60, require_all=True) for _ in range(3)]
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, distance_matrix(corpus, "db", 1, ids=["s0", "s1", "s2"]))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for (row, col), cell in edits.items():
+        rows[row][col] = cell
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=message) as err:
+        read_distance_csv(path)
+    assert str(path) in str(err.value)

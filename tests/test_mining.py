@@ -9,7 +9,6 @@ from catseries import (
     db_features,
     dcc_features,
     distance_matrix,
-    feature_distance_matrix,
     generate_mc,
     outlier_scores,
     two_dimensional_scaling,
@@ -151,8 +150,7 @@ def test_mds_eigenvalues_and_errors():
 
 def test_outlier_scores_collinear():
     pts = np.array([[0.0], [1.0], [10.0]])
-    dm = feature_distance_matrix(pts)
-    scores, order = outlier_scores(dm)
+    scores, order = outlier_scores(np.abs(pts - pts.T))
     assert scores.tolist() == [11.0, 10.0, 19.0]
     assert order.tolist() == [2, 0, 1]
 
