@@ -127,13 +127,11 @@ def distance_matrix(
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FEATURES)}")
     if not corpus:
         raise ValueError("empty corpus")
-    alphabet = corpus[0].alphabet
-    for idx, series in enumerate(corpus):
-        if series.alphabet.symbols != alphabet.symbols:
-            raise ValueError(f"series at index {idx} does not share the corpus alphabet")
     extract = _METRIC_FEATURES[metric]
     rows = []
     for index, series in enumerate(corpus):
+        if series.alphabet.symbols != corpus[0].alphabet.symbols:
+            raise ValueError(f"series at index {index} does not share the corpus alphabet")
         try:
             rows.append(extract(series, max_lag).values)
         except ValueError as err:
