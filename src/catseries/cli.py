@@ -8,7 +8,6 @@ problems (including bad flags), 1 for unexpected internal errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -186,41 +185,31 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _plot_table_rows(data) -> tuple[list[str], list[list]]:
+def _plot_table_columns(data) -> tuple[list[str], list]:
+    """Header and columns of a plot table: numeric arrays, or lists of text
+    such as symbols."""
     if isinstance(data, CategoricalSeries):
-        symbols = data.alphabet.symbols
-        return ["t", "code", "symbol"], [
-            [t + 1, int(c), symbols[c - 1]] for t, c in enumerate(data.codes)
-        ]
+        symbols = np.array(data.alphabet.symbols, dtype=object)
+        return ["t", "code", "symbol"], [np.arange(1, len(data) + 1), data.codes, symbols[data.codes - 1].tolist()]
     if isinstance(data, graphics.RateEvolution):
         header = ["t", *[f"count_{s}" for s in data.labels]]
-        return header, [[t + 1, *row] for t, row in enumerate(data.counts)]
+        return header, [np.arange(1, data.counts.shape[0] + 1), *data.counts.T]
     if isinstance(data, graphics.PatternHistogram):
-        return ["length", "count"], [[k, v] for k, v in data.counts.items()]
+        return ["length", "count"], [np.array(list(data.counts)), np.array(list(data.counts.values()))]
     if isinstance(data, graphics.FractalSeries):
-        return ["t", "x", "y"], [[t + 1, x, y] for t, (x, y) in enumerate(data.points)]
+        return ["t", "x", "y"], [np.arange(1, data.points.shape[0] + 1), *data.points.T]
     if isinstance(data, graphics.DependenceTable):
         header = ["lag", "estimate", "lower_critical", "upper_critical"]
-        lower = "" if data.lower is None else data.lower
-        return header, [[int(l), e, lower, data.upper] for l, e in zip(data.lags, data.estimates)]
+        n = data.lags.size
+        lower = [""] * n if data.lower is None else np.full(n, data.lower)
+        return header, [data.lags.astype(np.int64), data.estimates, lower, np.full(n, data.upper)]
     if isinstance(data, graphics.ControlChart):
         stats = data.statistics if data.statistics.ndim == 2 else data.statistics[:, None]
         header = ["t", *[f"T_{lab}" for lab in data.labels]]
-        return header, [[int(t), *row] for t, row in zip(data.times, stats)]
+        return header, [data.times.astype(np.int64), *stats.T]
     # spectral envelope
     header = ["frequency", "envelope", *[f"gamma_{i + 1}" for i in range(data.scalings.shape[1])]]
-    return header, [
-        [f, e, *g] for f, e, g in zip(data.frequencies, data.envelope, data.scalings)
-    ]
-
-
-def _write_plot_table(path, data, bitexact: bool) -> None:
-    header, rows = _plot_table_rows(data)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, (str, int)) else io.format_number(c, bitexact) for c in row])
+    return header, [data.frequencies, data.envelope, *data.scalings.T]
 
 
 def _cmd_plot(args) -> int:
@@ -254,7 +243,7 @@ def _cmd_plot(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     if args.table:
-        _write_plot_table(args.table, data, args.bitexact)
+        io.write_table_csv(args.table, *_plot_table_columns(data), args.bitexact)
     return 0
 
 

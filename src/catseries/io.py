@@ -12,6 +12,14 @@ category codes) or inferred on request as the sorted set of symbols seen in
 the file.  Numbers are written with 10 significant digits by default; the
 ``bitexact`` flag switches to hexadecimal float notation for byte-stable
 golden files.
+
+Numbers become text a row or a column at a time: :func:`format_numbers`
+maps one C-level formatter (``float.hex`` or ``"{:.10g}".format``) over a
+whole array, and the CSV writers join its cells with ``","``.  Only the
+text fields (ids, class labels and headers) go through :mod:`csv` quoting.
+:func:`read_distance_csv` parses a row with one ``map`` call and checks a
+row cell by cell only when that fails.  Every value is written with the
+same text as the scalar :func:`format_number` gives it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +40,12 @@ __all__ = [
     "parse_corpus",
     "write_corpus",
     "format_number",
+    "format_numbers",
     "write_features_csv",
     "write_distance_csv",
     "read_distance_csv",
     "write_coordinates_csv",
+    "write_table_csv",
     "write_json_report",
 ]
 
@@ -135,13 +146,34 @@ def _parse_fasta(lines: list[str]) -> tuple[list[tuple[int, list[str]]], list[st
 
 
 def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | None = None) -> None:
-    """Write series as symbol-csv, one per line, with optional labels."""
+    """Write series as symbol-csv, one per line, with optional labels.
+
+    Raises before writing for a symbol or class label that would not read
+    back as written.
+    """
+    for alphabet in dict.fromkeys(series.alphabet for series in corpus):
+        for symbol in alphabet.symbols:
+            _check_field("symbol", symbol, ",|")
+            if symbol != symbol.strip() or symbol.startswith(">"):
+                raise ValueError(f"symbol {symbol!r} has leading or trailing whitespace or a leading '>'")
+    if labels is not None:
+        labels = [str(label) for label in labels]
+        for label in labels:
+            _check_field("class label", label, "|")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for idx, series in enumerate(corpus):
             line = ",".join(series.to_symbols())
             if labels is not None:
                 line += f"|{labels[idx]}"
             handle.write(line + "\n")
+
+
+def _check_field(kind: str, text: str, separators: str) -> None:
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{kind} {text!r} contains a line break")
+    for separator in separators:
+        if separator in text:
+            raise ValueError(f"{kind} {text!r} contains the separator {separator!r}")
 
 
 def format_number(value, bitexact: bool = False) -> str:
@@ -153,47 +185,73 @@ def format_number(value, bitexact: bool = False) -> str:
     return f"{x:.10g}"
 
 
+def format_numbers(values, bitexact: bool = False) -> list[str]:
+    """The text of every value of a 1-D array-like, as :func:`format_number`
+    writes it; the array's dtype, not each value, picks integer or float."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return list(map(str, array.tolist()))
+    return list(map(float.hex if bitexact else "{:.10g}".format, array.astype(float).tolist()))
+
+
+class _Echo:
+    """File stand-in whose ``write`` returns the text it is given, so that
+    ``writerow`` of a csv writer over it returns the row's CSV text."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_CSV_TEXT = csv.writer(_Echo(), lineterminator="\n")
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as csv.writer writes it among other cells of a row: quoted
+    only where it needs to be.  The empty second cell keeps an empty
+    ``text`` empty; alone in a row, csv.writer would write it as ``""``."""
+    return _CSV_TEXT.writerow((text, ""))[:-2]
+
+
 def write_features_csv(path, ids, schema, matrix, labels=None, bitexact: bool = False) -> None:
     """Feature matrix: one row per series, columns = id, features[, label]."""
+    header = ["id", *schema] + (["label"] if labels is not None else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["id", *schema] + (["label"] if labels is not None else [])
-        writer.writerow(header)
+        handle.write(_CSV_TEXT.writerow(header))
         for i, row in enumerate(matrix):
-            out = [ids[i], *(format_number(v, bitexact) for v in row)]
-            if labels is not None:
-                out.append(labels[i])
-            writer.writerow(out)
+            tail = "," + _csv_cell(labels[i]) if labels is not None else ""
+            handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}{tail}\n")
 
 
 def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None:
     """Square distance matrix with an id header row and id-leading rows."""
     ids = dm.ids if dm.ids is not None else tuple(f"series_{i + 1}" for i in range(dm.size))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", *ids])
+        handle.write(_CSV_TEXT.writerow(["id", *ids]))
         for i, row in enumerate(dm.values):
-            writer.writerow([ids[i], *(format_number(v, bitexact) for v in row)])
+            handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}\n")
 
 
 def read_distance_csv(path) -> DistanceMatrix:
     """Read a matrix written by :func:`write_distance_csv` (hex floats OK).
 
     Row ids must repeat the header ids in order, and the values must be
-    finite, non-negative, exactly symmetric and zero on the diagonal.
+    finite, non-negative, exactly symmetric and zero on the diagonal.  A
+    cell that is not a number is named by file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        rows = [row for row in reader if row]
-    if len(rows) < 2 or rows[0][0] != "id":
+        numbered = [(reader.line_num, row) for row in reader if row]
+    if len(numbered) < 2 or numbered[0][1][0] != "id":
         raise ValueError(f"not a distance matrix file: {path}")
-    ids = tuple(rows[0][1:])
+    header, body = numbered[0][1], numbered[1:]
+    ids = tuple(header[1:])
     n = len(ids)
-    if len(rows) - 1 != n or any(len(row) != n + 1 for row in rows[1:]):
+    if len(body) != n or any(len(row) != n + 1 for _, row in body):
         raise ValueError(f"distance matrix is not square: {path}")
-    if tuple(row[0] for row in rows[1:]) != ids:
+    if tuple(row[0] for _, row in body) != ids:
         raise ValueError(f"row ids do not match the header ids: {path}")
-    values = np.asarray([[_parse_number(cell) for cell in row[1:]] for row in rows[1:]], dtype=float)
+    values = np.asarray([_parse_row(row[1:], line, path) for line, row in body], dtype=float)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError(f"distances must be finite and non-negative: {path}")
     if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
@@ -201,19 +259,55 @@ def read_distance_csv(path) -> DistanceMatrix:
     return DistanceMatrix(values, "euclidean-on-features", 0, ids)
 
 
+_HEX_PREFIXES = ("0x", "-0x")
+
+
+def _parse_row(cells: list[str], line: int, path) -> list[float]:
+    """Every cell of a row as :func:`_parse_number` reads it: hex floats when
+    all cells start as hex, decimal otherwise, cell by cell if that fails.
+
+    The fast path skips the strip: both parsers ignore surrounding
+    whitespace, and a cell that needs the strip to parse fails there and is
+    read by the cell-by-cell path."""
+    parse = float.fromhex if all(map(str.startswith, cells, repeat(_HEX_PREFIXES))) else float
+    try:
+        return list(map(parse, cells))
+    except ValueError:
+        pass
+    values = []
+    for column, cell in enumerate(cells, start=2):
+        try:
+            values.append(_parse_number(cell))
+        except ValueError:
+            raise ValueError(f"not a number: {cell.strip()!r} at line {line}, column {column} of {path}") from None
+    return values
+
+
 def _parse_number(cell: str) -> float:
     cell = cell.strip()
-    if cell.startswith(("0x", "-0x")):
+    if cell.startswith(_HEX_PREFIXES):
         return float.fromhex(cell)
     return float(cell)
 
 
 def write_coordinates_csv(path, ids, coords, bitexact: bool = False) -> None:
+    coords = np.asarray(coords)
+    write_table_csv(path, ["id", "x", "y"], [ids, coords[:, 0], coords[:, 1]], bitexact)
+
+
+def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
+    """A table given column by column: a numpy array holds numbers, written
+    with :func:`format_numbers`; any other sequence holds text cells, quoted
+    as csv.writer quotes them."""
+    cells = [format_numbers(c, bitexact) if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "x", "y"])
-        for i, (x, y) in enumerate(coords):
-            writer.writerow([ids[i], format_number(x, bitexact), format_number(y, bitexact)])
+        handle.write(_CSV_TEXT.writerow(header))
+        handle.writelines(map("{}\n".format, map(",".join, zip(*cells))))
+
+
+def _csv_cells(texts) -> list[str]:
+    quoted = {text: _csv_cell(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
 
 
 def _jsonify(value, bitexact: bool):

@@ -120,8 +120,9 @@ def distance_matrix(
     """Pairwise dissimilarity matrix over a corpus sharing one alphabet.
 
     Each unordered pair is evaluated once; the result has an exactly zero
-    diagonal and exact symmetry.  A series whose features are undefined is
-    named in the error by its id (when given) and 1-based index.
+    diagonal and exact symmetry.  A series whose features are undefined, or
+    whose alphabet differs from the first series', is named in the error by
+    its id (when given) and 1-based index.
     """
     if metric not in _METRIC_FEATURES:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FEATURES)}")
@@ -130,13 +131,13 @@ def distance_matrix(
     extract = _METRIC_FEATURES[metric]
     rows = []
     for index, series in enumerate(corpus):
+        name = f"series {ids[index]!r} (index {index + 1})" if ids is not None else f"series (index {index + 1})"
         if series.alphabet.symbols != corpus[0].alphabet.symbols:
-            raise ValueError(f"series at index {index} does not share the corpus alphabet")
+            raise ValueError(f"{name} does not share the corpus alphabet")
         try:
             rows.append(extract(series, max_lag).values)
         except ValueError as err:
-            name = f"{ids[index]!r} " if ids is not None else ""
-            raise ValueError(f"series {name}(index {index + 1}): {err}") from None
+            raise ValueError(f"{name}: {err}") from None
     features = np.vstack(rows)
     n = len(corpus)
     values = np.zeros((n, n))

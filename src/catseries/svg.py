@@ -2,7 +2,9 @@
 
 Pure string building: no clock, no ids, no randomness, fixed float
 formatting, so the same input always yields byte-identical output.  Fixed
-800x500 viewBox, embedded CSS, no external fonts.
+800x500 viewBox, embedded CSS, no external fonts.  Per-point marks (polyline
+vertices, scatter and alarm circles) map whole coordinate arrays through one
+format string.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ _CSS = (
 )
 
 
+_NUM = "{:.2f}"
+
+
 def _num(x: float) -> str:
-    return f"{float(x):.2f}"
+    return _NUM.format(float(x))
 
 
 def _label(x: float) -> str:
@@ -64,11 +69,17 @@ class _Frame:
         self.py0 = HEIGHT - MARGIN["bottom"]
         self.py1 = MARGIN["top"]
 
-    def x(self, v) -> float:
-        return self.px0 + (float(v) - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
+    def x(self, v):
+        """Pixel x of a value or of an array of values."""
+        return self.px0 + (np.asarray(v, dtype=float) - self.x0) / (self.x1 - self.x0) * (self.px1 - self.px0)
 
-    def y(self, v) -> float:
-        return self.py0 + (float(v) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+    def y(self, v):
+        """Pixel y of a value or of an array of values."""
+        return self.py0 + (np.asarray(v, dtype=float) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
+
+    def marks(self, template: str, xs, ys) -> list[str]:
+        """``template`` filled with the pixel coordinates of each point."""
+        return list(map(template.format, self.x(xs).tolist(), self.y(ys).tolist()))
 
     def axes(self, xlab: str, ylab: str, yticks=None, xticks=None) -> list[str]:
         out = [
@@ -96,7 +107,7 @@ class _Frame:
         return _el("line", x1=_num(self.px0), y1=_num(self.y(v)), x2=_num(self.px1), y2=_num(self.y(v)), **{"class": cls})
 
     def polyline(self, xs, ys, color) -> str:
-        pts = " ".join(f"{_num(self.x(a))},{_num(self.y(b))}" for a, b in zip(xs, ys))
+        pts = " ".join(self.marks(f"{_NUM},{_NUM}", xs, ys))
         return _el("polyline", points=pts, fill="none", stroke=color, stroke_width="1.5")
 
 
@@ -128,11 +139,8 @@ def _series_plot(series: CategoricalSeries, title) -> str:
     frame = _Frame(1, T + 1, 0.5, series.alphabet.size + 0.5)
     body = frame.axes("t", "category", yticks=np.arange(1, series.alphabet.size + 1))
     # step plot: horizontal run at each code with vertical connectors
-    xs, ys = [], []
-    for t, c in enumerate(codes, start=1):
-        xs.extend([t, t + 1])
-        ys.extend([c, c])
-    body.append(frame.polyline(xs, ys, _PALETTE[0]))
+    starts = np.arange(1, T + 1)
+    body.append(frame.polyline(np.column_stack([starts, starts + 1]).ravel(), np.repeat(codes, 2), _PALETTE[0]))
     for i, lab in enumerate(series.alphabet.symbols, start=1):
         body.append(_el("text", _esc(lab), x=_num(frame.px1 + 4), y=_num(frame.y(i) + 4), text_anchor="start"))
     body.append(_el("text", "note: categories are nominal; the vertical order is an arbitrary coding",
@@ -179,9 +187,8 @@ def _ifs_plot(data: FractalSeries, title, window=None) -> str:
         x0, x1, y0, y1 = -lim, lim, -lim, lim
     frame = _Frame(x0, x1, y0, y1)
     body = frame.axes("x", "y")
-    for p in pts:
-        body.append(_el("circle", cx=_num(frame.x(p[0])), cy=_num(frame.y(p[1])), r="1.6",
-                        fill=_PALETTE[0], fill_opacity="0.7"))
+    circle = _el("circle", cx=_NUM, cy=_NUM, r="1.6", fill=_PALETTE[0], fill_opacity="0.7")
+    body.extend(frame.marks(circle, pts[:, 0], pts[:, 1]))
     note = f"alpha={_label(data.alpha)} beta={_label(data.beta)} points={pts.shape[0]}"
     body.append(_el("text", _esc(note), x=_num(frame.px0), y=_num(HEIGHT - 26), text_anchor="start"))
     return _document(body, title or "IFS circle transformation")
@@ -215,11 +222,11 @@ def _control_plot(chart: ControlChart, title) -> str:
     body.append(frame.hline(1.0))
     body.append(frame.hline(-1.0))
     alarms = chart.alarms if chart.alarms.ndim == 2 else chart.alarms[:, None]
+    circle = _el("circle", cx=_NUM, cy=_NUM, r="3.5", **{"class": "alarm"})
     for i in range(stats.shape[1]):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(frame.polyline(chart.times, stats[:, i], color))
-        for t, v in zip(chart.times[alarms[:, i]], stats[:, i][alarms[:, i]]):
-            body.append(_el("circle", cx=_num(frame.x(t)), cy=_num(frame.y(v)), r="3.5", **{"class": "alarm"}))
+        body.extend(frame.marks(circle, chart.times[alarms[:, i]], stats[:, i][alarms[:, i]]))
     if stats.shape[1] > 1:
         body.extend(_legend(frame, chart.labels))
     return _document(body, title or f"control chart ({chart.kind})")

@@ -1,9 +1,11 @@
-"""The benchmark's output checks, run on its tiny corpus-mining inputs.
+"""The benchmark's output checks, run on its tiny inputs.
 
-One pass of ``bench/run.py`` at ``--size tiny`` (about 6 s) checks every
-output of simulate, features, dist, mds and outliers against the benchmark's
-independent oracles and its recorded seed-3 references, so a change that
-breaks them fails here and not only when the benchmark is run.
+One pass of ``bench/run.py`` at ``--size tiny`` per workload checks every
+output against the benchmark's independent oracles and its recorded seed-3
+references: simulate, features, dist, mds and outliers on ``corpus-mining``
+(about 6 s), and the tests, plot tables and SVGs on
+``long-series-monitoring`` (about 7 s).  A change that breaks them fails here
+and not only when the benchmark is run.
 """
 
 import json
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_corpus_mining_benchmark_checks_pass():
+@pytest.mark.parametrize("workload", ["corpus-mining", "long-series-monitoring"])
+def test_benchmark_checks_pass(workload):
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "corpus-mining", "--seed", "3",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "0", "--size", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

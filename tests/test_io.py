@@ -1,13 +1,26 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from catseries import Alphabet, distance_matrix
+from catseries import Alphabet, CategoricalSeries, DistanceMatrix, distance_matrix
+from catseries.cli import main
 from catseries.io import (
+    _parse_number,
+    _parse_row,
     format_number,
+    format_numbers,
     parse_corpus,
     read_distance_csv,
     write_corpus,
     write_distance_csv,
+    write_table_csv,
 )
 
 from conftest import random_series
@@ -119,3 +132,122 @@ def test_read_distance_csv_rejects_invalid_matrices(tmp_path, edits, message):
     with pytest.raises(ValueError, match=message) as err:
         read_distance_csv(path)
     assert str(path) in str(err.value)
+
+
+def test_read_distance_csv_names_the_bad_cell(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    corpus = [random_series(rng, r=3, T=60, require_all=True) for _ in range(3)]
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, distance_matrix(corpus, "db", 1, ids=["s0", "s1", "s2"]), bitexact=True)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = "abc"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"'abc' at line 3, column 4") as err:
+        read_distance_csv(path)
+    assert str(path) in str(err.value)
+    assert main(["mds", "--dist", str(path), "--out", str(tmp_path / "mds.csv")]) == 2
+    assert f"'abc' at line 3, column 4 of {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x"])
+def test_write_corpus_rejects_symbols_that_do_not_read_back(tmp_path, symbol):
+    series = CategoricalSeries(np.array([1, 2, 1]), Alphabet((symbol, "z")))
+    path = tmp_path / "corpus.csv"
+    with pytest.raises(ValueError, match="symbol") as err:
+        write_corpus(path, [series])
+    assert repr(symbol) in str(err.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label", ["g|h", "g\nh", "g\u2028h"])
+def test_write_corpus_rejects_class_labels_that_do_not_read_back(tmp_path, label):
+    series = CategoricalSeries(np.array([1, 2, 1]), Alphabet.of_size(2))
+    path = tmp_path / "corpus.csv"
+    with pytest.raises(ValueError, match="class label") as err:
+        write_corpus(path, [series, series], ["ok", label])
+    assert repr(label) in str(err.value)
+    assert not path.exists()
+
+
+float_arrays = hnp.arrays(np.float64, st.integers(0, 30), elements=st.floats(allow_subnormal=True))
+int_arrays = hnp.arrays(np.int64, st.integers(0, 30))
+
+
+@given(st.one_of(float_arrays, int_arrays), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_format_numbers_matches_format_number(values, bitexact):
+    assert format_numbers(values, bitexact) == [format_number(x, bitexact) for x in values]
+
+
+@given(st.lists(st.tuples(st.text(max_size=4), st.floats(), st.integers(-2**63, 2**63 - 1)), max_size=8),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_table_csv_matches_csv_writer(rows, bitexact):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["id", "x", "n"])
+    writer.writerows([text, format_number(x, bitexact), str(n)] for text, x, n in rows)
+    columns = [[text for text, _, _ in rows], np.array([x for _, x, _ in rows], dtype=float),
+               np.array([n for _, _, n in rows], dtype=np.int64)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_table_csv(path, ["id", "x", "n"], columns, bitexact)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@st.composite
+def distance_matrices(draw):
+    n = draw(st.integers(1, 6))
+    upper = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1e300, allow_subnormal=True)))
+    values = np.triu(upper, 1)
+    values = values + values.T
+    ids = draw(st.lists(st.text(st.sampled_from('ab1,"\' _'), max_size=5), min_size=n, max_size=n))
+    return DistanceMatrix(values, "db", 1, tuple(ids))
+
+
+@given(distance_matrices())
+@settings(max_examples=150, deadline=None)
+def test_distance_csv_round_trips_bitexact(dm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dist.csv"
+        write_distance_csv(path, dm, bitexact=True)
+        back = read_distance_csv(path)
+    assert back.ids == dm.ids
+    assert np.array_equal(back.values, dm.values)
+
+
+def _cell_texts():
+    numbers = st.floats(allow_subnormal=True)
+    hex_cells = numbers.map(float.hex)
+    other = st.one_of(
+        numbers.map(repr), numbers.map("{:.10g}".format),
+        st.sampled_from(["+0x1p0", "0X1p0", "-0x1.8p1", "1_0", "0x", "-", "nan", "inf", "1e5", "", "abc"]),
+        st.text(st.sampled_from("0x1p-+.e_ a"), max_size=6),
+    )
+    pad = st.sampled_from(["", "", "", " ", "\t", "\u3000"])
+    # mostly hex cells, so that rows of hex cells with one odd cell are common
+    return st.tuples(pad, st.one_of(hex_cells, hex_cells, other), pad).map("".join)
+
+
+@example(["0x1p0", "1.5"])
+@example(["0x1p0", " 0x1p0", "0x1p0\u3000"])
+@example(["1.5", "0x1p0"])
+@example(["0x1p0", "+0x1p0"])
+@example(["2", "abc", "-0x1p0"])
+@given(st.lists(_cell_texts(), min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_row_parser_agrees_with_the_cell_parser(cells):
+    expected, bad = [], None
+    for column, cell in enumerate(cells, start=2):
+        try:
+            expected.append(_parse_number(cell))
+        except ValueError:
+            bad = bad or (cell, column)
+    if bad is None:
+        assert [x.hex() for x in _parse_row(cells, 7, "f.csv")] == [x.hex() for x in expected]
+    else:
+        with pytest.raises(ValueError, match="not a number") as err:
+            _parse_row(cells, 7, "f.csv")
+        assert f"{bad[0].strip()!r} at line 7, column {bad[1]}" in str(err.value)

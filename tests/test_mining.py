@@ -57,8 +57,10 @@ def test_alphabet_mismatch_names_series():
     a = random_series(rng, r=3, T=50, require_all=True)
     b = random_series(rng, r=3, T=50, require_all=True)
     odd = CategoricalSeries(b.codes, Alphabet(("x", "y", "z")))
-    with pytest.raises(ValueError, match="index 1"):
+    with pytest.raises(ValueError, match=r"series \(index 2\) does not share"):
         distance_matrix([a, odd, b], "db")
+    with pytest.raises(ValueError, match=r"series 'odd' \(index 2\) does not share"):
+        distance_matrix([a, odd, b], "db", ids=["a", "odd", "b"])
 
 
 def test_distances_match_double_sum_oracle():
