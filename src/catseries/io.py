@@ -295,14 +295,20 @@ def write_coordinates_csv(path, ids, coords, bitexact: bool = False) -> None:
     write_table_csv(path, ["id", "x", "y"], [ids, coords[:, 0], coords[:, 1]], bitexact)
 
 
+_BLOCK_ROWS = 8192  # rows formatted at a time; bounds the text held in memory
+
+
 def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
     """A table given column by column: a numpy array holds numbers, written
     with :func:`format_numbers`; any other sequence holds text cells, quoted
     as csv.writer quotes them."""
-    cells = [format_numbers(c, bitexact) if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
+    columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_CSV_TEXT.writerow(header))
-        handle.writelines(map("{}\n".format, map(",".join, zip(*cells))))
+        for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            cells = [format_numbers(c, bitexact) if isinstance(c, np.ndarray) else c for c in block]
+            handle.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
 
 def _csv_cells(texts) -> list[str]:

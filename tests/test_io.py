@@ -2,6 +2,7 @@ import csv
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_table_csv_matches_csv_writer(rows, bitexact):
     writer.writerows([text, format_number(x, bitexact), str(n)] for text, x, n in rows)
     columns = [[text for text, _, _ in rows], np.array([x for _, x, _ in rows], dtype=float),
                np.array([n for _, _, n in rows], dtype=np.int64)]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_ROWS", 3):
         path = Path(tmp) / "table.csv"
         write_table_csv(path, ["id", "x", "n"], columns, bitexact)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
