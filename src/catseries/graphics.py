@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +102,15 @@ def cycle_lengths(series: CategoricalSeries, category) -> tuple[list[CycleRecord
     return records, hist
 
 
+def _recursion(inputs: np.ndarray, start: np.ndarray, step) -> np.ndarray:
+    """Path of ``prev = step(prev, x)`` down each column of ``inputs`` from
+    ``start[j]``, same shape as ``inputs``.  One C-driven
+    :func:`itertools.accumulate` per column over Python floats does the same
+    IEEE operations in the same order as a per-step numpy loop."""
+    columns = zip(inputs.T.tolist(), start.tolist())
+    return np.column_stack([list(accumulate(col, step, initial=s))[1:] for col, s in columns])
+
+
 @dataclass(frozen=True, eq=False)
 class FractalSeries:
     """Planar embedding of a series by an iterated function system.
@@ -132,15 +142,11 @@ def ifs_circle_transform(
         raise ValueError("alpha must lie in (0, 1)")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    corners = circle_corners(series.alphabet.size)
-    targets = corners[series.codes - 1]
-    points = np.empty((len(series), 2))
-    prev = np.asarray(f0, dtype=float)
-    if prev.shape != (2,):
+    start = np.asarray(f0, dtype=float)
+    if start.shape != (2,):
         raise ValueError("f0 must be a 2-D point")
-    for k in range(len(series)):
-        prev = alpha * prev + beta * targets[k]
-        points[k] = prev
+    targets = circle_corners(series.alphabet.size)[series.codes - 1]
+    points = _recursion(targets, start, lambda p, x: alpha * p + beta * x)
     return FractalSeries(points, alpha, beta, (float(f0[0]), float(f0[1])))
 
 
@@ -289,12 +295,7 @@ def ewma_marginal_chart(
         raise ValueError("every in-control probability must lie strictly inside (0, 1)")
 
     T = len(series)
-    y = binarize(series)
-    pi = np.empty((T, r))
-    prev = c
-    for t in range(T):
-        prev = lam * prev + (1.0 - lam) * y[t]
-        pi[t] = prev
+    pi = _recursion(binarize(series), c, lambda p, x: lam * p + (1.0 - lam) * x)
 
     t_idx = np.arange(1, T + 1)[:, None]
     sigma = np.sqrt(c * (1.0 - c) * (1.0 - lam) * (1.0 - lam ** (2 * t_idx)) / (1.0 + lam))

@@ -154,12 +154,14 @@ def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | N
     for alphabet in dict.fromkeys(series.alphabet for series in corpus):
         for symbol in alphabet.symbols:
             _check_field("symbol", symbol, ",|")
-            if symbol != symbol.strip() or symbol.startswith(">"):
-                raise ValueError(f"symbol {symbol!r} has leading or trailing whitespace or a leading '>'")
+            if not symbol or symbol != symbol.strip() or symbol.startswith(">"):
+                raise ValueError(f"symbol {symbol!r} is empty or has leading or trailing whitespace or a leading '>'")
     if labels is not None:
         labels = [str(label) for label in labels]
         for label in labels:
             _check_field("class label", label, "|")
+            if label != label.strip():
+                raise ValueError(f"class label {label!r} has leading or trailing whitespace")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for idx, series in enumerate(corpus):
             line = ",".join(series.to_symbols())
@@ -203,21 +205,29 @@ class _Echo:
         return text
 
 
-_CSV_TEXT = csv.writer(_Echo(), lineterminator="\n")
+# csv.writer quotes a cell holding any character of its line terminator, so
+# "\r\n" makes it quote a carriage return as well as a line feed; the rows
+# written to files still end in "\n".
+_CSV_TEXT = csv.writer(_Echo(), lineterminator="\r\n")
+
+
+def _csv_row(cells) -> str:
+    """One CSV line of text cells, quoted as csv.writer quotes them."""
+    return _CSV_TEXT.writerow(cells)[:-2] + "\n"
 
 
 def _csv_cell(text: str) -> str:
     """``text`` as csv.writer writes it among other cells of a row: quoted
     only where it needs to be.  The empty second cell keeps an empty
     ``text`` empty; alone in a row, csv.writer would write it as ``""``."""
-    return _CSV_TEXT.writerow((text, ""))[:-2]
+    return _CSV_TEXT.writerow((text, ""))[:-3]
 
 
 def write_features_csv(path, ids, schema, matrix, labels=None, bitexact: bool = False) -> None:
     """Feature matrix: one row per series, columns = id, features[, label]."""
     header = ["id", *schema] + (["label"] if labels is not None else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_CSV_TEXT.writerow(header))
+        handle.write(_csv_row(header))
         for i, row in enumerate(matrix):
             tail = "," + _csv_cell(labels[i]) if labels is not None else ""
             handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}{tail}\n")
@@ -227,7 +237,7 @@ def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None
     """Square distance matrix with an id header row and id-leading rows."""
     ids = dm.ids if dm.ids is not None else tuple(f"series_{i + 1}" for i in range(dm.size))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_CSV_TEXT.writerow(["id", *ids]))
+        handle.write(_csv_row(["id", *ids]))
         for i, row in enumerate(dm.values):
             handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}\n")
 
@@ -304,7 +314,7 @@ def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
     as csv.writer quotes them."""
     columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_CSV_TEXT.writerow(header))
+        handle.write(_csv_row(header))
         for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
             block = [c[start:start + _BLOCK_ROWS] for c in columns]
             cells = [format_numbers(c, bitexact) if isinstance(c, np.ndarray) else c for c in block]

@@ -15,6 +15,12 @@ peak, so a line spectrum keeps a unique maximum at its line instead of a
 flat-topped plateau.  Envelope values are normalized so that a flat
 spectrum sits near 1: the average of the smoothed spectrum over all
 Fourier ordinates equals the indicator covariance matrix.
+
+Only the real part of the cross-periodogram is smoothed: the envelope is a
+symmetric-definite generalized eigenproblem in the real part alone.  The top
+eigenpair at each frequency comes from one call of LAPACK's ``?sygvx``
+(the routine ``scipy.linalg.eigh`` with ``subset_by_index`` dispatches to),
+with the workspace size ``eigh`` would query, so results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -91,6 +97,10 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
         raise ValueError("smoothing window must be a positive odd integer")
     if window >= T / 2:
         raise ValueError("smoothing window must be shorter than T/2")
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"indicator at row {row + 1}, column {col + 1} (1-based) is not finite: {y[row, col]}")
 
     yc = y - y.mean(axis=0)
     cov = (yc.T @ yc) / T
@@ -102,23 +112,28 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
         )
 
     dft = np.fft.fft(yc, axis=0)
-    period = dft[:, :, None] * dft.conj()[:, None, :] / T
-    smooth = _daniell2(period.real, window) + 1j * _daniell2(period.imag, window)
+    period = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
+    smooth = _daniell2(period, window)[1 : T // 2 + 1]
+    smooth = (smooth + smooth.transpose(0, 2, 1)) / 2.0
+    if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
+        raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")
 
     n_freq = T // 2
     frequencies = np.arange(1, n_freq + 1) / T
     envelope = np.empty(n_freq)
     scalings = np.empty((n_freq, k))
+    sygvx, sygvx_lwork = scipy.linalg.get_lapack_funcs(("sygvx", "sygvx_lwork"), (smooth, cov))
+    lwork = int(sygvx_lwork(k)[0])
     for idx in range(n_freq):
-        f_re = smooth[idx + 1].real
-        f_re = (f_re + f_re.T) / 2.0
-        vals, vecs = scipy.linalg.eigh(f_re, cov, subset_by_index=[k - 1, k - 1])
-        gamma = vecs[:, 0]
-        top = np.argmax(np.abs(gamma))
-        if gamma[top] < 0:
-            gamma = -gamma
+        vals, vecs, _, _, info = sygvx(smooth[idx], cov, range="I", il=k, iu=k, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"generalized eigenproblem failed at frequency {idx + 1}/{T} (LAPACK info {info})"
+            )
         envelope[idx] = vals[0]
-        scalings[idx] = gamma
+        scalings[idx] = vecs[:, 0]
+    top = np.abs(scalings).argmax(axis=1)
+    scalings[scalings[np.arange(n_freq), top] < 0] *= -1.0
     return SpectralEnvelope(frequencies, envelope, scalings, window)
 
 

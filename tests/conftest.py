@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from catseries import Alphabet, CategoricalSeries
 
@@ -27,4 +29,15 @@ def random_series(rng, r=None, T=None, require_all=False):
             break
         if len(np.unique(codes)) == r:
             break
+    return CategoricalSeries(codes, Alphabet.of_size(r))
+
+
+@st.composite
+def series_with_every_category(draw, min_r=2, max_r=6, min_T=16, max_T=400):
+    """Hypothesis strategy: a series in which each of its r categories occurs."""
+    r = draw(st.integers(min_r, max_r))
+    T = draw(st.integers(max(min_T, r), max_T))
+    codes = draw(hnp.arrays(np.int64, T, elements=st.integers(1, r)))
+    positions = draw(st.lists(st.integers(0, T - 1), min_size=r, max_size=r, unique=True))
+    codes[positions] = np.arange(1, r + 1)
     return CategoricalSeries(codes, Alphabet.of_size(r))

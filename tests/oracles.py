@@ -230,3 +230,71 @@ def db_distance(codes_a, codes_b, r, max_lag):
     pa = [c / len(codes_a) for c in count_categories(codes_a, r)]
     pb = [c / len(codes_b) for c in count_categories(codes_b, r)]
     return total + sum((x - y) ** 2 for x, y in zip(pa, pb))
+
+
+# -- Per-step references for the plot kernels --------------------------------
+#
+# These are the step-by-step numpy/scipy forms the plot kernels had before
+# they were rewritten for speed.  The kernels must reproduce them bit for bit
+# (np.array_equal, not a tolerance): the arithmetic and its order are the same.
+
+
+def ewma_path(y, lam, c):
+    """EWMA path pi_t = lam * pi_{t-1} + (1 - lam) * Y_t from pi_0 = c, one
+    numpy step per time point; y is the (T, r) one-hot matrix."""
+    import numpy as np
+
+    pi = np.empty(y.shape)
+    prev = np.asarray(c, dtype=float)
+    for t in range(y.shape[0]):
+        prev = lam * prev + (1.0 - lam) * y[t]
+        pi[t] = prev
+    return pi
+
+
+def ifs_points(targets, alpha, beta, f0):
+    """IFS path F_k = alpha * F_{k-1} + beta * targets[k] from F_0 = f0, one
+    numpy step per time point; targets is (T, 2)."""
+    import numpy as np
+
+    points = np.empty((len(targets), 2))
+    prev = np.asarray(f0, dtype=float)
+    for k in range(len(targets)):
+        prev = alpha * prev + beta * targets[k]
+        points[k] = prev
+    return points
+
+
+def spectral_envelope(indicators, window):
+    """(envelope, scalings) of a (T, k) indicator matrix: the full complex
+    cross-periodogram is smoothed (real and imaginary parts), and every
+    frequency gets its own ``scipy.linalg.eigh`` call for the top
+    generalized eigenpair, with the sign of the eigenvector fixed per call."""
+    import numpy as np
+    import scipy.linalg
+    import scipy.ndimage
+
+    def daniell2(values):
+        once = scipy.ndimage.uniform_filter1d(values, window, axis=0, mode="wrap")
+        return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
+
+    y = np.asarray(indicators, dtype=float)
+    T, k = y.shape
+    yc = y - y.mean(axis=0)
+    cov = (yc.T @ yc) / T
+    dft = np.fft.fft(yc, axis=0)
+    period = dft[:, :, None] * dft.conj()[:, None, :] / T
+    smooth = daniell2(period.real) + 1j * daniell2(period.imag)
+    envelope = np.empty(T // 2)
+    scalings = np.empty((T // 2, k))
+    for idx in range(T // 2):
+        f_re = smooth[idx + 1].real
+        f_re = (f_re + f_re.T) / 2.0
+        vals, vecs = scipy.linalg.eigh(f_re, cov, subset_by_index=[k - 1, k - 1])
+        gamma = vecs[:, 0]
+        top = np.argmax(np.abs(gamma))
+        if gamma[top] < 0:
+            gamma = -gamma
+        envelope[idx] = vals[0]
+        scalings[idx] = gamma
+    return envelope, scalings

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catseries
 from catseries.cli import main
 from catseries.io import parse_corpus
 from catseries.series import Alphabet
@@ -268,3 +273,14 @@ def test_unknown_family_same_error_in_test_and_plot(corpus_file, tmp_path, capsy
                  "--family", "bogus", "--out", str(tmp_path / "t.json")]) == 2
     assert capsys.readouterr().err == f"error: {err.value}\n"
     assert "unknown test family 'bogus'" in str(err.value)
+
+
+def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
+    """Each of these adds hundreds of milliseconds to every CLI call."""
+    slow = ("scipy.signal", "scipy.spatial", "scipy.stats", "scipy.sparse")
+    src = str(Path(catseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, catseries.cli; print(*(m for m in {slow!r} if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

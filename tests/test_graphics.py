@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from catseries import (
     Alphabet,
     CategoricalSeries,
@@ -12,8 +15,11 @@ from catseries import (
     rate_evolution,
 )
 from catseries.graphics import circle_corners, geometric_quantile, standardized_statistics
+from catseries.series import binarize
 
-from conftest import random_series
+from conftest import random_series, series_with_every_category
+
+unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def test_rate_evolution_s1(s1):
@@ -245,3 +251,21 @@ def test_ewma_validation():
         ewma_marginal_chart(series, 0.9, np.array([1.0, 0.0]), 3.0)
     with pytest.raises(ValueError):
         ewma_marginal_chart(series, 0.9, None, 0.0)
+
+
+@given(series_with_every_category(), unit_open, unit_open, st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+@settings(max_examples=100, deadline=None)
+def test_ifs_is_bit_identical_to_the_per_step_oracle(series, alpha, beta, f0):
+    targets = circle_corners(series.alphabet.size)[series.codes - 1]
+    out = ifs_circle_transform(series, alpha, beta, f0)
+    assert np.array_equal(out.points, oracles.ifs_points(targets, alpha, beta, f0))
+
+
+@given(series_with_every_category(), unit_open, st.data())
+@settings(max_examples=100, deadline=None)
+def test_ewma_path_is_bit_identical_to_the_per_step_oracle(series, lam, data):
+    r = series.alphabet.size
+    weights = data.draw(st.none() | st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r), label="weights")
+    c = None if weights is None else np.asarray(weights) / sum(weights)
+    chart = ewma_marginal_chart(series, lam, c, 3.0)
+    assert np.array_equal(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))

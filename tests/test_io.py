@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -152,7 +152,7 @@ def test_read_distance_csv_names_the_bad_cell(tmp_path, capsys):
     assert f"'abc' at line 3, column 4 of {path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x"])
+@pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x", ""])
 def test_write_corpus_rejects_symbols_that_do_not_read_back(tmp_path, symbol):
     series = CategoricalSeries(np.array([1, 2, 1]), Alphabet((symbol, "z")))
     path = tmp_path / "corpus.csv"
@@ -162,7 +162,7 @@ def test_write_corpus_rejects_symbols_that_do_not_read_back(tmp_path, symbol):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("label", ["g|h", "g\nh", "g\u2028h"])
+@pytest.mark.parametrize("label", ["g|h", "g\nh", "g\u2028h", " g", "g\t"])
 def test_write_corpus_rejects_class_labels_that_do_not_read_back(tmp_path, label):
     series = CategoricalSeries(np.array([1, 2, 1]), Alphabet.of_size(2))
     path = tmp_path / "corpus.csv"
@@ -170,6 +170,41 @@ def test_write_corpus_rejects_class_labels_that_do_not_read_back(tmp_path, label
         write_corpus(path, [series, series], ["ok", label])
     assert repr(label) in str(err.value)
     assert not path.exists()
+
+
+@st.composite
+def corpora(draw):
+    # plain letters half the time keep most drawn corpora writable
+    text = st.text(st.sampled_from("ab") | st.characters(), max_size=3)
+    symbols = draw(st.lists(text.filter(bool), min_size=2, max_size=5, unique=True), label="symbols")
+    alphabet = Alphabet(tuple(symbols))
+    codes = st.lists(st.integers(1, len(symbols)), min_size=1, max_size=6).map(np.array)
+    series = [CategoricalSeries(c, alphabet) for c in draw(st.lists(codes, min_size=1, max_size=4))]
+    labels = draw(st.none() | st.lists(text, min_size=len(series), max_size=len(series)))
+    return series, labels
+
+
+@example(([CategoricalSeries(np.array([1]), Alphabet(("", "a")))], None))
+@example(([CategoricalSeries(np.array([1, 2]), Alphabet.of_size(2))], [" g"]))
+@example(([CategoricalSeries(np.array([1, 2]), Alphabet(("a,", "b")))], ["g,h"]))
+@given(corpora())
+@settings(max_examples=200, deadline=None)
+def test_corpus_round_trips(corpus):
+    """Every corpus that write_corpus accepts reads back as written; a
+    class label is optional, so labels that are all empty read back as none."""
+    series, labels = corpus
+    alphabet = series[0].alphabet
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        try:
+            write_corpus(path, series, labels)
+        except ValueError:
+            reject()
+        back = parse_corpus(path, alphabet)
+    assert [s.alphabet for s in back.series] == [alphabet] * len(series)
+    assert [s.codes.tolist() for s in back.series] == [s.codes.tolist() for s in series]
+    assert back.ids == [f"series_{i}" for i in range(1, len(series) + 1)]
+    assert back.labels == (labels if labels and any(labels) else None)
 
 
 float_arrays = hnp.arrays(np.float64, st.integers(0, 30), elements=st.floats(allow_subnormal=True))
@@ -186,10 +221,15 @@ def test_format_numbers_matches_format_number(values, bitexact):
        st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_table_csv_matches_csv_writer(rows, bitexact):
+    def csv_line(cells):
+        # quoted as csv.writer quotes a cell holding its terminator's "\r" or "\n"
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(cells)
+        return line.getvalue()[:-2] + "\n"
+
     expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["id", "x", "n"])
-    writer.writerows([text, format_number(x, bitexact), str(n)] for text, x, n in rows)
+    expected.write(csv_line(["id", "x", "n"]))
+    expected.writelines(csv_line([text, format_number(x, bitexact), str(n)]) for text, x, n in rows)
     columns = [[text for text, _, _ in rows], np.array([x for _, x, _ in rows], dtype=float),
                np.array([n for _, _, n in rows], dtype=np.int64)]
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_ROWS", 3):
@@ -204,10 +244,11 @@ def distance_matrices(draw):
     upper = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1e300, allow_subnormal=True)))
     values = np.triu(upper, 1)
     values = values + values.T
-    ids = draw(st.lists(st.text(st.sampled_from('ab1,"\' _'), max_size=5), min_size=n, max_size=n))
+    ids = draw(st.lists(st.text(st.sampled_from('ab1,"\' _\r\n'), max_size=5), min_size=n, max_size=n))
     return DistanceMatrix(values, "db", 1, tuple(ids))
 
 
+@example(DistanceMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]), "db", 1, ("a\rb", "\r\n")))
 @given(distance_matrices())
 @settings(max_examples=150, deadline=None)
 def test_distance_csv_round_trips_bitexact(dm):

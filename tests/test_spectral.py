@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from catseries import Alphabet, CategoricalSeries, scaled_series, spectral_envelope
 from catseries.series import binarize
 from catseries.spectral import default_window, envelope_from_indicators, smoothed_spectrum
 
-from conftest import random_series
+from conftest import random_series, series_with_every_category
 
 
 def test_scaled_series_lookup(s1):
@@ -118,6 +123,48 @@ def test_errors():
     constant_cat = CategoricalSeries(np.tile([1, 2], 50), Alphabet.of_size(3))
     with pytest.raises(ValueError, match="drop unused categories"):
         spectral_envelope(constant_cat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_indicator_is_named_before_any_arithmetic(bad):
+    rng = np.random.default_rng(7)
+    y = binarize(random_series(rng, r=3, T=100, require_all=True))[:, :-1]
+    y[4, 1] = bad
+    y[9, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"row 5, column 2 \(1-based\) is not finite: {bad}"):
+            envelope_from_indicators(y, 5)
+
+
+def test_overflowing_indicators_are_rejected_by_name():
+    rng = np.random.default_rng(7)
+    y = binarize(random_series(rng, r=3, T=100, require_all=True))[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="covariance is not finite"):
+        envelope_from_indicators(1e160 * y, 5)
+
+
+@given(series_with_every_category(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_envelope_is_bit_identical_to_the_per_frequency_oracle(series, data):
+    T = len(series)
+    window = 2 * data.draw(st.integers(0, -(-(T - 2) // 4) - 1), label="half_window") + 1
+    y = binarize(series)[:, :-1]
+    envelope, scalings = oracles.spectral_envelope(y, window)
+    env = envelope_from_indicators(y, window)
+    assert np.array_equal(env.envelope, envelope)
+    assert np.array_equal(env.scalings, scalings)
+
+
+def test_envelope_is_bit_identical_to_the_oracle_for_a_large_alphabet():
+    # above k = 32 indicators LAPACK's tridiagonal reduction is blocked, and
+    # its blocks depend on the workspace size passed to ?sygvx
+    rng = np.random.default_rng(8)
+    y = binarize(random_series(rng, r=36, T=200, require_all=True))[:, :-1]
+    envelope, scalings = oracles.spectral_envelope(y, 11)
+    env = envelope_from_indicators(y, 11)
+    assert np.array_equal(env.envelope, envelope)
+    assert np.array_equal(env.scalings, scalings)
 
 
 def test_default_window_is_odd_and_reasonable():
