@@ -62,6 +62,7 @@ from .series import (
     LagTables,
     binarize,
     conditional_probabilities,
+    corpus_lag_tables,
     lag_tables,
     marginal_probabilities,
 )

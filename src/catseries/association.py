@@ -7,6 +7,10 @@ built from.  The component layout and how the scalar is recovered from the
 components are documented per function; results never clamp sample values
 into the population range (small-sample estimates may fall outside it).
 
+Given the tables of a corpus (:func:`~catseries.series.corpus_lag_tables`),
+they measure every series at once, row k with the bits series k alone gives,
+and raise when the measure is undefined for any series.
+
 Throughout, ``p`` denotes the marginal probability vector (full-series
 counts over T) and ``p_ij`` the lagged joint table (pair counts over
 T - lag); cells whose independence factorization ``p_i p_j`` is zero cannot
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import _masked_sums
 from .series import LagTables
 
 __all__ = [
@@ -44,11 +49,13 @@ class SerialMeasureResult:
     with 1-based category indices ("j=2" for per-category terms, "i=1,j=2"
     for per-cell terms, rows = current category, columns = past category).
     Measures for which no component expansion is defined carry ``None``.
+    For the tables of a corpus, ``value`` is an (n,) array and
+    ``components`` an (n, k) array with one row per series.
     """
 
     measure: str
     lag: int
-    value: float
+    value: float | np.ndarray
     components: np.ndarray | None = None
     component_labels: tuple[str, ...] | None = None
 
@@ -57,10 +64,11 @@ class SerialMeasureResult:
 class PsiMatrix:
     """Correlations between current and lagged one-hot components.
 
-    ``values`` is a masked r x r array; entry (i, j) correlates the indicator
-    of category i now with the indicator of category j ``lag`` steps back.
-    Entries involving a category with marginal probability 0 or 1 are masked
-    (the indicator is constant, so the correlation is undefined).
+    ``values`` is a masked r x r array (n x r x r for the tables of a
+    corpus); entry (i, j) correlates the indicator of category i now with
+    the indicator of category j ``lag`` steps back.  Entries involving a
+    category with marginal probability 0 or 1 are masked (the indicator is
+    constant, so the correlation is undefined).
     """
 
     lag: int
@@ -75,8 +83,23 @@ def _col_labels(r: int) -> tuple[str, ...]:
     return tuple(f"j={j}" for j in range(1, r + 1))
 
 
+def _result(measure: str, tables: LagTables, value, components=None, labels=None) -> SerialMeasureResult:
+    """The result of one series (float value) or of a corpus (array value)."""
+    return SerialMeasureResult(measure, tables.lag, value if np.ndim(value) else float(value), components, labels)
+
+
+def _outer(p: np.ndarray) -> np.ndarray:
+    """p_i p_j over the last axis: (..., r) -> (..., r, r)."""
+    return p[..., :, None] * p[..., None, :]
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """(..., r, r) -> (..., r * r), rows of the table one after the other."""
+    return values.reshape(values.shape[:-2] + (-1,))
+
+
 def _require_dispersed(p: np.ndarray) -> None:
-    if np.sum(p * p) >= 1.0:
+    if np.any(np.sum(p * p, axis=-1) >= 1.0):
         raise ValueError("measure undefined for one-point marginal")
 
 
@@ -88,13 +111,13 @@ def gk_tau(tables: LagTables) -> SerialMeasureResult:
     """
     p = tables.marginals
     _require_dispersed(p)
-    joint = tables.joint
-    per_j = np.zeros(tables.n_categories)
-    seen = p > 0
-    per_j[seen] = np.sum(joint[:, seen] ** 2, axis=0) / p[seen]
-    psq = float(np.sum(p * p))
-    value = (per_j.sum() - psq) / (1.0 - psq)
-    return SerialMeasureResult("gk_tau", tables.lag, float(value), per_j, _col_labels(p.size))
+    # each column summed as a contiguous row, so numpy groups its pairwise sum as for one series
+    squares = np.ascontiguousarray(np.swapaxes(tables.joint, -1, -2)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_j = np.where(p > 0, squares.sum(axis=-1) / p, 0.0)
+    psq = np.sum(p * p, axis=-1)
+    value = (per_j.sum(axis=-1) - psq) / (1.0 - psq)
+    return _result("gk_tau", tables, value, per_j, _col_labels(tables.n_categories))
 
 
 def gk_lambda(tables: LagTables) -> SerialMeasureResult:
@@ -103,12 +126,12 @@ def gk_lambda(tables: LagTables) -> SerialMeasureResult:
     value = (sum(components) - max(p)) / (1 - max(p)), component j being the
     largest joint entry in column j.
     """
-    p = tables.marginals
-    if p.max() >= 1.0:
+    p_max = tables.marginals.max(axis=-1)
+    if np.any(p_max >= 1.0):
         raise ValueError("measure undefined for one-point marginal")
-    col_max = tables.joint.max(axis=0)
-    value = (col_max.sum() - p.max()) / (1.0 - p.max())
-    return SerialMeasureResult("gk_lambda", tables.lag, float(value), col_max, _col_labels(p.size))
+    col_max = tables.joint.max(axis=-2)
+    value = (col_max.sum(axis=-1) - p_max) / (1.0 - p_max)
+    return _result("gk_lambda", tables, value, col_max, _col_labels(tables.n_categories))
 
 
 def uncertainty_coefficient(tables: LagTables) -> SerialMeasureResult:
@@ -119,22 +142,18 @@ def uncertainty_coefficient(tables: LagTables) -> SerialMeasureResult:
     """
     p = tables.marginals
     _require_dispersed(p)
-    joint = tables.joint
-    expected = np.outer(p, p)
-    nz = joint > 0
-    mutual = float(np.sum(joint[nz] * np.log(joint[nz] / expected[nz])))
-    nzp = p[p > 0]
-    denom = -float(np.sum(nzp * np.log(nzp)))
-    return SerialMeasureResult("uncertainty", tables.lag, mutual / denom)
+    joint = _cells(tables.joint)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mutual = _masked_sums(joint * np.log(joint / _cells(_outer(p))), joint > 0)
+        denom = -_masked_sums(p * np.log(p), p > 0)
+    return _result("uncertainty", tables, mutual / denom)
 
 
 def _phi2_cells(tables: LagTables) -> np.ndarray:
-    p = tables.marginals
-    expected = np.outer(p, p)
-    cells = np.zeros_like(expected)
-    ok = expected > 0
-    cells[ok] = (tables.joint[ok] - expected[ok]) ** 2 / expected[ok]
-    return cells
+    expected = _outer(tables.marginals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = np.where(expected > 0, (tables.joint - expected) ** 2 / expected, 0.0)
+    return _cells(cells)
 
 
 def pearson_measure(tables: LagTables) -> SerialMeasureResult:
@@ -144,23 +163,21 @@ def pearson_measure(tables: LagTables) -> SerialMeasureResult:
     components are the r^2 cell terms (p_ij - p_i p_j)^2 / (p_i p_j).
     """
     cells = _phi2_cells(tables)
-    n = tables.n_pairs
-    value = n * float(cells.sum())
-    return SerialMeasureResult("pearson", tables.lag, value, cells.ravel(), _cell_labels(tables.n_categories))
+    value = tables.n_pairs * cells.sum(axis=-1)
+    return _result("pearson", tables, value, cells, _cell_labels(tables.n_categories))
 
 
 def phi2_measure(tables: LagTables) -> SerialMeasureResult:
     """Phi-square: the Pearson measure per lagged pair, value = sum(components)."""
     cells = _phi2_cells(tables)
-    return SerialMeasureResult("phi2", tables.lag, float(cells.sum()), cells.ravel(), _cell_labels(tables.n_categories))
+    return _result("phi2", tables, cells.sum(axis=-1), cells, _cell_labels(tables.n_categories))
 
 
 def sakoda_measure(tables: LagTables) -> SerialMeasureResult:
     """Sakoda measure sqrt(r phi2 / ((r-1)(1 + phi2))).  No components."""
     phi2 = phi2_measure(tables).value
     r = tables.n_categories
-    value = float(np.sqrt(r * phi2 / ((r - 1) * (1.0 + phi2))))
-    return SerialMeasureResult("sakoda", tables.lag, value)
+    return _result("sakoda", tables, np.sqrt(r * phi2 / ((r - 1) * (1.0 + phi2))))
 
 
 def cramers_v(tables: LagTables) -> SerialMeasureResult:
@@ -171,8 +188,7 @@ def cramers_v(tables: LagTables) -> SerialMeasureResult:
     """
     cells = _phi2_cells(tables)
     r = tables.n_categories
-    value = float(np.sqrt(cells.sum() / (r - 1)))
-    return SerialMeasureResult("cramers_v", tables.lag, value, cells.ravel(), _cell_labels(r))
+    return _result("cramers_v", tables, np.sqrt(cells.sum(axis=-1) / (r - 1)), cells, _cell_labels(r))
 
 
 def cohens_kappa(tables: LagTables) -> SerialMeasureResult:
@@ -184,9 +200,9 @@ def cohens_kappa(tables: LagTables) -> SerialMeasureResult:
     """
     p = tables.marginals
     _require_dispersed(p)
-    psq = float(np.sum(p * p))
-    terms = (np.diag(tables.joint) - p * p) / (1.0 - psq)
-    return SerialMeasureResult("cohens_kappa", tables.lag, float(terms.sum()), terms, _col_labels(p.size))
+    psq = np.sum(p * p, axis=-1)
+    terms = (np.diagonal(tables.joint, axis1=-2, axis2=-1) - p * p) / (1.0 - psq)[..., None]
+    return _result("cohens_kappa", tables, terms.sum(axis=-1), terms, _col_labels(tables.n_categories))
 
 
 def psi_matrix(tables: LagTables) -> PsiMatrix:
@@ -198,11 +214,10 @@ def psi_matrix(tables: LagTables) -> PsiMatrix:
     """
     p = tables.marginals
     var = p * (1.0 - p)
-    denom = np.sqrt(np.outer(var, var))
-    mask = np.broadcast_to((var == 0.0)[:, None], denom.shape) | np.broadcast_to(var == 0.0, denom.shape)
-    num = tables.joint - np.outer(p, p)
+    constant = var == 0.0
+    mask = constant[..., :, None] | constant[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / denom
+        values = (tables.joint - _outer(p)) / np.sqrt(_outer(var))
     return PsiMatrix(tables.lag, np.ma.MaskedArray(np.where(mask, 0.0, values), mask=mask))
 
 
@@ -216,15 +231,9 @@ def total_correlation(tables: LagTables) -> SerialMeasureResult:
     psi = psi_matrix(tables)
     if psi.values.mask.any():
         raise ValueError("total correlation undefined: a category has degenerate marginal probability")
-    values = np.asarray(psi.values)
+    values = _cells(np.asarray(psi.values))
     r = tables.n_categories
-    return SerialMeasureResult(
-        "total_correlation",
-        tables.lag,
-        float(np.sum(values * values) / r**2),
-        values.ravel(),
-        _cell_labels(r),
-    )
+    return _result("total_correlation", tables, np.sum(values * values, axis=-1) / r**2, values, _cell_labels(r))
 
 
 MEASURE_FUNCTIONS = {

@@ -17,7 +17,7 @@ from . import graphics, io, mining, svg
 from .association import MEASURE_FUNCTIONS
 from .dispersion import chebycheff_dispersion, entropy, gini_index
 from .inference import TEST_FAMILIES, holm_adjust
-from .series import Alphabet, CategoricalSeries, lag_tables, marginal_probabilities
+from .series import Alphabet, CategoricalSeries, corpus_lag_tables
 from .simulate import corpus_spec_from_dict, generate_corpus
 from .spectral import spectral_envelope
 
@@ -54,40 +54,34 @@ def _parse_lags(text: str) -> list[int]:
     return lags
 
 
-def _series_features(series: CategoricalSeries, measures, lags, expand: bool):
-    values: list[float] = []
-    schema: list[str] = []
-    symbols = series.alphabet.symbols
-    p = marginal_probabilities(series)
+def _feature_columns(corpus, measures, lags, expand: bool) -> tuple[list[str], np.ndarray]:
+    """Schema and (n, k) feature matrix of a corpus sharing one alphabet,
+    one block of columns per measure and lag."""
+    symbols = corpus[0].alphabet.symbols
+    cells = {f"i={i},j={j}": f"{a}_{b}" for i, a in enumerate(symbols, 1) for j, b in enumerate(symbols, 1)}
+    labels = {**cells, **{f"j={j}": b for j, b in enumerate(symbols, 1)}}
     needs_tables = any(name in MEASURE_FUNCTIONS for name in measures)
-    tables = [lag_tables(series, lag) for lag in lags] if needs_tables else []
+    tables = [corpus_lag_tables(corpus, lag) for lag in lags] if needs_tables else [corpus_lag_tables(corpus, 0)]
+    p = tables[0].marginals
+    schema: list[str] = []
+    blocks = []
     for name in measures:
         if name in _DISPERSION:
-            values.append(_DISPERSION[name](p))
+            blocks.append(_DISPERSION[name](p)[:, None])
             schema.append(name)
         elif name == "marginals":
-            values.extend(p)
+            blocks.append(p)
             schema.extend(f"p.{s}" for s in symbols)
         else:
             for lag, table in zip(lags, tables):
                 result = MEASURE_FUNCTIONS[name](table)
                 if expand and result.components is not None:
-                    values.extend(result.components)
-                    schema.extend(
-                        f"{name}.l{lag}.{_relabel(lab, symbols)}" for lab in result.component_labels
-                    )
+                    blocks.append(result.components)
+                    schema.extend(f"{name}.l{lag}.{labels[lab]}" for lab in result.component_labels)
                 else:
-                    values.append(result.value)
+                    blocks.append(result.value[:, None])
                     schema.append(f"{name}.l{lag}")
-    return values, schema
-
-
-def _relabel(index_label: str, symbols) -> str:
-    # "i=2,j=1" -> "b_a"; "j=3" -> "c"
-    parts = dict(item.split("=") for item in index_label.split(","))
-    if "i" in parts:
-        return f"{symbols[int(parts['i']) - 1]}_{symbols[int(parts['j']) - 1]}"
-    return symbols[int(parts["j"]) - 1]
+    return schema, np.concatenate(blocks, axis=1)
 
 
 def _cmd_features(args) -> int:
@@ -100,17 +94,12 @@ def _cmd_features(args) -> int:
         if name not in known:
             raise ValueError(f"unknown measure {name!r}; expected one of {sorted(known)}")
     lags = _parse_lags(args.lags)
-    results = []
-    for index, (series, series_id) in enumerate(zip(corpus.series, corpus.ids), start=1):
-        try:
-            results.append(_series_features(series, measures, lags, args.expand))
-        except ValueError as err:
-            raise ValueError(f"series {series_id!r} (index {index}): {err}") from None
-    schema = results[0][1]
-    for idx, (_, s) in enumerate(results):
-        if s != schema:
-            raise ValueError(f"series {idx + 1} produced a different feature layout")
-    matrix = [values for values, _ in results]
+    try:
+        schema, matrix = _feature_columns(corpus.series, measures, lags, args.expand)
+    except ValueError:
+        mining.raise_first_failure(corpus.series, corpus.ids,
+                                   lambda series: _feature_columns([series], measures, lags, args.expand))
+        raise
     io.write_features_csv(args.out, corpus.ids, schema, matrix, corpus.labels, args.bitexact)
     return 0
 

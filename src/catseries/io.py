@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +64,8 @@ def _sniff_format(first_line: str) -> str:
 def _split_csv_line(line: str) -> tuple[list[str], str | None]:
     body, sep, label = line.rpartition("|")
     if sep:
-        return [s.strip() for s in body.split(",")], label.strip()
-    return [s.strip() for s in line.split(",")], None
+        return list(map(str.strip, body.split(","))), label.strip()
+    return list(map(str.strip, line.split(","))), None
 
 
 def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infer_alphabet: bool = False) -> Corpus:
@@ -91,16 +91,17 @@ def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infe
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
 
+    distinct = set(chain.from_iterable(symbols for _, symbols in rows))
     if alphabet is None:
-        seen = sorted({s for _, symbols in rows for s in symbols})
-        alphabet = Alphabet(tuple(seen))
-    series = []
-    for line_no, symbols in rows:
-        try:
-            series.append(CategoricalSeries.from_symbols(symbols, alphabet))
-        except ValueError:
-            pos, symbol = next((pos, s) for pos, s in enumerate(symbols, start=1) if s not in alphabet.symbols)
-            raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}") from None
+        alphabet = Alphabet(tuple(sorted(distinct)))
+    known = set(alphabet.symbols)
+    if not distinct <= known:
+        line_no, pos, symbol = next((line_no, pos, s) for line_no, symbols in rows
+                                    for pos, s in enumerate(symbols, start=1) if s not in known)
+        raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}")
+    code = {symbol: alphabet.code(symbol) for symbol in distinct}.__getitem__
+    series = [CategoricalSeries(np.fromiter(map(code, symbols), np.int64, len(symbols)), alphabet)
+              for _, symbols in rows]
     return Corpus(series, ids, labels if labels and any(labels) else None)
 
 

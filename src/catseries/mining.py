@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import cohens_kappa, cramers_v, total_correlation
-from .series import CategoricalSeries, lag_tables, marginal_probabilities
+from .series import CategoricalSeries, corpus_lag_tables
 
 __all__ = [
     "FeatureVector",
@@ -65,50 +65,68 @@ class DistanceMatrix:
         return int(self.values.shape[0])
 
 
-def _marginal_schema(series: CategoricalSeries) -> list[str]:
-    return [f"p.{s}" for s in series.alphabet.symbols]
+def _schema(metric: str, symbols, max_lag: int) -> tuple[str, ...]:
+    schema: list[str] = []
+    for lag in range(1, max_lag + 1):
+        prefix = "v" if metric == "dcc" else "psi"
+        schema.extend(f"{prefix}.l{lag}.{a}_{b}" for a in symbols for b in symbols)
+        if metric == "dcc":
+            schema.extend(f"kappa.l{lag}.{s}" for s in symbols)
+    schema.extend(f"p.{s}" for s in symbols)
+    return tuple(schema)
 
 
-def _cell_schema(prefix: str, lag: int, symbols) -> list[str]:
-    return [f"{prefix}.l{lag}.{a}_{b}" for a in symbols for b in symbols]
+def _feature_matrix(corpus: Sequence[CategoricalSeries], metric: str, max_lag: int) -> np.ndarray:
+    """(n, k) feature rows of every series of a corpus sharing one alphabet.
+
+    Raises when the features of any series are undefined, with the message
+    that series alone would raise: marginal checks come before lag tables.
+    """
+    p = corpus_lag_tables(corpus, 0).marginals
+    if metric == "dcc":
+        if np.any(p == 0.0):
+            raise ValueError("degenerate marginals: every declared category must occur")
+        if np.any(np.sum(p * p, axis=-1) >= 1.0):
+            raise ValueError("degenerate marginals: series is constant")
+    elif np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("degenerate marginals: component correlations undefined")
+    blocks = []
+    for lag in range(1, max_lag + 1):
+        tables = corpus_lag_tables(corpus, lag)
+        if metric == "dcc":
+            blocks.extend((cramers_v(tables).components, cohens_kappa(tables).components))
+        else:
+            blocks.append(total_correlation(tables).components)
+    blocks.append(p)
+    return np.concatenate(blocks, axis=1)
 
 
 def dcc_features(series: CategoricalSeries, max_lag: int = 1) -> FeatureVector:
     """Features whose squared-difference norm is the ``dcc`` dissimilarity."""
-    p = marginal_probabilities(series)
-    if np.any(p == 0.0):
-        raise ValueError("degenerate marginals: every declared category must occur")
-    if np.sum(p * p) >= 1.0:
-        raise ValueError("degenerate marginals: series is constant")
-    symbols = series.alphabet.symbols
-    blocks, schema = [], []
-    for lag in range(1, max_lag + 1):
-        tables = lag_tables(series, lag)
-        blocks.append(cramers_v(tables).components)
-        schema.extend(_cell_schema("v", lag, symbols))
-        blocks.append(cohens_kappa(tables).components)
-        schema.extend(f"kappa.l{lag}.{s}" for s in symbols)
-    blocks.append(p)
-    schema.extend(_marginal_schema(series))
-    return FeatureVector(np.concatenate(blocks), tuple(schema))
+    return FeatureVector(_feature_matrix([series], "dcc", max_lag)[0], _schema("dcc", series.alphabet.symbols, max_lag))
 
 
 def db_features(series: CategoricalSeries, max_lag: int = 1) -> FeatureVector:
     """Features whose squared-difference norm is the ``db`` dissimilarity."""
-    p = marginal_probabilities(series)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("degenerate marginals: component correlations undefined")
-    symbols = series.alphabet.symbols
-    blocks, schema = [], []
-    for lag in range(1, max_lag + 1):
-        blocks.append(total_correlation(lag_tables(series, lag)).components)
-        schema.extend(_cell_schema("psi", lag, symbols))
-    blocks.append(p)
-    schema.extend(_marginal_schema(series))
-    return FeatureVector(np.concatenate(blocks), tuple(schema))
+    return FeatureVector(_feature_matrix([series], "db", max_lag)[0], _schema("db", series.alphabet.symbols, max_lag))
 
 
 _METRIC_FEATURES = {"dcc": dcc_features, "db": db_features}
+
+
+def raise_first_failure(corpus: Sequence[CategoricalSeries], ids: Sequence[str] | None, compute) -> None:
+    """After a computation over a whole corpus failed: check each series
+    alone, in order, for the first series' alphabet and then with
+    ``compute``, and raise the first failure naming the series by its id
+    (when given) and 1-based index.  Returns if none fails."""
+    for index, series in enumerate(corpus, start=1):
+        name = f"series {ids[index - 1]!r} (index {index})" if ids is not None else f"series (index {index})"
+        if series.alphabet != corpus[0].alphabet:
+            raise ValueError(f"{name} does not share the corpus alphabet")
+        try:
+            compute(series)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
 
 
 def distance_matrix(
@@ -128,17 +146,15 @@ def distance_matrix(
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FEATURES)}")
     if not corpus:
         raise ValueError("empty corpus")
-    extract = _METRIC_FEATURES[metric]
-    rows = []
-    for index, series in enumerate(corpus):
-        name = f"series {ids[index]!r} (index {index + 1})" if ids is not None else f"series (index {index + 1})"
-        if series.alphabet.symbols != corpus[0].alphabet.symbols:
-            raise ValueError(f"{name} does not share the corpus alphabet")
-        try:
-            rows.append(extract(series, max_lag).values)
-        except ValueError as err:
-            raise ValueError(f"{name}: {err}") from None
-    features = np.vstack(rows)
+    if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
+        raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
+    if ids is not None and len(ids) != len(corpus):
+        raise ValueError(f"{len(ids)} ids given for {len(corpus)} series")
+    try:
+        features = _feature_matrix(corpus, metric, max_lag)
+    except ValueError:
+        raise_first_failure(corpus, ids, lambda series: _METRIC_FEATURES[metric](series, max_lag))
+        raise
     n = len(corpus)
     values = np.zeros((n, n))
     for a in range(n - 1):

@@ -20,6 +20,7 @@ __all__ = [
     "binarize",
     "marginal_probabilities",
     "lag_tables",
+    "corpus_lag_tables",
     "conditional_probabilities",
 ]
 
@@ -117,19 +118,14 @@ def binarize(series: CategoricalSeries) -> np.ndarray:
     return eye[series.codes - 1]
 
 
-def category_counts(series: CategoricalSeries) -> np.ndarray:
-    """Occurrences of each category over the whole series, length r."""
-    return np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:]
-
-
 def marginal_probabilities(series: CategoricalSeries) -> np.ndarray:
     """Relative frequency of each category, length r, summing to 1."""
-    return category_counts(series) / len(series)
+    return lag_tables(series, 0).marginals.copy()
 
 
 @dataclass(frozen=True, eq=False)
 class LagTables:
-    """Marginal and lagged-joint frequency tables of one series.
+    """Marginal and lagged-joint frequency tables of one series or a corpus.
 
     ``joint[i - 1, j - 1]`` estimates the probability that the series equals
     ``i`` now and ``j`` exactly ``lag`` steps earlier; rows index the current
@@ -137,13 +133,16 @@ class LagTables:
     while the joint table is divided by the number of observed pairs T - lag,
     so joint rows do not sum exactly to the marginals in finite samples.
 
+    For a corpus of n series, ``marginals``, ``joint`` and ``T`` gain a
+    leading axis of length n: row k holds the tables of series k.
+
     ``counts``/``pair_counts`` hold the raw integer counts when the tables
     were built from a series; tables built directly from probabilities (e.g.
     exact population tables in tests) carry ``None`` there.
     """
 
     lag: int
-    T: int
+    T: int | np.ndarray
     marginals: np.ndarray
     joint: np.ndarray
     counts: np.ndarray | None = None
@@ -152,14 +151,13 @@ class LagTables:
     def __post_init__(self) -> None:
         p = np.asarray(self.marginals, dtype=float)
         joint = np.asarray(self.joint, dtype=float)
-        r = p.size
-        if joint.shape != (r, r):
+        if p.ndim == 0 or joint.shape != p.shape + p.shape[-1:]:
             raise ValueError("joint table must be r x r")
         if self.lag < 0:
             raise ValueError("lag must be non-negative")
         if np.any(p < 0) or np.any(p > 1) or np.any(joint < 0) or np.any(joint > 1):
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-9 or abs(joint.sum() - 1.0) > 1e-9:
+        if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(np.abs(joint.sum(axis=(-2, -1)) - 1.0) > 1e-9):
             raise ValueError("probability tables must sum to 1")
         p.flags.writeable = False
         joint.flags.writeable = False
@@ -168,7 +166,7 @@ class LagTables:
         if self.counts is not None:
             n = np.asarray(self.counts, dtype=np.int64)
             nij = np.asarray(self.pair_counts, dtype=np.int64)
-            if n.sum() != self.T or nij.sum() != self.T - self.lag:
+            if np.any(n.sum(axis=-1) != self.T) or np.any(nij.sum(axis=(-2, -1)) != self.T - self.lag):
                 raise ValueError("count tables inconsistent with series length")
             n.flags.writeable = False
             nij.flags.writeable = False
@@ -177,10 +175,10 @@ class LagTables:
 
     @property
     def n_categories(self) -> int:
-        return int(self.marginals.size)
+        return int(self.marginals.shape[-1])
 
     @property
-    def n_pairs(self) -> int:
+    def n_pairs(self) -> int | np.ndarray:
         """Number of lagged pairs behind the joint table."""
         return self.T - self.lag
 
@@ -196,30 +194,54 @@ class LagTables:
         return cls(lag=lag, T=lag + n_pairs, marginals=np.asarray(marginals, float), joint=np.asarray(joint, float))
 
 
+def corpus_lag_tables(corpus: Sequence[CategoricalSeries], lag: int) -> LagTables:
+    """:func:`lag_tables` of every series of a corpus sharing one alphabet,
+    as one :class:`LagTables` with a leading series axis; lengths may differ.
+
+    One ``np.bincount`` over ``series * r * r + current * r + past`` counts
+    every pair; the pairs that straddle two series are then taken out again.
+    """
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
+    if not corpus:
+        raise ValueError("empty corpus")
+    alphabet = corpus[0].alphabet
+    if any(series.alphabet != alphabet for series in corpus):
+        raise ValueError("series do not share one alphabet")
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    if lag >= lengths.min():
+        raise ValueError("lag exceeds series length")
+    n, r = lengths.size, alphabet.size
+    # 0-based codes in the narrowest dtype that holds r (each series checked its
+    # codes), so that `key` is the one 8-byte array as long as the corpus
+    codes = np.concatenate([series.codes for series in corpus], dtype=np.min_scalar_type(r), casting="unsafe")
+    codes -= 1
+    key = np.repeat(np.arange(0, n * r, r, dtype=np.int64), lengths)
+    key += codes  # series * r + current
+    counts = np.bincount(key, minlength=n * r).reshape(n, r)
+    key *= r
+    key[lag:] += codes[: codes.size - lag]  # series * r * r + current * r + past
+    pair_counts = np.bincount(key[lag:], minlength=n * r * r)
+    straddling = (np.cumsum(lengths[:-1])[:, None] + np.arange(lag)).ravel()
+    pair_counts -= np.bincount(key[straddling], minlength=n * r * r)
+    return LagTables(
+        lag=lag,
+        T=lengths,
+        marginals=counts / lengths[:, None],
+        joint=pair_counts.reshape(n, r, r) / (lengths - lag)[:, None, None],
+        counts=counts,
+        pair_counts=pair_counts.reshape(n, r, r),
+    )
+
+
 def lag_tables(series: CategoricalSeries, lag: int) -> LagTables:
     """Count-based marginal and lag-``lag`` joint tables for a series.
 
     Pairs (current, past) are enumerated for t = lag+1 .. T; at lag 0 the
     joint table is diagonal with the marginal frequencies.
     """
-    T = len(series)
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag >= T:
-        raise ValueError("lag exceeds series length")
-    r = series.alphabet.size
-    counts = category_counts(series)
-    rows = series.codes[lag:] - 1
-    cols = series.codes[: T - lag] - 1
-    pair_counts = np.bincount(rows * r + cols, minlength=r * r).reshape(r, r)
-    return LagTables(
-        lag=lag,
-        T=T,
-        marginals=counts / T,
-        joint=pair_counts / (T - lag),
-        counts=counts,
-        pair_counts=pair_counts,
-    )
+    tables = corpus_lag_tables([series], lag)
+    return LagTables(lag, len(series), tables.marginals[0], tables.joint[0], tables.counts[0], tables.pair_counts[0])
 
 
 def conditional_probabilities(tables: LagTables) -> np.ma.MaskedArray:

@@ -291,20 +291,31 @@ class CorpusSpec:
         return out
 
 
-def _model_from_dict(entry: dict) -> tuple[Model, int]:
+def _integer(entry: dict, key: str, where: str, default: int | None = None) -> int:
+    """``entry[key]`` as an int, or ``default`` when given and the key is
+    absent; a boolean or a number with a fractional part is rejected by name
+    rather than truncated."""
+    value = entry[key] if default is None else entry.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"corpus spec {where}key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _model_from_dict(entry: dict, number: int) -> tuple[Model, int]:
     family = entry.get("family")
-    count = int(entry.get("count", 1))
+    where = f"group {number} "
+    count = _integer(entry, "count", where, 1)
     if family == "mc":
         model: Model = MarkovChainModel(entry["transition"], entry["initial"])
     elif family == "hmm":
         model = HiddenMarkovModel(entry["hidden_transition"], entry["emission"], entry["hidden_initial"])
     elif family == "ndarma":
         model = NdarmaModel(
-            int(entry["p"]),
-            int(entry["q"]),
+            _integer(entry, "p", where),
+            _integer(entry, "q", where),
             entry["selection"],
             entry["innovation"],
-            int(entry.get("burn_in", 500)),
+            _integer(entry, "burn_in", where, 500),
         )
     else:
         raise ValueError(f"unknown model family {family!r}")
@@ -319,12 +330,14 @@ def corpus_spec_from_dict(data: dict) -> CorpusSpec:
     ("mc" | "hmm" | "ndarma"), ``count`` and the family's coefficients
     (mc: ``transition``, ``initial``; hmm: ``hidden_transition``,
     ``emission``, ``hidden_initial``; ndarma: ``p``, ``q``, ``selection``,
-    ``innovation``, optional ``burn_in``).
+    ``innovation``, optional ``burn_in``).  Integer fields must hold
+    integers: a boolean or a fractional number is rejected, naming the key
+    and the 1-based group number.
     """
     try:
-        groups = tuple(_model_from_dict(entry) for entry in data["groups"])
+        groups = tuple(_model_from_dict(entry, number) for number, entry in enumerate(data["groups"], start=1))
         alphabet = Alphabet(tuple(data["alphabet"])) if "alphabet" in data else None
-        return CorpusSpec(groups, int(data["length"]), int(data["seed"]), alphabet)
+        return CorpusSpec(groups, _integer(data, "length", ""), _integer(data, "seed", ""), alphabet)
     except KeyError as missing:
         raise ValueError(f"corpus spec is missing required key {missing}") from None
 

@@ -105,7 +105,7 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     yc = y - y.mean(axis=0)
     cov = (yc.T @ yc) / T
     eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] <= 1e-12:
+    if eigvals[0] <= 1e-12 * eigvals[-1]:  # relative to the covariance's scale: rescaled indicators agree
         raise ValueError(
             "indicator covariance is singular (a category is constant over the series); "
             "drop unused categories from the alphabet and retry"

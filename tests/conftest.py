@@ -41,3 +41,22 @@ def series_with_every_category(draw, min_r=2, max_r=6, min_T=16, max_T=400):
     positions = draw(st.lists(st.integers(0, T - 1), min_size=r, max_size=r, unique=True))
     codes[positions] = np.arange(1, r + 1)
     return CategoricalSeries(codes, Alphabet.of_size(r))
+
+
+def ragged_series(rng, r, T, used=None):
+    """Series of length T over an r-category alphabet whose codes are drawn
+    from ``used`` (all r categories by default)."""
+    used = np.arange(1, r + 1) if used is None else np.asarray(used)
+    return CategoricalSeries(rng.choice(used, size=T), Alphabet.of_size(r))
+
+
+@st.composite
+def ragged_corpus(draw, min_r=2, max_r=8, max_series=5):
+    """Hypothesis strategy: 1..max_series series of lengths 10..300 over one
+    alphabet.  A series draws from all categories or from its own non-empty
+    subset of them, so absent categories and constant series occur."""
+    r = draw(st.integers(min_r, max_r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subsets = st.none() | st.lists(st.integers(1, r), min_size=1, max_size=r, unique=True).map(sorted)
+    return [ragged_series(rng, r, draw(st.integers(10, 300)), draw(subsets))
+            for _ in range(draw(st.integers(1, max_series)))]

@@ -298,3 +298,296 @@ def spectral_envelope(indicators, window):
         envelope[idx] = vals[0]
         scalings[idx] = gamma
     return envelope, scalings
+
+
+# -- Per-series numpy references for the corpus kernels -----------------------
+#
+# The one-series-at-a-time numpy forms of the lag tables, the association and
+# dispersion measures and the dcc/db feature vectors, as they were before the
+# package computed them for a whole corpus at once.  The corpus kernels must
+# reproduce them bit for bit (np.array_equal): every value and component of a
+# series, and every error message, is the one these give.
+
+
+def series_lag_tables(series, lag):
+    """LagTables of one series from one np.bincount of its own pairs."""
+    import numpy as np
+
+    from catseries.series import LagTables
+
+    T = len(series)
+    if lag < 0:
+        raise ValueError("lag must be non-negative")
+    if lag >= T:
+        raise ValueError("lag exceeds series length")
+    r = series.alphabet.size
+    counts = np.bincount(series.codes, minlength=r + 1)[1:]
+    rows = series.codes[lag:] - 1
+    cols = series.codes[: T - lag] - 1
+    pair_counts = np.bincount(rows * r + cols, minlength=r * r).reshape(r, r)
+    return LagTables(lag=lag, T=T, marginals=counts / T, joint=pair_counts / (T - lag),
+                     counts=counts, pair_counts=pair_counts)
+
+
+def _series_result(name, tables, value, components=None, labels=None):
+    from catseries.association import SerialMeasureResult
+
+    return SerialMeasureResult(name, tables.lag, float(value), components, labels)
+
+
+def _series_cell_labels(r):
+    return tuple(f"i={i},j={j}" for i in range(1, r + 1) for j in range(1, r + 1))
+
+
+def _series_col_labels(r):
+    return tuple(f"j={j}" for j in range(1, r + 1))
+
+
+def _series_require_dispersed(p):
+    import numpy as np
+
+    if np.sum(p * p) >= 1.0:
+        raise ValueError("measure undefined for one-point marginal")
+
+
+def series_gk_tau(tables):
+    import numpy as np
+
+    p = tables.marginals
+    _series_require_dispersed(p)
+    joint = tables.joint
+    per_j = np.zeros(tables.n_categories)
+    seen = p > 0
+    per_j[seen] = np.sum(joint[:, seen] ** 2, axis=0) / p[seen]
+    psq = float(np.sum(p * p))
+    value = (per_j.sum() - psq) / (1.0 - psq)
+    return _series_result("gk_tau", tables, value, per_j, _series_col_labels(p.size))
+
+
+def series_gk_lambda(tables):
+    p = tables.marginals
+    if p.max() >= 1.0:
+        raise ValueError("measure undefined for one-point marginal")
+    col_max = tables.joint.max(axis=0)
+    value = (col_max.sum() - p.max()) / (1.0 - p.max())
+    return _series_result("gk_lambda", tables, value, col_max, _series_col_labels(p.size))
+
+
+def series_uncertainty(tables):
+    import numpy as np
+
+    p = tables.marginals
+    _series_require_dispersed(p)
+    joint = tables.joint
+    expected = np.outer(p, p)
+    nz = joint > 0
+    mutual = float(np.sum(joint[nz] * np.log(joint[nz] / expected[nz])))
+    nzp = p[p > 0]
+    denom = -float(np.sum(nzp * np.log(nzp)))
+    return _series_result("uncertainty", tables, mutual / denom)
+
+
+def _series_phi2_cells(tables):
+    import numpy as np
+
+    p = tables.marginals
+    expected = np.outer(p, p)
+    cells = np.zeros_like(expected)
+    ok = expected > 0
+    cells[ok] = (tables.joint[ok] - expected[ok]) ** 2 / expected[ok]
+    return cells
+
+
+def series_pearson(tables):
+    cells = _series_phi2_cells(tables)
+    value = tables.n_pairs * float(cells.sum())
+    return _series_result("pearson", tables, value, cells.ravel(), _series_cell_labels(tables.n_categories))
+
+
+def series_phi2(tables):
+    cells = _series_phi2_cells(tables)
+    return _series_result("phi2", tables, cells.sum(), cells.ravel(), _series_cell_labels(tables.n_categories))
+
+
+def series_sakoda(tables):
+    import numpy as np
+
+    phi2 = series_phi2(tables).value
+    r = tables.n_categories
+    return _series_result("sakoda", tables, np.sqrt(r * phi2 / ((r - 1) * (1.0 + phi2))))
+
+
+def series_cramers_v(tables):
+    import numpy as np
+
+    cells = _series_phi2_cells(tables)
+    r = tables.n_categories
+    return _series_result("cramers_v", tables, np.sqrt(cells.sum() / (r - 1)), cells.ravel(), _series_cell_labels(r))
+
+
+def series_cohens_kappa(tables):
+    import numpy as np
+
+    p = tables.marginals
+    _series_require_dispersed(p)
+    psq = float(np.sum(p * p))
+    terms = (np.diag(tables.joint) - p * p) / (1.0 - psq)
+    return _series_result("cohens_kappa", tables, terms.sum(), terms, _series_col_labels(p.size))
+
+
+def series_psi_values(tables):
+    """(values, mask) of the psi matrix of one series."""
+    import numpy as np
+
+    p = tables.marginals
+    var = p * (1.0 - p)
+    denom = np.sqrt(np.outer(var, var))
+    mask = np.broadcast_to((var == 0.0)[:, None], denom.shape) | np.broadcast_to(var == 0.0, denom.shape)
+    num = tables.joint - np.outer(p, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = num / denom
+    return np.where(mask, 0.0, values), mask
+
+
+def series_total_correlation(tables):
+    import numpy as np
+
+    values, mask = series_psi_values(tables)
+    if mask.any():
+        raise ValueError("total correlation undefined: a category has degenerate marginal probability")
+    r = tables.n_categories
+    return _series_result("total_correlation", tables, np.sum(values * values) / r**2, values.ravel(),
+                          _series_cell_labels(r))
+
+
+SERIES_MEASURES = {
+    "gk_tau": series_gk_tau,
+    "gk_lambda": series_gk_lambda,
+    "uncertainty": series_uncertainty,
+    "pearson": series_pearson,
+    "phi2": series_phi2,
+    "sakoda": series_sakoda,
+    "cramers_v": series_cramers_v,
+    "cohens_kappa": series_cohens_kappa,
+    "total_correlation": series_total_correlation,
+}
+
+
+def series_gini(p):
+    import numpy as np
+
+    r = p.size
+    return float(r / (r - 1) * (1.0 - np.sum(p * p)))
+
+
+def series_entropy(p):
+    import numpy as np
+
+    r = p.size
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log(nz)) / np.log(r))
+
+
+def series_chebycheff(p):
+    r = p.size
+    return float(r / (r - 1) * (1.0 - p.max()))
+
+
+SERIES_DISPERSION = {"gini": series_gini, "entropy": series_entropy, "chebycheff": series_chebycheff}
+
+
+def series_dcc_features(series, max_lag=1):
+    """(values, schema) of the dcc features of one series."""
+    import numpy as np
+
+    p = np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] / len(series)
+    if np.any(p == 0.0):
+        raise ValueError("degenerate marginals: every declared category must occur")
+    if np.sum(p * p) >= 1.0:
+        raise ValueError("degenerate marginals: series is constant")
+    symbols = series.alphabet.symbols
+    blocks, schema = [], []
+    for lag in range(1, max_lag + 1):
+        tables = series_lag_tables(series, lag)
+        blocks.append(series_cramers_v(tables).components)
+        schema.extend(f"v.l{lag}.{a}_{b}" for a in symbols for b in symbols)
+        blocks.append(series_cohens_kappa(tables).components)
+        schema.extend(f"kappa.l{lag}.{s}" for s in symbols)
+    blocks.append(p)
+    schema.extend(f"p.{s}" for s in symbols)
+    return np.concatenate(blocks), tuple(schema)
+
+
+def series_db_features(series, max_lag=1):
+    """(values, schema) of the db features of one series."""
+    import numpy as np
+
+    p = np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] / len(series)
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("degenerate marginals: component correlations undefined")
+    symbols = series.alphabet.symbols
+    blocks, schema = [], []
+    for lag in range(1, max_lag + 1):
+        blocks.append(series_total_correlation(series_lag_tables(series, lag)).components)
+        schema.extend(f"psi.l{lag}.{a}_{b}" for a in symbols for b in symbols)
+    blocks.append(p)
+    schema.extend(f"p.{s}" for s in symbols)
+    return np.concatenate(blocks), tuple(schema)
+
+
+SERIES_FEATURES = {"dcc": series_dcc_features, "db": series_db_features}
+
+
+def series_distance_matrix(corpus, metric, max_lag, ids=None):
+    """Distance values of a corpus from per-series features, filled one row
+    of pairs at a time; errors name the first failing series."""
+    import numpy as np
+
+    rows = []
+    for index, series in enumerate(corpus):
+        name = f"series {ids[index]!r} (index {index + 1})" if ids is not None else f"series (index {index + 1})"
+        if series.alphabet.symbols != corpus[0].alphabet.symbols:
+            raise ValueError(f"{name} does not share the corpus alphabet")
+        try:
+            rows.append(SERIES_FEATURES[metric](series, max_lag)[0])
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    features = np.vstack(rows)
+    n = len(corpus)
+    values = np.zeros((n, n))
+    for a in range(n - 1):
+        diff = features[a + 1:] - features[a]
+        values[a, a + 1:] = values[a + 1:, a] = np.einsum("ij,ij->i", diff, diff)
+    return values
+
+
+def series_feature_row(series, measures, lags, expand):
+    """(values, schema) of one series as ``catseries features`` writes its
+    row: dispersion and marginal columns, then each measure at each lag."""
+    import numpy as np
+
+    values, schema = [], []
+    symbols = series.alphabet.symbols
+    p = np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] / len(series)
+    needs_tables = any(name in SERIES_MEASURES for name in measures)
+    tables = [series_lag_tables(series, lag) for lag in lags] if needs_tables else []
+    for name in measures:
+        if name in SERIES_DISPERSION:
+            values.append(SERIES_DISPERSION[name](p))
+            schema.append(name)
+        elif name == "marginals":
+            values.extend(p)
+            schema.extend(f"p.{s}" for s in symbols)
+        else:
+            for lag, table in zip(lags, tables):
+                result = SERIES_MEASURES[name](table)
+                if expand and result.components is not None:
+                    values.extend(result.components)
+                    for label in result.component_labels:
+                        parts = dict(item.split("=") for item in label.split(","))
+                        cell = "_".join(symbols[int(parts[k]) - 1] for k in ("i", "j") if k in parts)
+                        schema.append(f"{name}.l{lag}.{cell}")
+                else:
+                    values.append(result.value)
+                    schema.append(f"{name}.l{lag}")
+    return values, schema

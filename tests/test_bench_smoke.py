@@ -3,9 +3,11 @@
 One pass of ``bench/run.py`` at ``--size tiny`` per workload checks every
 output against the benchmark's independent oracles and its recorded seed-3
 references: simulate, features, dist, mds and outliers on ``corpus-mining``
-(about 6 s), and the tests, plot tables and SVGs on
-``long-series-monitoring`` (about 7 s).  A change that breaks them fails here
-and not only when the benchmark is run.
+(about 6 s); the tests, plot tables and SVGs on ``long-series-monitoring``
+(about 7 s); and features, dist dcc and outliers on ``fasta-protein`` (about
+6 s), the one workload with a large alphabet (r=20) and series of different
+lengths, where ``gk_tau``, ``gk_lambda`` and ``uncertainty`` run.  A change
+that breaks them fails here and not only when the benchmark is run.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["corpus-mining", "long-series-monitoring"])
+@pytest.mark.parametrize("workload", ["corpus-mining", "long-series-monitoring", "fasta-protein"])
 def test_benchmark_checks_pass(workload):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",

@@ -197,6 +197,14 @@ def test_validation_exit_codes(tmp_path, corpus_file):
     assert main(["simulate", "--spec", str(broken), "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("max_lag", ["0", "-1"])
+def test_dist_rejects_a_non_positive_max_lag(corpus_file, tmp_path, capsys, max_lag):
+    assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--max-lag", max_lag,
+                 "--out", str(tmp_path / "d.csv")]) == 2
+    assert f"max_lag must be a positive integer, got {max_lag}" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_unknown_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["features", "--frobnicate"])

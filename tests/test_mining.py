@@ -63,6 +63,23 @@ def test_alphabet_mismatch_names_series():
         distance_matrix([a, odd, b], "db", ids=["a", "odd", "b"])
 
 
+@pytest.mark.parametrize("max_lag", [0, -1, 1.5, True])
+def test_distance_matrix_rejects_a_non_positive_max_lag(max_lag):
+    rng = np.random.default_rng(6)
+    corpus = [random_series(rng, r=3, T=50, require_all=True) for _ in range(3)]
+    with pytest.raises(ValueError, match=f"max_lag must be a positive integer, got {max_lag!r}"):
+        distance_matrix(corpus, "db", max_lag)
+
+
+def test_distance_matrix_rejects_ids_of_the_wrong_length():
+    rng = np.random.default_rng(7)
+    corpus = [random_series(rng, r=3, T=50, require_all=True) for _ in range(3)]
+    with pytest.raises(ValueError, match="1 ids given for 3 series"):
+        distance_matrix(corpus, "db", ids=["x"])
+    with pytest.raises(ValueError, match="4 ids given for 3 series"):
+        distance_matrix(corpus, "dcc", ids=list("abcd"))
+
+
 def test_distances_match_double_sum_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catseries import (
     Alphabet,
@@ -161,6 +165,67 @@ def test_corpus_spec_errors():
     nd2 = NdarmaModel(0, 0, [1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="same number of categories"):
         CorpusSpec(groups=((mc, 1), (nd2, 1)), length=10, seed=1)
+
+
+ND_GROUP = {"family": "ndarma", "p": 1, "q": 0, "selection": [0.6, 0.4], "innovation": [0.2, 0.3, 0.5]}
+
+
+@pytest.mark.parametrize("top, group, message", [
+    ({"length": 10.9}, {}, "corpus spec key 'length' must be an integer, got 10.9"),
+    ({"seed": True}, {}, "corpus spec key 'seed' must be an integer, got True"),
+    ({"seed": "7"}, {}, "corpus spec key 'seed' must be an integer, got '7'"),
+    ({}, {"count": 2.5}, "corpus spec group 2 key 'count' must be an integer, got 2.5"),
+    ({}, {"count": False}, "corpus spec group 2 key 'count' must be an integer, got False"),
+    ({}, {"p": 1.7}, "corpus spec group 2 key 'p' must be an integer, got 1.7"),
+    ({}, {"q": float("nan")}, "corpus spec group 2 key 'q' must be an integer, got nan"),
+    ({}, {"burn_in": 100.5}, "corpus spec group 2 key 'burn_in' must be an integer, got 100.5"),
+])
+def test_corpus_spec_rejects_booleans_and_fractions_by_key_and_group(top, group, message):
+    data = {"seed": 1, "length": 20, "groups": [{"family": "mc", "transition": P3, "initial": UNIFORM3},
+                                                {**ND_GROUP, **group}], **top}
+    with pytest.raises(ValueError) as err:
+        corpus_spec_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_corpus_spec_accepts_integral_floats():
+    data = {"seed": 3.0, "length": 20.0, "groups": [{**ND_GROUP, "count": 2.0, "p": 1.0, "burn_in": 10.0}]}
+    spec = corpus_spec_from_dict(data)
+    assert (spec.seed, spec.length, spec.groups[0][1], spec.groups[0][0].burn_in) == (3, 20, 2, 10)
+
+
+@st.composite
+def corpus_specs(draw):
+    """Valid corpus specs: 1..3 groups of any family over one r, with
+    coefficients drawn from a seeded Dirichlet law."""
+    r = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def law(size, rows=None):
+        return rng.dirichlet(np.ones(size), size=rows)
+
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        family = draw(st.sampled_from(["mc", "hmm", "ndarma"]))
+        if family == "mc":
+            model = MarkovChainModel(law(r, r), law(r))
+        elif family == "hmm":
+            h = draw(st.integers(1, 3))
+            model = HiddenMarkovModel(law(h, h), law(r, h), law(h))
+        else:
+            p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            model = NdarmaModel(p, q, law(p + q + 1), law(r), draw(st.integers(0, 1000)))
+        groups.append((model, draw(st.integers(1, 5))))
+    alphabet = draw(st.none() | st.just(Alphabet(tuple("abcd"[:r]))))
+    return CorpusSpec(tuple(groups), draw(st.integers(1, 10**6)), draw(st.integers(0, 2**63)), alphabet)
+
+
+@given(corpus_specs())
+@settings(max_examples=150, deadline=None)
+def test_corpus_spec_round_trips_through_json(spec):
+    data = spec.to_dict()
+    assert corpus_spec_from_dict(data).to_dict() == data
+    assert corpus_spec_from_dict(json.loads(json.dumps(data))).to_dict() == data
 
 
 def test_marginal_calibration_within_bands():

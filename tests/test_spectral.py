@@ -125,6 +125,23 @@ def test_errors():
         spectral_envelope(constant_cat)
 
 
+@pytest.mark.parametrize("c", [1e-7, 1e3])
+def test_rescaled_indicators_give_the_same_envelope(c):
+    rng = np.random.default_rng(16)
+    y = binarize(random_series(rng, r=3, T=400, require_all=True))[:, :-1]
+    base = envelope_from_indicators(y, 21)
+    scaled = envelope_from_indicators(c * y, 21)
+    np.testing.assert_allclose(scaled.envelope, base.envelope, rtol=1e-12)
+    np.testing.assert_allclose(c * scaled.scalings, base.scalings, rtol=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-7, 1.0, 1e3])
+def test_a_constant_category_is_singular_at_any_scale(c):
+    y = binarize(CategoricalSeries(np.tile([1, 2], 200), Alphabet.of_size(3)))[:, [0, 2]]
+    with pytest.raises(ValueError, match="indicator covariance is singular"):
+        envelope_from_indicators(c * y, 21)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_indicator_is_named_before_any_arithmetic(bad):
     rng = np.random.default_rng(7)
