@@ -4,11 +4,14 @@
 A,C,G,T (``input.csv``, T=240), the SVG of every ``plot`` kind with its
 ``--table`` CSV in decimal and in ``--bitexact`` mode, and the decimal
 (non-``--bitexact``) outputs of ``features``, ``dist``, ``mds`` and
-``outliers`` on the criterion-10 corpus of ``tests/data/golden/``.  Every
+``outliers`` on the criterion-10 corpus of ``tests/data/golden/``, and the
+corpus ``simulate`` writes from :data:`SIMULATE_SPEC` (``simulate.csv``:
+one mc, one hmm and two NDARMA groups, with and without burn-in).  Every
 file must match its reference exactly.  Run this module as a script to
 rewrite them; do so only from a commit whose outputs are trusted.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,22 @@ PLOTS = {
     "ewma-chart": ["ewma-chart"],
     "ewma-collapse": ["ewma-chart", "--collapse"],
     "envelope": ["envelope"],
+}
+
+SIMULATE_SPEC = {
+    "seed": 2024,
+    "length": 90,
+    "alphabet": ["a", "b", "c"],
+    "groups": [
+        {"family": "mc", "count": 3, "transition": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]],
+         "initial": [0.5, 0.25, 0.25]},
+        {"family": "hmm", "count": 3, "hidden_transition": [[0.9, 0.1], [0.3, 0.7]],
+         "emission": [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], "hidden_initial": [0.5, 0.5]},
+        {"family": "ndarma", "count": 3, "p": 2, "q": 1, "selection": [0.4, 0.2, 0.3, 0.1],
+         "innovation": [0.2, 0.5, 0.3], "burn_in": 37},
+        {"family": "ndarma", "count": 3, "p": 0, "q": 2, "selection": [0.3, 0.4, 0.3],
+         "innovation": [0.6, 0.1, 0.3], "burn_in": 0},
+    ],
 }
 
 
@@ -55,10 +74,13 @@ def _commands(out: Path) -> list[tuple[list[str], list[str]]]:
         commands.append(([f"mds_{metric}.csv"], ["mds", "--dist", dist, "--out", str(out / f"mds_{metric}.csv")]))
         commands.append(([f"outliers_{metric}.json"],
                          ["outliers", "--dist", dist, "--out", str(out / f"outliers_{metric}.json")]))
+    spec = out / "simulate.json"
+    commands.append((["simulate.csv"], ["simulate", "--spec", str(spec), "--out", str(out / "simulate.csv")]))
     return commands
 
 
 def _run_all(out: Path) -> None:
+    (out / "simulate.json").write_text(json.dumps(SIMULATE_SPEC))
     for names, args in _commands(out):
         assert main(args) == 0, names
 
