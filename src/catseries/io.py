@@ -17,9 +17,10 @@ Numbers become text a row or a column at a time: :func:`format_numbers`
 maps one C-level formatter (``float.hex`` or ``"{:.10g}".format``) over a
 whole array, and the CSV writers join its cells with ``","``.  Only the
 text fields (ids, class labels and headers) go through :mod:`csv` quoting.
-:func:`read_distance_csv` parses a row with one ``map`` call and checks a
-row cell by cell only when that fails.  Every value is written with the
-same text as the scalar :func:`format_number` gives it.
+:func:`read_distance_csv` splits a line that holds no quote on ``","``
+without :mod:`csv`, and parses a row with one ``map`` call, checking it
+cell by cell only when that fails.  Every value is written with the same
+text as the scalar :func:`format_number` gives it.
 """
 
 from __future__ import annotations
@@ -251,8 +252,7 @@ def read_distance_csv(path) -> DistanceMatrix:
     cell that is not a number is named by file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        numbered = [(reader.line_num, row) for row in reader if row]
+        numbered = _csv_rows(handle)
     if len(numbered) < 2 or numbered[0][1][0] != "id":
         raise ValueError(f"not a distance matrix file: {path}")
     header, body = numbered[0][1], numbered[1:]
@@ -268,6 +268,27 @@ def read_distance_csv(path) -> DistanceMatrix:
     if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
         raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
     return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+
+
+def _csv_rows(lines) -> list[tuple[int, list[str]]]:
+    """(last line number, cells) of every non-empty row, as csv.reader reads
+    them from ``lines``: lines that keep their "\n", "\r" or "\r\n", such
+    as a file opened with ``newline=""``.  A line without a quote is split
+    on ","; a row that starts on a line holding a quote goes through
+    csv.reader, which takes as many more lines as its quoted cells span."""
+    rows = []
+    line_num = 0
+    lines = iter(lines)
+    for line in lines:
+        line_num += 1
+        if '"' in line:
+            reader = csv.reader(chain((line,), lines))
+            row = next(reader)
+            line_num += reader.line_num - 1
+            rows.append((line_num, row))
+        elif line := line.rstrip("\r\n"):
+            rows.append((line_num, line.split(",")))
+    return rows
 
 
 _HEX_PREFIXES = ("0x", "-0x")

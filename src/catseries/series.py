@@ -103,8 +103,7 @@ class CategoricalSeries:
         return cls(codes, alphabet)
 
     def to_symbols(self) -> list[str]:
-        labels = self.alphabet.symbols
-        return [labels[c - 1] for c in self.codes]
+        return np.array(self.alphabet.symbols, dtype=object)[self.codes - 1].tolist()
 
 
 def binarize(series: CategoricalSeries) -> np.ndarray:

@@ -39,6 +39,8 @@ _U53 = float(1 << 53)
 
 def _check_stochastic(matrix, name: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(m < 0.0):
         raise ValueError(f"{name} has negative entries")
     if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
@@ -48,22 +50,26 @@ def _check_stochastic(matrix, name: str) -> np.ndarray:
 
 def _check_probability_vector(vec, name: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
     if v.ndim != 1 or np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-12:
         raise ValueError(f"{name} must be a probability vector")
     return v
 
 
-def _cumulative_rows(matrix: np.ndarray) -> list[list[float]]:
-    rows = []
-    for row in matrix:
-        cum = np.cumsum(row)
-        cum[-1] = 1.0  # absorb float round-off so every draw lands in range
-        rows.append(cum.tolist())
-    return rows
+def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(np.atleast_2d(matrix), axis=1)
+    cum[:, -1] = 1.0  # absorb float round-off so every draw lands in range
+    return cum
 
 
 def _uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 1 << 53, size=n, dtype=np.int64) / _U53
+
+
+def _draw(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """0-based categories of ``us``: ``bisect_right`` over an array."""
+    return np.searchsorted(cum, us, side="right")
 
 
 @dataclass(frozen=True)
@@ -92,15 +98,13 @@ class MarkovChainModel:
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: one uniform per time step, t = 1..length."""
         us = _uniforms(rng, length).tolist()
-        cum_init = _cumulative_rows(self.initial[None, :])[0]
-        cum_rows = _cumulative_rows(self.transition)
-        codes = np.empty(length, dtype=np.int64)
-        state = bisect_right(cum_init, us[0])
-        codes[0] = state + 1
-        for t in range(1, length):
-            state = bisect_right(cum_rows[state], us[t])
-            codes[t] = state + 1
-        return codes
+        cum_rows = _cumulative_rows(self.transition).tolist()
+        state = bisect_right(_cumulative_rows(self.initial)[0].tolist(), us[0])
+        states = [state]
+        for u in us[1:]:
+            state = bisect_right(cum_rows[state], u)
+            states.append(state)
+        return np.array(states, dtype=np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -134,13 +138,9 @@ class HiddenMarkovModel:
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: the full hidden path first (one uniform per step),
         then one emission uniform per step."""
-        hidden_model = MarkovChainModel(self.transition, self.initial)
-        hidden = hidden_model.sample(length, rng) - 1
-        us = _uniforms(rng, length)
-        cum_emit = np.cumsum(self.emission, axis=1)
-        cum_emit[:, -1] = 1.0
-        codes = np.sum(cum_emit[hidden] <= us[:, None], axis=1) + 1
-        return codes.astype(np.int64)
+        hidden = MarkovChainModel(self.transition, self.initial).sample(length, rng) - 1
+        cum_emit = _cumulative_rows(self.emission)[hidden]
+        return np.sum(cum_emit <= _uniforms(rng, length)[:, None], axis=1, dtype=np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -183,34 +183,22 @@ class NdarmaModel:
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: p presample values then q presample innovations (all
         from the innovation law), then per step one innovation uniform
-        followed by one selection uniform."""
-        cum_innov = _cumulative_rows(self.innovation[None, :])[0]
-        cum_sel = _cumulative_rows(self.selection[None, :])[0]
-        x_hist = [bisect_right(cum_innov, u) + 1 for u in _uniforms(rng, self.p)]
-        e_hist = [bisect_right(cum_innov, u) + 1 for u in _uniforms(rng, self.q)]
-        x_hist.reverse()  # most recent first
-        e_hist.reverse()
+        followed by one selection uniform.  X fills slots p + t after p
+        presample slots; a step that copies X_{t-k} points k slots back, and
+        pointer doubling resolves each copy chain to the value it repeats."""
+        cum_innov = _cumulative_rows(self.innovation)[0]
+        presample = _draw(cum_innov, _uniforms(rng, self.p))
+        eps = _draw(cum_innov, _uniforms(rng, self.q))
         total = self.burn_in + length
-        us = _uniforms(rng, 2 * total).tolist()
-        codes = np.empty(length, dtype=np.int64)
-        for t in range(total):
-            eps = bisect_right(cum_innov, us[2 * t]) + 1
-            choice = bisect_right(cum_sel, us[2 * t + 1])
-            if choice < self.p:
-                value = x_hist[choice]
-            elif choice == self.p:
-                value = eps
-            else:
-                value = e_hist[choice - self.p - 1]
-            if self.q > 0:
-                e_hist.insert(0, eps)
-                e_hist.pop()
-            if self.p > 0:
-                x_hist.insert(0, value)
-                x_hist.pop()
-            if t >= self.burn_in:
-                codes[t - self.burn_in] = value
-        return codes
+        us = _uniforms(rng, 2 * total)
+        eps = np.concatenate([eps, _draw(cum_innov, us[0::2])])  # eps_t in slot q + t
+        choice = _draw(_cumulative_rows(self.selection)[0], us[1::2])
+        fresh = eps[self.q + np.arange(total) - np.maximum(choice - self.p, 0)]
+        ptr = np.arange(self.p + total)
+        ptr[self.p:] -= np.where(choice < self.p, choice + 1, 0)
+        while not np.array_equal(jumped := ptr[ptr], ptr):
+            ptr = jumped
+        return np.concatenate([presample, fresh])[ptr[self.p + self.burn_in:]] + 1
 
 
 Model = MarkovChainModel | HiddenMarkovModel | NdarmaModel
@@ -264,6 +252,8 @@ class CorpusSpec:
                 raise ValueError("group counts must be positive")
         if self.length < 1:
             raise ValueError("length must be positive")
+        if self.seed < 0:
+            raise ValueError(f"corpus seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         groups = []
@@ -302,8 +292,10 @@ def _integer(entry: dict, key: str, where: str, default: int | None = None) -> i
 
 
 def _model_from_dict(entry: dict, number: int) -> tuple[Model, int]:
-    family = entry.get("family")
     where = f"group {number} "
+    if not isinstance(entry, dict):
+        raise ValueError(f"corpus spec {where}must be an object, got {entry!r}")
+    family = entry.get("family")
     count = _integer(entry, "count", where, 1)
     if family == "mc":
         model: Model = MarkovChainModel(entry["transition"], entry["initial"])
@@ -332,9 +324,14 @@ def corpus_spec_from_dict(data: dict) -> CorpusSpec:
     ``emission``, ``hidden_initial``; ndarma: ``p``, ``q``, ``selection``,
     ``innovation``, optional ``burn_in``).  Integer fields must hold
     integers: a boolean or a fractional number is rejected, naming the key
-    and the 1-based group number.
+    and the 1-based group number; so are a negative seed, a ``groups`` value
+    that is not a list and a group that is not an object.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"corpus spec must be an object, got {data!r}")
     try:
+        if not isinstance(data["groups"], list):
+            raise ValueError(f"corpus spec key 'groups' must be a list of objects, got {data['groups']!r}")
         groups = tuple(_model_from_dict(entry, number) for number, entry in enumerate(data["groups"], start=1))
         alphabet = Alphabet(tuple(data["alphabet"])) if "alphabet" in data else None
         return CorpusSpec(groups, _integer(data, "length", ""), _integer(data, "seed", ""), alphabet)

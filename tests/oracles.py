@@ -4,6 +4,8 @@ Everything here is written with plain Python loops over raw counts,
 independent of the numpy code paths under test.  Keep it slow and obvious.
 """
 
+import bisect
+import itertools
 import math
 
 
@@ -591,3 +593,74 @@ def series_feature_row(series, measures, lags, expand):
                     values.append(result.value)
                     schema.append(f"{name}.l{lag}")
     return values, schema
+
+
+# -- Sequential samplers ---------------------------------------------------------
+#
+# The per-step loops the simulators ran before NDARMA copy chains were
+# resolved by pointer doubling.  They consume the generator exactly as the
+# package does, so the package's codes must equal theirs (np.array_equal)
+# for every model and seed.
+
+
+def _cumulative(probabilities):
+    cum = list(itertools.accumulate(float(x) for x in probabilities))
+    cum[-1] = 1.0
+    return cum
+
+
+def _uniform_list(rng, n):
+    import numpy as np
+
+    return (rng.integers(0, 1 << 53, size=n, dtype=np.int64) / float(1 << 53)).tolist()
+
+
+def mc_sample(model, length, rng):
+    """Codes of a MarkovChainModel: one uniform per step, inverse CDF by
+    bisect over the initial law, then over the previous state's row."""
+    import numpy as np
+
+    us = _uniform_list(rng, length)
+    rows = [_cumulative(row) for row in model.transition]
+    codes = np.empty(length, dtype=np.int64)
+    state = bisect.bisect_right(_cumulative(model.initial), us[0])
+    codes[0] = state + 1
+    for t in range(1, length):
+        state = bisect.bisect_right(rows[state], us[t])
+        codes[t] = state + 1
+    return codes
+
+
+def ndarma_sample(model, length, rng):
+    """Codes of an NdarmaModel from most-recent-first histories of values
+    and innovations: p presample values, q presample innovations, then per
+    step an innovation uniform and a selection uniform."""
+    import numpy as np
+
+    cum_innov = _cumulative(model.innovation)
+    cum_sel = _cumulative(model.selection)
+    x_hist = [bisect.bisect_right(cum_innov, u) + 1 for u in _uniform_list(rng, model.p)]
+    e_hist = [bisect.bisect_right(cum_innov, u) + 1 for u in _uniform_list(rng, model.q)]
+    x_hist.reverse()
+    e_hist.reverse()
+    total = model.burn_in + length
+    us = _uniform_list(rng, 2 * total)
+    codes = np.empty(length, dtype=np.int64)
+    for t in range(total):
+        eps = bisect.bisect_right(cum_innov, us[2 * t]) + 1
+        choice = bisect.bisect_right(cum_sel, us[2 * t + 1])
+        if choice < model.p:
+            value = x_hist[choice]
+        elif choice == model.p:
+            value = eps
+        else:
+            value = e_hist[choice - model.p - 1]
+        if model.q > 0:
+            e_hist.insert(0, eps)
+            e_hist.pop()
+        if model.p > 0:
+            x_hist.insert(0, value)
+            x_hist.pop()
+        if t >= model.burn_in:
+            codes[t - model.burn_in] = value
+    return codes

@@ -197,6 +197,25 @@ def test_validation_exit_codes(tmp_path, corpus_file):
     assert main(["simulate", "--spec", str(broken), "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda spec: spec["groups"][1].update(innovation=[float("nan"), 0.5, 0.5]),
+     "innovation marginal has non-finite entries"),
+    (lambda spec: spec["groups"][0]["transition"].__setitem__(1, [float("nan"), 1.0, 0.0]),
+     "transition matrix has non-finite entries"),
+    (lambda spec: spec.update(groups="x"), "corpus spec key 'groups' must be a list of objects"),
+    (lambda spec: spec["groups"].__setitem__(1, None), "corpus spec group 2 must be an object"),
+    (lambda spec: spec.update(seed=-3), "corpus seed must be non-negative, got -3"),
+])
+def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
+    spec = json.loads(json.dumps(SPEC))
+    edit(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # json writes a float NaN as the literal NaN, which json reads back
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "y.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 @pytest.mark.parametrize("max_lag", ["0", "-1"])
 def test_dist_rejects_a_non_positive_max_lag(corpus_file, tmp_path, capsys, max_lag):
     assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--max-lag", max_lag,

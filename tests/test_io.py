@@ -13,6 +13,8 @@ from hypothesis.extra import numpy as hnp
 from catseries import Alphabet, CategoricalSeries, DistanceMatrix, distance_matrix
 from catseries.cli import main
 from catseries.io import (
+    _csv_cell,
+    _csv_rows,
     _parse_number,
     _parse_row,
     format_number,
@@ -273,14 +275,28 @@ def _cell_texts():
     return st.tuples(pad, st.one_of(hex_cells, hex_cells, other), pad).map("".join)
 
 
-@example(["0x1p0", "1.5"])
-@example(["0x1p0", " 0x1p0", "0x1p0\u3000"])
-@example(["1.5", "0x1p0"])
-@example(["0x1p0", "+0x1p0"])
-@example(["2", "abc", "-0x1p0"])
-@given(st.lists(_cell_texts(), min_size=1, max_size=8))
+def _csv_reader_rows(text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader if row]
+
+
+@example(["0x1p0", "1.5"], "a")
+@example(["0x1p0", " 0x1p0", "0x1p0\u3000"], "a,b")
+@example(["1.5", "0x1p0"], 'say "x"')
+@example(["0x1p0", "+0x1p0"], "two\r\nlines\r")
+@example(["2", "abc", "-0x1p0"], "\n")
+@given(st.lists(_cell_texts(), min_size=1, max_size=8), st.text(st.sampled_from('ab,"\r\n \u2028'), max_size=6))
 @settings(max_examples=400, deadline=None)
-def test_row_parser_agrees_with_the_cell_parser(cells):
+def test_row_parser_agrees_with_the_cell_parser(cells, ident):
+    """A distance row, an id then number cells, is split as csv.reader
+    splits it, on the str.split path or, for an id csv.writer quotes, the
+    csv path; its cells parse as the cell parser parses them one by one,
+    and a bad cell is named by the row's line and its column."""
+    text = f"{_csv_cell(ident)},{','.join(cells)}\n"
+    rows = _csv_rows(io.StringIO(text, newline=""))
+    assert rows == _csv_reader_rows(text)
+    [(line, row)] = rows
+    assert row == [ident, *cells]
     expected, bad = [], None
     for column, cell in enumerate(cells, start=2):
         try:
@@ -288,8 +304,17 @@ def test_row_parser_agrees_with_the_cell_parser(cells):
         except ValueError:
             bad = bad or (cell, column)
     if bad is None:
-        assert [x.hex() for x in _parse_row(cells, 7, "f.csv")] == [x.hex() for x in expected]
+        assert [x.hex() for x in _parse_row(row[1:], line, "f.csv")] == [x.hex() for x in expected]
     else:
         with pytest.raises(ValueError, match="not a number") as err:
-            _parse_row(cells, 7, "f.csv")
-        assert f"{bad[0].strip()!r} at line 7, column {bad[1]}" in str(err.value)
+            _parse_row(row[1:], line, "f.csv")
+        assert f"{bad[0].strip()!r} at line {line}, column {bad[1]}" in str(err.value)
+
+
+@example('a,"b\r\nc",d\n\n"e""",\r"\n')
+@example('"unterminated\n,x')
+@example('x\r\ny\rz\n\r\n,\n')
+@given(st.text(st.sampled_from('a0,"\r\n \u2028\x00'), max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_csv_rows_match_csv_reader_on_any_text(text):
+    assert _csv_rows(io.StringIO(text, newline="")) == _csv_reader_rows(text)

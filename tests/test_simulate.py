@@ -24,6 +24,8 @@ from catseries import (
 from catseries.inference import chi2_quantile
 from catseries.series import conditional_probabilities
 
+from oracles import mc_sample, ndarma_sample
+
 UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
 P3 = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
 
@@ -165,6 +167,36 @@ def test_corpus_spec_errors():
     nd2 = NdarmaModel(0, 0, [1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="same number of categories"):
         CorpusSpec(groups=((mc, 1), (nd2, 1)), length=10, seed=1)
+    nd = {"family": "ndarma", "p": 0, "q": 0, "selection": [1.0], "innovation": [0.5, 0.5]}
+    for data, message in [
+        ({"seed": 1, "length": 5, "groups": "x"}, "corpus spec key 'groups' must be a list of objects, got 'x'"),
+        ({"seed": 1, "length": 5, "groups": {"family": "mc"}}, "corpus spec key 'groups' must be a list"),
+        ({"seed": 1, "length": 5, "groups": [None]}, "corpus spec group 1 must be an object, got None"),
+        ({"seed": 1, "length": 5, "groups": [nd, "mc"]}, "corpus spec group 2 must be an object, got 'mc'"),
+        ({"seed": -1, "length": 5, "groups": [nd]}, "corpus seed must be non-negative, got -1"),
+        ([nd], "corpus spec must be an object"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            corpus_spec_from_dict(data)
+        assert str(err.value).startswith(message), data
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MarkovChainModel([[NAN, 1.0], [0.5, 0.5]], [0.5, 0.5]), "transition matrix has non-finite entries"),
+    (lambda: MarkovChainModel([[0.5, 0.5], [0.5, 0.5]], [NAN, 1.0]), "initial distribution has non-finite"),
+    (lambda: HiddenMarkovModel([[1.0]], [[NAN, 1.0]], [1.0]), "emission matrix has non-finite entries"),
+    (lambda: HiddenMarkovModel([[NAN]], [[0.5, 0.5]], [1.0]), "hidden transition matrix has non-finite"),
+    (lambda: HiddenMarkovModel([[1.0]], [[0.5, 0.5]], [NAN]), "hidden initial distribution has non-finite"),
+    (lambda: NdarmaModel(0, 0, [1.0], [NAN, 1.0]), "innovation marginal has non-finite entries"),
+    (lambda: NdarmaModel(1, 0, [NAN, 1.0], [0.5, 0.5]), "selection probabilities has non-finite entries"),
+    (lambda: NdarmaModel(1, 0, [float("inf"), 0.0], [0.5, 0.5]), "selection probabilities has non-finite"),
+])
+def test_non_finite_probabilities_are_rejected_by_law(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 ND_GROUP = {"family": "ndarma", "p": 1, "q": 0, "selection": [0.6, 0.4], "innovation": [0.2, 0.3, 0.5]}
@@ -238,3 +270,44 @@ def test_marginal_calibration_within_bands():
     stationary /= stationary.sum()
     band = 3.0 / np.sqrt(len(series))
     assert np.abs(marginal_probabilities(series) - stationary).max() < 3 * band
+
+
+def _law(rng, size, rows=None):
+    """A random probability law whose entries are often near zero, so that
+    long runs of one category or one NDARMA selection are common."""
+    return rng.dirichlet(np.full(size, rng.uniform(0.05, 1.0)), size=rows)
+
+
+def _same_draws(model, length, seed, oracle):
+    ours, theirs = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    codes = model.sample(length, ours)
+    assert np.array_equal(codes, oracle(model, length, theirs))
+    assert codes.dtype == np.int64
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@given(st.integers(2, 6), st.integers(0, 3), st.integers(0, 3), st.integers(0, 599), st.integers(1, 2999),
+       st.integers(0, 2**63))
+@settings(max_examples=200, deadline=None)
+def test_ndarma_sample_matches_sequential_oracle(r, p, q, burn_in, length, seed):
+    rng = np.random.default_rng(seed)
+    model = NdarmaModel(p, q, _law(rng, p + q + 1), _law(rng, r), burn_in)
+    _same_draws(model, length, seed, ndarma_sample)
+
+
+@pytest.mark.parametrize("p, q, selection", [
+    (1, 0, [1.0, 0.0]),  # one copy chain through the whole series, back to the presample
+    (3, 0, [0.0, 0.0, 1.0, 0.0]),  # three interleaved chains, each 3 slots back
+    (0, 3, [0.0, 0.0, 0.0, 1.0]),  # every value is the innovation drawn 3 steps earlier
+    (2, 2, [0.0, 0.0, 0.0, 0.0, 1.0]),  # ... including presample innovations
+])
+def test_ndarma_degenerate_selections_match_sequential_oracle(p, q, selection):
+    for burn_in in (0, 1, 5):
+        _same_draws(NdarmaModel(p, q, selection, [0.2, 0.3, 0.5], burn_in), 50, 11 + burn_in, ndarma_sample)
+
+
+@given(st.integers(1, 6), st.integers(1, 2999), st.integers(0, 2**63))
+@settings(max_examples=100, deadline=None)
+def test_mc_sample_matches_sequential_oracle(r, length, seed):
+    rng = np.random.default_rng(seed)
+    _same_draws(MarkovChainModel(_law(rng, r, r), _law(rng, r)), length, seed, mc_sample)
