@@ -271,7 +271,7 @@ def read_distance_csv(path) -> DistanceMatrix:
 
 
 def _csv_rows(lines) -> list[tuple[int, list[str]]]:
-    """(last line number, cells) of every non-empty row, as csv.reader reads
+    r"""(last line number, cells) of every non-empty row, as csv.reader reads
     them from ``lines``: lines that keep their "\n", "\r" or "\r\n", such
     as a file opened with ``newline=""``.  A line without a quote is split
     on ","; a row that starts on a line holding a quote goes through

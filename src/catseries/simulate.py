@@ -1,9 +1,10 @@
 """Seeded generators for Markov chain, hidden-Markov and NDARMA series.
 
 Determinism contract: the generator is PCG64 seeded with the given integer;
-category draws map one 53-bit uniform to a category by inverse CDF over the
-cumulative row probabilities, so the same spec and seed reproduce the same
-codes on any platform.  The draw order is fixed and documented per family.
+category draws map one 53-bit uniform (``Generator.random``: the top 53 bits
+of one 64-bit output) to a category by inverse CDF over the cumulative row
+probabilities, so the same spec and seed reproduce the same codes on any
+platform.  The draw order is fixed and documented per family.
 Corpus generation derives the seed of series i as ``corpus seed + i``
 (counter mode), so corpora are reproducible and extensible.
 
@@ -34,9 +35,6 @@ __all__ = [
     "corpus_spec_from_dict",
 ]
 
-_U53 = float(1 << 53)
-
-
 def _check_stochastic(matrix, name: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.all(np.isfinite(m)):
@@ -63,13 +61,23 @@ def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 1 << 53, size=n, dtype=np.int64) / _U53
-
-
 def _draw(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
     """0-based categories of ``us``: ``bisect_right`` over an array."""
     return np.searchsorted(cum, us, side="right")
+
+
+def _walk(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """0-based states of a first-order chain, one uniform per step: the
+    first through ``initial``, then through the previous state's row.  Each
+    step needs the one before, so this is one ``bisect_right`` per step."""
+    us = us.tolist()
+    cum_rows = _cumulative_rows(transition).tolist()
+    state = bisect_right(_cumulative_rows(initial)[0].tolist(), us[0])
+    states = [state]
+    for u in us[1:]:
+        state = bisect_right(cum_rows[state], u)
+        states.append(state)
+    return np.array(states, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -97,14 +105,7 @@ class MarkovChainModel:
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: one uniform per time step, t = 1..length."""
-        us = _uniforms(rng, length).tolist()
-        cum_rows = _cumulative_rows(self.transition).tolist()
-        state = bisect_right(_cumulative_rows(self.initial)[0].tolist(), us[0])
-        states = [state]
-        for u in us[1:]:
-            state = bisect_right(cum_rows[state], u)
-            states.append(state)
-        return np.array(states, dtype=np.int64) + 1
+        return _walk(self.transition, self.initial, rng.random(length)) + 1
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,9 @@ class HiddenMarkovModel:
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: the full hidden path first (one uniform per step),
         then one emission uniform per step."""
-        hidden = MarkovChainModel(self.transition, self.initial).sample(length, rng) - 1
+        hidden = _walk(self.transition, self.initial, rng.random(length))
         cum_emit = _cumulative_rows(self.emission)[hidden]
-        return np.sum(cum_emit <= _uniforms(rng, length)[:, None], axis=1, dtype=np.int64) + 1
+        return np.sum(cum_emit <= rng.random(length)[:, None], axis=1, dtype=np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,10 @@ class NdarmaModel:
         presample slots; a step that copies X_{t-k} points k slots back, and
         pointer doubling resolves each copy chain to the value it repeats."""
         cum_innov = _cumulative_rows(self.innovation)[0]
-        presample = _draw(cum_innov, _uniforms(rng, self.p))
-        eps = _draw(cum_innov, _uniforms(rng, self.q))
+        presample = _draw(cum_innov, rng.random(self.p))
+        eps = _draw(cum_innov, rng.random(self.q))
         total = self.burn_in + length
-        us = _uniforms(rng, 2 * total)
+        us = rng.random(2 * total)
         eps = np.concatenate([eps, _draw(cum_innov, us[0::2])])  # eps_t in slot q + t
         choice = _draw(_cumulative_rows(self.selection)[0], us[1::2])
         fresh = eps[self.q + np.arange(total) - np.maximum(choice - self.p, 0)]
