@@ -15,13 +15,10 @@ import numpy as np
 
 from . import graphics, io, mining, svg
 from .association import MEASURE_FUNCTIONS
-from .dispersion import chebycheff_dispersion, entropy, gini_index
 from .inference import TEST_FAMILIES, holm_adjust
-from .series import Alphabet, CategoricalSeries, corpus_lag_tables
+from .series import Alphabet, CategoricalSeries
 from .simulate import corpus_spec_from_dict, generate_corpus
 from .spectral import spectral_envelope
-
-_DISPERSION = {"gini": gini_index, "entropy": entropy, "chebycheff": chebycheff_dispersion}
 
 
 def _alphabet_args(parser: argparse.ArgumentParser) -> None:
@@ -48,40 +45,22 @@ def _pick_series(corpus: io.Corpus, index: int) -> CategoricalSeries:
 
 
 def _parse_lags(text: str) -> list[int]:
-    lags = sorted({int(part) for part in text.split(",")})
-    if any(l < 1 for l in lags):
-        raise ValueError("lags must be positive")
-    return lags
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isdecimal() and int(part) > 0 for part in parts):
+        raise ValueError(f"--lags expects a comma list of positive integers, got {text!r}")
+    return sorted({int(part) for part in parts})
 
 
-def _feature_columns(corpus, measures, lags, expand: bool) -> tuple[list[str], np.ndarray]:
-    """Schema and (n, k) feature matrix of a corpus sharing one alphabet,
-    one block of columns per measure and lag."""
-    symbols = corpus[0].alphabet.symbols
-    cells = {f"i={i},j={j}": f"{a}_{b}" for i, a in enumerate(symbols, 1) for j, b in enumerate(symbols, 1)}
-    labels = {**cells, **{f"j={j}": b for j, b in enumerate(symbols, 1)}}
-    needs_tables = any(name in MEASURE_FUNCTIONS for name in measures)
-    tables = [corpus_lag_tables(corpus, lag) for lag in lags] if needs_tables else [corpus_lag_tables(corpus, 0)]
-    p = tables[0].marginals
-    schema: list[str] = []
-    blocks = []
+def _feature_layout(measures: list[str], lags: list[int]) -> list[tuple[str, int, str]]:
+    """(measure, lag, title) of each ``features`` block: a measure of the
+    marginals once, a measure of the lag tables once per lag."""
+    columns = []
     for name in measures:
-        if name in _DISPERSION:
-            blocks.append(_DISPERSION[name](p)[:, None])
-            schema.append(name)
-        elif name == "marginals":
-            blocks.append(p)
-            schema.extend(f"p.{s}" for s in symbols)
+        if name in MEASURE_FUNCTIONS:
+            columns.extend((name, lag, f"{name}.l{lag}") for lag in lags)
         else:
-            for lag, table in zip(lags, tables):
-                result = MEASURE_FUNCTIONS[name](table)
-                if expand and result.components is not None:
-                    blocks.append(result.components)
-                    schema.extend(f"{name}.l{lag}.{labels[lab]}" for lab in result.component_labels)
-                else:
-                    blocks.append(result.value[:, None])
-                    schema.append(f"{name}.l{lag}")
-    return schema, np.concatenate(blocks, axis=1)
+            columns.append((name, 0, "p" if name == "marginals" else name))
+    return columns
 
 
 def _cmd_features(args) -> int:
@@ -89,17 +68,13 @@ def _cmd_features(args) -> int:
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not measures:
         raise ValueError("no measures selected")
-    known = [*_DISPERSION, "marginals", *MEASURE_FUNCTIONS]
     for name in measures:
-        if name not in known:
-            raise ValueError(f"unknown measure {name!r}; expected one of {sorted(known)}")
+        if name not in mining.MEASURES:
+            raise ValueError(f"unknown measure {name!r}; expected one of {sorted(mining.MEASURES)}")
     lags = _parse_lags(args.lags)
-    try:
-        schema, matrix = _feature_columns(corpus.series, measures, lags, args.expand)
-    except ValueError:
-        mining.raise_first_failure(corpus.series, corpus.ids,
-                                   lambda series: _feature_columns([series], measures, lags, args.expand))
-        raise
+    columns = _feature_layout(measures, lags)
+    schema, matrix = mining.run_corpus(lambda batch: mining.feature_matrix(batch, columns, args.expand),
+                                       corpus.series, corpus.ids)
     io.write_features_csv(args.out, corpus.ids, schema, matrix, corpus.labels, args.bitexact)
     return 0
 
@@ -215,8 +190,8 @@ def _cmd_plot(args) -> int:
         data = graphics.ifs_circle_transform(series, args.alpha, args.beta, tuple(args.f0))
         if args.window:
             window = tuple(float(v) for v in args.window.split(","))
-            if len(window) != 4:
-                raise ValueError("--window expects x0,x1,y0,y1")
+            if len(window) != 4 or not np.all(np.isfinite(window)):
+                raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
     elif args.kind == "dependence":
         data = graphics.dependence_plot_data(series, args.family, args.max_lag, args.alpha)
     elif args.kind == "cycle-chart":
@@ -247,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="per-series feature matrix as CSV")
     _input_args(p)
     p.add_argument("--measures", required=True,
-                   help="comma list: gini, entropy, chebycheff, marginals, gk_tau, gk_lambda, "
-                        "uncertainty, pearson, phi2, sakoda, cramers_v, cohens_kappa, total_correlation")
+                   help=f"comma list: {', '.join(mining.MEASURES)}")
     p.add_argument("--lags", "--lag", default="1", help="comma list of positive lags (default 1)")
     p.add_argument("--expand", action="store_true", help="emit per-component columns where defined")
     p.add_argument("--out", required=True)
@@ -268,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="pairwise dissimilarity matrix as CSV")
     _input_args(p)
-    p.add_argument("--metric", choices=("dcc", "db"), default="db")
+    p.add_argument("--metric", choices=tuple(mining.METRICS), default="db")
     p.add_argument("--max-lag", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")

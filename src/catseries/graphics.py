@@ -140,11 +140,11 @@ def ifs_circle_transform(
     """Iterated-function-system embedding of the series into the plane."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     start = np.asarray(f0, dtype=float)
-    if start.shape != (2,):
-        raise ValueError("f0 must be a 2-D point")
+    if start.shape != (2,) or not np.all(np.isfinite(start)):
+        raise ValueError("f0 must be a finite 2-D point")
     targets = circle_corners(series.alphabet.size)[series.codes - 1]
     points = _recursion(targets, start, lambda p, x: alpha * p + beta * x)
     return FractalSeries(points, alpha, beta, (float(f0[0]), float(f0[1])))
@@ -283,14 +283,14 @@ def ewma_marginal_chart(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     r = series.alphabet.size
     if c is None:
         c = np.bincount(series.codes, minlength=r + 1)[1:] / len(series)
     c = np.asarray(c, dtype=float)
-    if c.shape != (r,) or abs(c.sum() - 1.0) > 1e-9:
-        raise ValueError("c must be a probability vector over the alphabet")
+    if c.shape != (r,) or not np.all(np.isfinite(c)) or abs(c.sum() - 1.0) > 1e-9:
+        raise ValueError("c must be a finite probability vector over the alphabet")
     if np.any(c <= 0.0) or np.any(c >= 1.0):
         raise ValueError("every in-control probability must lie strictly inside (0, 1)")
 

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .association import cohens_kappa, cramers_v, total_correlation
+from .association import MEASURE_FUNCTIONS
+from .dispersion import chebycheff_dispersion, entropy, gini_index
 from .series import CategoricalSeries, corpus_lag_tables
 
 __all__ = [
@@ -65,68 +66,111 @@ class DistanceMatrix:
         return int(self.values.shape[0])
 
 
-def _schema(metric: str, symbols, max_lag: int) -> tuple[str, ...]:
-    schema: list[str] = []
-    for lag in range(1, max_lag + 1):
-        prefix = "v" if metric == "dcc" else "psi"
-        schema.extend(f"{prefix}.l{lag}.{a}_{b}" for a in symbols for b in symbols)
-        if metric == "dcc":
-            schema.extend(f"kappa.l{lag}.{s}" for s in symbols)
-    schema.extend(f"p.{s}" for s in symbols)
-    return tuple(schema)
+def _marginals(p: np.ndarray) -> np.ndarray:
+    """The marginal frequencies themselves, one column per category."""
+    return p
 
 
-def _feature_matrix(corpus: Sequence[CategoricalSeries], metric: str, max_lag: int) -> np.ndarray:
-    """(n, k) feature rows of every series of a corpus sharing one alphabet.
+# measure -> function of the (n, r) marginals (the first four) or of a
+# corpus's lag tables (the rest)
+MEASURES = {"gini": gini_index, "entropy": entropy, "chebycheff": chebycheff_dispersion, "marginals": _marginals,
+            **MEASURE_FUNCTIONS}
 
-    Raises when the features of any series are undefined, with the message
-    that series alone would raise: marginal checks come before lag tables.
+
+def feature_matrix(
+    corpus: Sequence[CategoricalSeries], columns: Sequence[tuple[str, int, str]], expand: bool
+) -> tuple[list[str], np.ndarray]:
+    """Schema and (n, k) feature matrix of a corpus sharing one alphabet.
+
+    ``columns`` lists blocks as (measure, lag, title).  At lag 0 a measure of
+    the marginals gives the column ``title``, or ``title.<symbol>`` per
+    category for an (n, r) result.  At lag >= 1 a measure of the lag tables
+    gives, with ``expand``, its components where defined (``title.<a>_<b>``,
+    ``title.<a>``), else its value ``title``.  All lag tables are counted
+    before any measure runs; the marginals come from them, else from lag 0.
     """
-    p = corpus_lag_tables(corpus, 0).marginals
-    if metric == "dcc":
-        if np.any(p == 0.0):
-            raise ValueError("degenerate marginals: every declared category must occur")
-        if np.any(np.sum(p * p, axis=-1) >= 1.0):
-            raise ValueError("degenerate marginals: series is constant")
-    elif np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("degenerate marginals: component correlations undefined")
+    symbols = corpus[0].alphabet.symbols
+    names = {f"j={j}": b for j, b in enumerate(symbols, 1)}
+    names.update({f"i={i},j={j}": f"{a}_{b}" for i, a in enumerate(symbols, 1) for j, b in enumerate(symbols, 1)})
+    lags = sorted({lag for _, lag, _ in columns if lag > 0}) or [0]
+    tables = {lag: corpus_lag_tables(corpus, lag) for lag in lags}
+    p = tables[lags[0]].marginals
+    schema: list[str] = []
     blocks = []
-    for lag in range(1, max_lag + 1):
-        tables = corpus_lag_tables(corpus, lag)
-        if metric == "dcc":
-            blocks.extend((cramers_v(tables).components, cohens_kappa(tables).components))
+    for name, lag, title in columns:
+        if lag == 0:
+            block = MEASURES[name](p)
+            schema.extend([f"{title}.{s}" for s in symbols] if block.ndim == 2 else [title])
         else:
-            blocks.append(total_correlation(tables).components)
-    blocks.append(p)
-    return np.concatenate(blocks, axis=1)
+            result = MEASURES[name](tables[lag])
+            if expand and result.components is not None:
+                block = result.components
+                schema.extend(f"{title}.{names[label]}" for label in result.component_labels)
+            else:
+                block = result.value
+                schema.append(title)
+        blocks.append(block.reshape(len(corpus), -1))
+    return schema, np.concatenate(blocks, axis=1)
+
+
+def run_corpus(compute, corpus: Sequence[CategoricalSeries], ids: Sequence[str] | None = None):
+    """``compute(corpus)``.  When that fails, check each series alone, in
+    order, for the first series' alphabet and then with ``compute([series])``,
+    and raise the first failure naming the series by its id (when given) and
+    1-based index; when no series fails alone, the corpus error stands."""
+    try:
+        return compute(corpus)
+    except ValueError:
+        for index, series in enumerate(corpus, start=1):
+            name = f"series {ids[index - 1]!r} (index {index})" if ids is not None else f"series (index {index})"
+            if series.alphabet != corpus[0].alphabet:
+                raise ValueError(f"{name} does not share the corpus alphabet") from None
+            try:
+                compute([series])
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
+        raise
+
+
+def _dcc_marginals(p: np.ndarray) -> None:
+    if np.any(p == 0.0):
+        raise ValueError("degenerate marginals: every declared category must occur")
+    if np.any(np.sum(p * p, axis=-1) >= 1.0):
+        raise ValueError("degenerate marginals: series is constant")
+
+
+def _db_marginals(p: np.ndarray) -> None:
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise ValueError("degenerate marginals: component correlations undefined")
+
+
+def _metric_features(corpus: Sequence[CategoricalSeries], metric: str, max_lag: int) -> tuple[list[str], np.ndarray]:
+    """Schema and (n, k) features of ``metric``: per lag its measures'
+    components, then the marginals.  The marginal check comes before any
+    lag table is counted."""
+    features = METRICS[metric]
+    features.check(corpus_lag_tables(corpus, 0).marginals)
+    columns = [(name, lag, f"{prefix}.l{lag}") for lag in range(1, max_lag + 1) for name, prefix in features.measures]
+    return feature_matrix(corpus, [*columns, ("marginals", 0, "p")], expand=True)
 
 
 def dcc_features(series: CategoricalSeries, max_lag: int = 1) -> FeatureVector:
     """Features whose squared-difference norm is the ``dcc`` dissimilarity."""
-    return FeatureVector(_feature_matrix([series], "dcc", max_lag)[0], _schema("dcc", series.alphabet.symbols, max_lag))
+    schema, matrix = _metric_features([series], "dcc", max_lag)
+    return FeatureVector(matrix[0], tuple(schema))
 
 
 def db_features(series: CategoricalSeries, max_lag: int = 1) -> FeatureVector:
     """Features whose squared-difference norm is the ``db`` dissimilarity."""
-    return FeatureVector(_feature_matrix([series], "db", max_lag)[0], _schema("db", series.alphabet.symbols, max_lag))
+    schema, matrix = _metric_features([series], "db", max_lag)
+    return FeatureVector(matrix[0], tuple(schema))
 
 
-_METRIC_FEATURES = {"dcc": dcc_features, "db": db_features}
-
-
-def raise_first_failure(corpus: Sequence[CategoricalSeries], ids: Sequence[str] | None, compute) -> None:
-    """After a computation over a whole corpus failed: check each series
-    alone, in order, for the first series' alphabet and then with
-    ``compute``, and raise the first failure naming the series by its id
-    (when given) and 1-based index.  Returns if none fails."""
-    for index, series in enumerate(corpus, start=1):
-        name = f"series {ids[index - 1]!r} (index {index})" if ids is not None else f"series (index {index})"
-        if series.alphabet != corpus[0].alphabet:
-            raise ValueError(f"{name} does not share the corpus alphabet")
-        try:
-            compute(series)
-        except ValueError as err:
-            raise ValueError(f"{name}: {err}") from None
+# metric -> its per-series features, which carry the metric's marginal check
+# and the (measure, schema prefix) pairs whose components fill each lag
+METRICS = {"dcc": dcc_features, "db": db_features}
+dcc_features.check, dcc_features.measures = _dcc_marginals, (("cramers_v", "v"), ("cohens_kappa", "kappa"))
+db_features.check, db_features.measures = _db_marginals, (("total_correlation", "psi"),)
 
 
 def distance_matrix(
@@ -142,19 +186,15 @@ def distance_matrix(
     whose alphabet differs from the first series', is named in the error by
     its id (when given) and 1-based index.
     """
-    if metric not in _METRIC_FEATURES:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(_METRIC_FEATURES)}")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
     if not corpus:
         raise ValueError("empty corpus")
     if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
     if ids is not None and len(ids) != len(corpus):
         raise ValueError(f"{len(ids)} ids given for {len(corpus)} series")
-    try:
-        features = _feature_matrix(corpus, metric, max_lag)
-    except ValueError:
-        raise_first_failure(corpus, ids, lambda series: _METRIC_FEATURES[metric](series, max_lag))
-        raise
+    features = run_corpus(lambda batch: _metric_features(batch, metric, max_lag)[1], corpus, ids)
     n = len(corpus)
     values = np.zeros((n, n))
     for a in range(n - 1):
@@ -236,8 +276,8 @@ def boxplot_outlier_count(scores, range_factor: float = 1.0) -> BoxplotOutliers:
     s = np.asarray(scores, dtype=float)
     if s.size < 4:
         raise ValueError("need at least four scores for the boxplot rule")
-    if range_factor < 0:
-        raise ValueError("range factor must be non-negative")
+    if not 0.0 <= range_factor < np.inf:
+        raise ValueError(f"range factor must be non-negative and finite, got {range_factor}")
     q1, q3 = np.quantile(s, [0.25, 0.75])
     threshold = q3 + range_factor * (q3 - q1)
     flagged = tuple(int(i) for i in np.flatnonzero(s > threshold))

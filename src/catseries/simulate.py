@@ -16,7 +16,7 @@ are always user-supplied.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class MarkovChainModel:
         object.__setattr__(self, "initial", init)
 
     @property
-    def family(self) -> str:
-        return "mc"
-
-    @property
     def n_categories(self) -> int:
         return int(self.initial.size)
 
@@ -127,10 +123,6 @@ class HiddenMarkovModel:
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "emission", e)
         object.__setattr__(self, "initial", init)
-
-    @property
-    def family(self) -> str:
-        return "hmm"
 
     @property
     def n_categories(self) -> int:
@@ -172,10 +164,6 @@ class NdarmaModel:
             raise ValueError("burn-in must be non-negative")
         object.__setattr__(self, "selection", sel)
         object.__setattr__(self, "innovation", innov)
-
-    @property
-    def family(self) -> str:
-        return "ndarma"
 
     @property
     def n_categories(self) -> int:
@@ -221,16 +209,8 @@ def generate_series(model: Model, length: int, seed: int, alphabet: Alphabet | N
     return CategoricalSeries(model.sample(length, rng), _alphabet_for(model, alphabet))
 
 
-def generate_mc(model: MarkovChainModel, length: int, seed: int, alphabet: Alphabet | None = None) -> CategoricalSeries:
-    return generate_series(model, length, seed, alphabet)
-
-
-def generate_hmm(model: HiddenMarkovModel, length: int, seed: int, alphabet: Alphabet | None = None) -> CategoricalSeries:
-    return generate_series(model, length, seed, alphabet)
-
-
-def generate_ndarma(model: NdarmaModel, length: int, seed: int, alphabet: Alphabet | None = None) -> CategoricalSeries:
-    return generate_series(model, length, seed, alphabet)
+# per-family names of generate_series, kept for existing callers
+generate_mc = generate_hmm = generate_ndarma = generate_series
 
 
 @dataclass(frozen=True)
@@ -259,22 +239,11 @@ class CorpusSpec:
     def to_dict(self) -> dict:
         groups = []
         for model, count in self.groups:
-            entry: dict = {"family": model.family, "count": count}
-            if isinstance(model, MarkovChainModel):
-                entry["transition"] = model.transition.tolist()
-                entry["initial"] = model.initial.tolist()
-            elif isinstance(model, HiddenMarkovModel):
-                entry["hidden_transition"] = model.transition.tolist()
-                entry["emission"] = model.emission.tolist()
-                entry["hidden_initial"] = model.initial.tolist()
-            else:
-                entry.update(
-                    p=model.p,
-                    q=model.q,
-                    selection=model.selection.tolist(),
-                    innovation=model.innovation.tolist(),
-                    burn_in=model.burn_in,
-                )
+            family = next(name for name, (cls, _) in FAMILIES.items() if isinstance(model, cls))
+            entry: dict = {"family": family, "count": count}
+            for field, key in zip(fields(model), FAMILIES[family][1]):
+                value = getattr(model, field.name)
+                entry[key] = value.tolist() if isinstance(value, np.ndarray) else value
             groups.append(entry)
         out = {"seed": self.seed, "length": self.length, "groups": groups}
         if self.alphabet is not None:
@@ -282,14 +251,34 @@ class CorpusSpec:
         return out
 
 
-def _integer(entry: dict, key: str, where: str, default: int | None = None) -> int:
+# family -> (model class, the JSON key of each of its fields, in field order)
+FAMILIES = {
+    "mc": (MarkovChainModel, ("transition", "initial")),
+    "hmm": (HiddenMarkovModel, ("hidden_transition", "emission", "hidden_initial")),
+    "ndarma": (NdarmaModel, ("p", "q", "selection", "innovation", "burn_in")),
+}
+
+
+def _integer(entry: dict, key: str, where: str, default=MISSING) -> int:
     """``entry[key]`` as an int, or ``default`` when given and the key is
     absent; a boolean or a number with a fractional part is rejected by name
     rather than truncated."""
-    value = entry[key] if default is None else entry.get(key, default)
+    value = entry[key] if default is MISSING else entry.get(key, default)
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"corpus spec {where}key {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(entry: dict, key: str, where: str) -> np.ndarray:
+    """``entry[key]`` as a float array; anything but a number or a
+    rectangular nested list of numbers is rejected by name."""
+    try:
+        array = np.array(entry[key])
+    except ValueError:  # rows of different lengths
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"corpus spec {where}key {key!r} must be a list of numbers, got {entry[key]!r}")
+    return array.astype(float)
 
 
 def _model_from_dict(entry: dict, number: int) -> tuple[Model, int]:
@@ -298,35 +287,28 @@ def _model_from_dict(entry: dict, number: int) -> tuple[Model, int]:
         raise ValueError(f"corpus spec {where}must be an object, got {entry!r}")
     family = entry.get("family")
     count = _integer(entry, "count", where, 1)
-    if family == "mc":
-        model: Model = MarkovChainModel(entry["transition"], entry["initial"])
-    elif family == "hmm":
-        model = HiddenMarkovModel(entry["hidden_transition"], entry["emission"], entry["hidden_initial"])
-    elif family == "ndarma":
-        model = NdarmaModel(
-            _integer(entry, "p", where),
-            _integer(entry, "q", where),
-            entry["selection"],
-            entry["innovation"],
-            _integer(entry, "burn_in", where, 500),
-        )
-    else:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    return model, count
+    cls, keys = FAMILIES[family]
+    values = [_integer(entry, key, where, field.default) if field.type == "int" else _numbers(entry, key, where)
+              for field, key in zip(fields(cls), keys)]
+    try:
+        return cls(*values), count
+    except ValueError as err:
+        raise ValueError(f"corpus spec group {number}: {err}") from None
 
 
 def corpus_spec_from_dict(data: dict) -> CorpusSpec:
     """Build a corpus spec from its JSON representation.
 
     Expected keys: ``seed`` (int), ``length`` (int), optional ``alphabet``
-    (list of labels) and ``groups``: a list of entries with ``family``
-    ("mc" | "hmm" | "ndarma"), ``count`` and the family's coefficients
-    (mc: ``transition``, ``initial``; hmm: ``hidden_transition``,
-    ``emission``, ``hidden_initial``; ndarma: ``p``, ``q``, ``selection``,
-    ``innovation``, optional ``burn_in``).  Integer fields must hold
-    integers: a boolean or a fractional number is rejected, naming the key
-    and the 1-based group number; so are a negative seed, a ``groups`` value
-    that is not a list and a group that is not an object.
+    (list of labels) and ``groups``: a list of entries with a ``family`` of
+    :data:`FAMILIES`, ``count`` and the family's keys (ndarma's ``burn_in``
+    optional).  Integer fields must hold integers and coefficients numbers:
+    anything else is rejected, naming the key and the 1-based group number,
+    and a model's own error names its group; so are a negative seed, an
+    ``alphabet`` or ``groups`` value that is not a list and a group that is
+    not an object.
     """
     if not isinstance(data, dict):
         raise ValueError(f"corpus spec must be an object, got {data!r}")
@@ -334,6 +316,8 @@ def corpus_spec_from_dict(data: dict) -> CorpusSpec:
         if not isinstance(data["groups"], list):
             raise ValueError(f"corpus spec key 'groups' must be a list of objects, got {data['groups']!r}")
         groups = tuple(_model_from_dict(entry, number) for number, entry in enumerate(data["groups"], start=1))
+        if not isinstance(data.get("alphabet", []), list):
+            raise ValueError(f"corpus spec key 'alphabet' must be a list of labels, got {data['alphabet']!r}")
         alphabet = Alphabet(tuple(data["alphabet"])) if "alphabet" in data else None
         return CorpusSpec(groups, _integer(data, "length", ""), _integer(data, "seed", ""), alphabet)
     except KeyError as missing:

@@ -10,6 +10,7 @@ import pytest
 import catseries
 from catseries.cli import main
 from catseries.io import parse_corpus
+from catseries.mining import MEASURES, METRICS
 from catseries.series import Alphabet
 
 SPEC = {
@@ -176,6 +177,27 @@ def test_all_plot_kinds(corpus_file, tmp_path, kind, extra):
     assert out.read_text().startswith("<svg")
 
 
+def test_features_help_and_unknown_measure_list_the_measure_table(corpus_file, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["features", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert all(name in help_text for name in MEASURES)
+    assert main(["features", "--input", str(corpus_file), "--alphabet", "1,2,3",
+                 "--measures", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"unknown measure 'bogus'; expected one of {sorted(MEASURES)}" in capsys.readouterr().err
+
+
+def test_dist_metric_choices_are_the_metric_table(corpus_file, tmp_path, capsys):
+    for metric in METRICS:
+        assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--metric", metric,
+                     "--out", str(tmp_path / f"{metric}.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--metric", "bogus",
+              "--out", str(tmp_path / "bogus.csv")])
+    assert exc.value.code == 2
+    assert f"choose from {', '.join(map(repr, METRICS))}" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(tmp_path, corpus_file):
     # unknown measure
     assert main(["features", "--input", str(corpus_file), "--alphabet", "1,2,3",
@@ -205,6 +227,13 @@ def test_validation_exit_codes(tmp_path, corpus_file):
     (lambda spec: spec.update(groups="x"), "corpus spec key 'groups' must be a list of objects"),
     (lambda spec: spec["groups"].__setitem__(1, None), "corpus spec group 2 must be an object"),
     (lambda spec: spec.update(seed=-3), "corpus seed must be non-negative, got -3"),
+    (lambda spec: spec.update(alphabet="123"), "corpus spec key 'alphabet' must be a list of labels, got '123'"),
+    (lambda spec: spec["groups"][1].update(innovation="x"),
+     "corpus spec group 2 key 'innovation' must be a list of numbers, got 'x'"),
+    (lambda spec: spec["groups"][1].update(selection=None),
+     "corpus spec group 2 key 'selection' must be a list of numbers, got None"),
+    (lambda spec: spec["groups"][0].update(initial=[0.5, 0.5, 0.5]),
+     "corpus spec group 1: initial distribution must be a probability vector"),
 ])
 def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     spec = json.loads(json.dumps(SPEC))
@@ -214,6 +243,29 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "y.csv")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("command, options, message", [
+    (["outliers"], ["--range-factor", "nan"], "range factor must be non-negative and finite, got nan"),
+    (["plot", "ewma-chart"], ["--c", "nan,0.5,0.5"], "c must be a finite probability vector"),
+    (["plot", "ewma-chart"], ["--k", "nan"], "k must be positive and finite, got nan"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "nan"], "beta must be positive and finite, got nan"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--f0", "nan", "0"], "f0 must be a finite 2-D point"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", "nan,1,0,1"],
+     "--window expects finite x0,x1,y0,y1, got 'nan,1,0,1'"),
+    (["features"], ["--measures", "gini", "--lags", "1,,2"],
+     "--lags expects a comma list of positive integers, got '1,,2'"),
+    (["features"], ["--measures", "gini", "--lags", "2,0"], "--lags expects a comma list of positive integers, got '2,0'"),
+])
+def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
+    source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
+    if command == ["outliers"]:
+        source = ["--dist", str(tmp_path / "dist.csv")]
+        assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--out", source[1]]) == 0
+    out = tmp_path / "out"
+    assert main([*command, *source, *options, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("max_lag", ["0", "-1"])

@@ -29,9 +29,9 @@ from catseries import (
     lag_tables,
 )
 from catseries.association import MEASURE_FUNCTIONS
-from catseries.cli import _feature_columns, main
+from catseries.cli import _feature_layout, main
 from catseries.io import write_corpus
-from catseries.mining import _feature_matrix
+from catseries.mining import _metric_features, feature_matrix
 
 import oracles
 from conftest import ragged_corpus, ragged_series
@@ -132,7 +132,7 @@ def check_features(corpus, max_lag):
         assert got[0] == want[0]
         if want[0] == "ok":
             assert np.array_equal(got[1].values, want[1])
-            matrix = _feature_matrix(corpus, metric, max_lag)
+            _, matrix = _metric_features(corpus, metric, max_lag)
             assert np.array_equal(matrix, np.vstack([values for _, (values, _) in expected]))
         else:
             assert got[1] == want[1]
@@ -170,9 +170,9 @@ def test_feature_columns_equal_the_per_series_rows(corpus, measures, lags, expan
     expected = [outcome(lambda: oracles.series_feature_row(s, measures, lags, expand)) for s in corpus]
     if any(kind == "error" for kind, _ in expected):
         with pytest.raises(ValueError):
-            _feature_columns(corpus, measures, lags, expand)
+            feature_matrix(corpus, _feature_layout(measures, lags), expand)
         return
-    schema, matrix = _feature_columns(corpus, measures, lags, expand)
+    schema, matrix = feature_matrix(corpus, _feature_layout(measures, lags), expand)
     assert schema == expected[0][1][1]
     assert np.array_equal(matrix, np.array([values for _, (values, _) in expected]))
 
@@ -187,7 +187,7 @@ def test_a_large_alphabet_equals_the_per_series_oracle():
     check_features(corpus, 2)
     check_features(corpus[:-1], 2)
     measures = ["entropy", "marginals", "gk_tau", "gk_lambda", "uncertainty", "cramers_v", "cohens_kappa"]
-    schema, matrix = _feature_columns(corpus, measures, [1, 2, 3], True)
+    schema, matrix = feature_matrix(corpus, _feature_layout(measures, [1, 2, 3]), True)
     rows = [oracles.series_feature_row(s, measures, [1, 2, 3], True) for s in corpus]
     assert schema == rows[0][1]
     assert np.array_equal(matrix, np.array([values for values, _ in rows]))

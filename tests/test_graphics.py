@@ -115,6 +115,12 @@ def test_ifs_validation():
             ifs_circle_transform(series, bad_alpha, 0.1)
     with pytest.raises(ValueError):
         ifs_circle_transform(series, 0.5, 0.0)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            ifs_circle_transform(series, 0.5, beta)
+    for f0 in ((float("nan"), 0.0), (0.0, float("-inf"))):
+        with pytest.raises(ValueError, match="f0 must be a finite 2-D point"):
+            ifs_circle_transform(series, 0.5, 0.1, f0)
 
 
 def test_dependence_iid_within_limits_probability():
@@ -251,6 +257,11 @@ def test_ewma_validation():
         ewma_marginal_chart(series, 0.9, np.array([1.0, 0.0]), 3.0)
     with pytest.raises(ValueError):
         ewma_marginal_chart(series, 0.9, None, 0.0)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            ewma_marginal_chart(series, 0.9, None, k)
+    with pytest.raises(ValueError, match="c must be a finite probability vector"):
+        ewma_marginal_chart(series, 0.9, np.array([float("nan"), 0.5]), 3.0)
 
 
 @given(series_with_every_category(), unit_open, unit_open, st.tuples(st.floats(-10, 10), st.floats(-10, 10)))

@@ -187,6 +187,9 @@ def test_boxplot_rule():
     assert boxplot_outlier_count([2.0, 2.0, 2.0, 2.0], 1.0).count == 0
     with pytest.raises(ValueError, match="four"):
         boxplot_outlier_count([1.0, 2.0, 3.0], 1.0)
+    for factor in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"range factor must be non-negative and finite, got {factor}"):
+            boxplot_outlier_count([1.0, 2.0, 3.0, 4.0], factor)
 
 
 def test_boxplot_factor_monotonicity():

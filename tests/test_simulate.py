@@ -23,6 +23,7 @@ from catseries import (
 )
 from catseries.inference import chi2_quantile
 from catseries.series import conditional_probabilities
+from catseries.simulate import FAMILIES
 
 from oracles import mc_sample, ndarma_sample
 
@@ -143,6 +144,24 @@ def test_corpus_layout_and_determinism():
     assert (corpus[4].codes == generate_ndarma(nd, 120, 77 + 4).codes).all()
 
 
+EXAMPLE_MODELS = {
+    "mc": MarkovChainModel(P3, UNIFORM3),
+    "hmm": HiddenMarkovModel([[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]], [0.5, 0.5]),
+    "ndarma": NdarmaModel(2, 1, [0.3, 0.2, 0.4, 0.1], UNIFORM3, burn_in=7),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_round_trips_through_its_dict(family):
+    spec = CorpusSpec(((EXAMPLE_MODELS[family], 2),), length=30, seed=9)
+    data = spec.to_dict()
+    assert data["groups"][0]["family"] == family
+    assert list(data["groups"][0])[2:] == list(FAMILIES[family][1])
+    rebuilt = corpus_spec_from_dict(json.loads(json.dumps(data)))
+    assert type(rebuilt.groups[0][0]) is FAMILIES[family][0]
+    assert rebuilt.to_dict() == data
+
+
 def test_corpus_spec_json_round_trip():
     mc = MarkovChainModel(P3, UNIFORM3)
     hmm = HiddenMarkovModel(P3, np.full((3, 3), 1 / 3), UNIFORM3)
@@ -175,6 +194,18 @@ def test_corpus_spec_errors():
         ({"seed": 1, "length": 5, "groups": [nd, "mc"]}, "corpus spec group 2 must be an object, got 'mc'"),
         ({"seed": -1, "length": 5, "groups": [nd]}, "corpus seed must be non-negative, got -1"),
         ([nd], "corpus spec must be an object"),
+        ({"seed": 1, "length": 5, "alphabet": "ab", "groups": [nd]},
+         "corpus spec key 'alphabet' must be a list of labels, got 'ab'"),
+        ({"seed": 1, "length": 5, "groups": [nd, {**nd, "innovation": "x"}]},
+         "corpus spec group 2 key 'innovation' must be a list of numbers, got 'x'"),
+        ({"seed": 1, "length": 5, "groups": [{**nd, "selection": None}]},
+         "corpus spec group 1 key 'selection' must be a list of numbers, got None"),
+        ({"seed": 1, "length": 5, "groups": [{**nd, "innovation": [0.5, None]}]},
+         "corpus spec group 1 key 'innovation' must be a list of numbers, got [0.5, None]"),
+        ({"seed": 1, "length": 5, "groups": [nd, {"family": "mc", "transition": [[1.0], [0.5, 0.5]], "initial": [1]}]},
+         "corpus spec group 2 key 'transition' must be a list of numbers"),
+        ({"seed": 1, "length": 5, "groups": [nd, {**nd, "selection": [0.5, 0.6]}]},
+         "corpus spec group 2: selection probabilities must be a probability vector"),
     ]:
         with pytest.raises(ValueError) as err:
             corpus_spec_from_dict(data)
