@@ -149,65 +149,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _plot_table_columns(data) -> tuple[list[str], list]:
-    """Header and columns of a plot table: numeric arrays, or lists of text
-    such as symbols."""
-    if isinstance(data, CategoricalSeries):
-        symbols = np.array(data.alphabet.symbols, dtype=object)
-        return ["t", "code", "symbol"], [np.arange(1, len(data) + 1), data.codes, symbols[data.codes - 1].tolist()]
-    if isinstance(data, graphics.RateEvolution):
-        header = ["t", *[f"count_{s}" for s in data.labels]]
-        return header, [np.arange(1, data.counts.shape[0] + 1), *data.counts.T]
-    if isinstance(data, graphics.PatternHistogram):
-        return ["length", "count"], [np.array(list(data.counts)), np.array(list(data.counts.values()))]
-    if isinstance(data, graphics.FractalSeries):
-        return ["t", "x", "y"], [np.arange(1, data.points.shape[0] + 1), *data.points.T]
-    if isinstance(data, graphics.DependenceTable):
-        header = ["lag", "estimate", "lower_critical", "upper_critical"]
-        n = data.lags.size
-        lower = [""] * n if data.lower is None else np.full(n, data.lower)
-        return header, [data.lags.astype(np.int64), data.estimates, lower, np.full(n, data.upper)]
-    if isinstance(data, graphics.ControlChart):
-        stats = data.statistics if data.statistics.ndim == 2 else data.statistics[:, None]
-        header = ["t", *[f"T_{lab}" for lab in data.labels]]
-        return header, [data.times.astype(np.int64), *stats.T]
-    # spectral envelope
-    header = ["frequency", "envelope", *[f"gamma_{i + 1}" for i in range(data.scalings.shape[1])]]
-    return header, [data.frequencies, data.envelope, *data.scalings.T]
-
-
 def _cmd_plot(args) -> int:
-    corpus = _load_corpus(args)
-    series = _pick_series(corpus, args.index)
-    window = None
-    if args.kind == "series":
-        data = series if args.limit is None else CategoricalSeries(series.codes[: args.limit], series.alphabet)
-    elif args.kind == "rate":
-        data = graphics.rate_evolution(series)
-    elif args.kind == "pattern":
-        _, data = graphics.cycle_lengths(series, args.category)
-    elif args.kind == "ifs":
-        data = graphics.ifs_circle_transform(series, args.alpha, args.beta, tuple(args.f0))
-        if args.window:
-            window = tuple(float(v) for v in args.window.split(","))
-            if len(window) != 4 or not np.all(np.isfinite(window)):
-                raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
-    elif args.kind == "dependence":
-        data = graphics.dependence_plot_data(series, args.family, args.max_lag, args.alpha)
-    elif args.kind == "cycle-chart":
-        data = graphics.cycle_length_chart(series, args.category, args.alpha, args.p)
-    elif args.kind == "ewma-chart":
-        c = np.asarray([float(v) for v in args.c.split(",")]) if args.c else None
-        data = graphics.ewma_marginal_chart(series, args.lam, c, args.k, args.collapse)
-    elif args.kind == "envelope":
-        data = spectral_envelope(series, args.window_length)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown plot kind {args.kind!r}")
+    data = args.build(_pick_series(_load_corpus(args), args.index), args)
+    window = tuple(float(v) for v in args.window.split(",")) if args.window else None
+    if window is not None and (len(window) != 4 or not np.all(np.isfinite(window))):
+        raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
     document = svg.render_svg(data, title=args.title, window=window)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     if args.table:
-        io.write_table_csv(args.table, *_plot_table_columns(data), args.bitexact)
+        io.write_table_csv(args.table, *svg.plot_table(data), args.bitexact)
     return 0
 
 
@@ -232,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="serial-independence tests as JSON")
     _input_args(p)
     p.add_argument("--index", type=int, default=1, help="1-based series index in the corpus")
-    p.add_argument("--family", default="cramers_v", help="cramers_v or kappa")
+    p.add_argument("--family", default="cramers_v", help=f"one of {', '.join(TEST_FAMILIES)}")
     p.add_argument("--max-lag", type=int, default=10)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--holm", action="store_true", help="also report Holm-adjusted p-values")
@@ -269,41 +220,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a chart to SVG")
     plot_sub = p.add_subparsers(dest="kind", required=True)
 
-    def plot_parser(kind, **extra_help):
-        q = plot_sub.add_parser(kind, **extra_help)
+    def plot_parser(kind, help_text, build):
+        """``plot <kind>``; ``build(series, args)`` returns its chart data, looking functions up when called."""
+        q = plot_sub.add_parser(kind, help=help_text)
         _input_args(q)
         q.add_argument("--index", type=int, default=1)
         q.add_argument("--title")
         q.add_argument("--out", required=True)
         q.add_argument("--table", help="also write the plotted data as CSV")
         q.add_argument("--bitexact", action="store_true")
-        q.set_defaults(func=_cmd_plot, kind=kind)
+        q.set_defaults(func=_cmd_plot, build=build, window=None)
         return q
 
-    q = plot_parser("series", help="step plot of the coded series")
+    q = plot_parser("series", "step plot of the coded series",
+                    lambda s, a: CategoricalSeries(s.codes[: a.limit], s.alphabet))
     q.add_argument("--limit", type=int, help="plot only the first N observations")
-    plot_parser("rate", help="rate evolution graph")
-    q = plot_parser("pattern", help="cycle-length histogram of one category")
+    plot_parser("rate", "rate evolution graph", lambda s, a: graphics.rate_evolution(s))
+    q = plot_parser("pattern", "cycle-length histogram of one category",
+                    lambda s, a: graphics.cycle_lengths(s, a.category)[1])
     q.add_argument("--category", required=True)
-    q = plot_parser("ifs", help="IFS circle transformation scatter")
+    q = plot_parser("ifs", "IFS circle transformation scatter",
+                    lambda s, a: graphics.ifs_circle_transform(s, a.alpha, a.beta, tuple(a.f0)))
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--beta", type=float, required=True)
     q.add_argument("--f0", type=float, nargs=2, default=(0.0, 0.0))
     q.add_argument("--window", help="x0,x1,y0,y1 zoom window")
-    q = plot_parser("dependence", help="serial dependence plot with critical values")
-    q.add_argument("--family", default="cramers_v")
+    q = plot_parser("dependence", "serial dependence plot with critical values",
+                    lambda s, a: graphics.dependence_plot_data(s, a.family, a.max_lag, a.alpha))
+    q.add_argument("--family", default="cramers_v", help=f"one of {', '.join(TEST_FAMILIES)}")
     q.add_argument("--max-lag", type=int, default=10)
     q.add_argument("--alpha", type=float, default=0.05)
-    q = plot_parser("cycle-chart", help="cycle-length control chart")
+    q = plot_parser("cycle-chart", "cycle-length control chart",
+                    lambda s, a: graphics.cycle_length_chart(s, a.category, a.alpha, a.p))
     q.add_argument("--category", required=True)
     q.add_argument("--alpha", type=float, default=0.01)
     q.add_argument("--p", type=float, help="hypothesized in-control probability (default: estimated)")
-    q = plot_parser("ewma-chart", help="EWMA chart of the marginal distribution")
+    q = plot_parser("ewma-chart", "EWMA chart of the marginal distribution",
+                    lambda s, a: graphics.ewma_marginal_chart(
+                        s, a.lam, np.asarray([float(v) for v in a.c.split(",")]) if a.c else None, a.k, a.collapse))
     q.add_argument("--lambda", dest="lam", type=float, default=0.9)
     q.add_argument("--k", type=float, default=3.0)
     q.add_argument("--c", help="comma list: hypothesized in-control marginal (default: estimated)")
     q.add_argument("--collapse", action="store_true", help="plot only min/max statistics")
-    q = plot_parser("envelope", help="spectral envelope over frequency")
+    q = plot_parser("envelope", "spectral envelope over frequency", lambda s, a: spectral_envelope(s, a.window_length))
     q.add_argument("--window-length", type=int, help="odd smoothing span (default about sqrt(T))")
 
     return parser

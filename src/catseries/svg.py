@@ -15,7 +15,7 @@ from .graphics import ControlChart, DependenceTable, FractalSeries, PatternHisto
 from .series import CategoricalSeries
 from .spectral import SpectralEnvelope
 
-__all__ = ["render_svg"]
+__all__ = ["render_svg", "plot_table"]
 
 WIDTH, HEIGHT = 800, 500
 MARGIN = {"left": 64.0, "right": 20.0, "top": 40.0, "bottom": 48.0}
@@ -148,6 +148,10 @@ def _series_plot(series: CategoricalSeries, title) -> str:
     return _document(body, title or "categorical series")
 
 
+def _series_table(series: CategoricalSeries):
+    return ["t", "code", "symbol"], [np.arange(1, len(series) + 1), series.codes, series.to_symbols()]
+
+
 def _rate_plot(data: RateEvolution, title) -> str:
     T, r = data.counts.shape
     frame = _Frame(1, T, 0, data.counts.max())
@@ -157,6 +161,10 @@ def _rate_plot(data: RateEvolution, title) -> str:
         body.append(frame.polyline(ts, data.counts[:, i], _PALETTE[i % len(_PALETTE)]))
     body.extend(_legend(frame, data.labels))
     return _document(body, title or "rate evolution")
+
+
+def _rate_table(data: RateEvolution):
+    return ["t", *[f"count_{s}" for s in data.labels]], [np.arange(1, data.counts.shape[0] + 1), *data.counts.T]
 
 
 def _pattern_plot(data: PatternHistogram, title) -> str:
@@ -174,6 +182,10 @@ def _pattern_plot(data: PatternHistogram, title) -> str:
         body.append(_el("rect", x=_num(x_left), y=_num(y_top), width=_num(width),
                         height=_num(frame.py0 - y_top), fill=_PALETTE[0], stroke="#ffffff"))
     return _document(body, title or f"cycle lengths of category {data.label}")
+
+
+def _pattern_table(data: PatternHistogram):
+    return ["length", "count"], [np.array(list(data.counts)), np.array(list(data.counts.values()))]
 
 
 def _ifs_plot(data: FractalSeries, title, window=None) -> str:
@@ -194,6 +206,10 @@ def _ifs_plot(data: FractalSeries, title, window=None) -> str:
     return _document(body, title or "IFS circle transformation")
 
 
+def _ifs_table(data: FractalSeries):
+    return ["t", "x", "y"], [np.arange(1, data.points.shape[0] + 1), *data.points.T]
+
+
 def _dependence_plot(data: DependenceTable, title) -> str:
     lo = data.lower if data.lower is not None else 0.0
     ymin = min(0.0, float(data.estimates.min()), lo) - 0.05
@@ -210,6 +226,13 @@ def _dependence_plot(data: DependenceTable, title) -> str:
                         stroke=_PALETTE[0], stroke_width="2"))
         body.append(_el("circle", cx=_num(px), cy=_num(frame.y(est)), r="3", fill=_PALETTE[0]))
     return _document(body, title or f"serial dependence ({data.family})")
+
+
+def _dependence_table(data: DependenceTable):
+    n = data.lags.size
+    lower = [""] * n if data.lower is None else np.full(n, data.lower)
+    header = ["lag", "estimate", "lower_critical", "upper_critical"]
+    return header, [data.lags.astype(np.int64), data.estimates, lower, np.full(n, data.upper)]
 
 
 def _control_plot(chart: ControlChart, title) -> str:
@@ -232,6 +255,11 @@ def _control_plot(chart: ControlChart, title) -> str:
     return _document(body, title or f"control chart ({chart.kind})")
 
 
+def _control_table(chart: ControlChart):
+    stats = chart.statistics if chart.statistics.ndim == 2 else chart.statistics[:, None]
+    return ["t", *[f"T_{lab}" for lab in chart.labels]], [chart.times.astype(np.int64), *stats.T]
+
+
 def _envelope_plot(data: SpectralEnvelope, title) -> str:
     frame = _Frame(0.0, 0.5, 0.0, float(data.envelope.max()) * 1.05)
     body = frame.axes("frequency", "envelope")
@@ -244,26 +272,39 @@ def _envelope_plot(data: SpectralEnvelope, title) -> str:
     return _document(body, title or "spectral envelope")
 
 
+def _envelope_table(data: SpectralEnvelope):
+    header = ["frequency", "envelope", *[f"gamma_{i + 1}" for i in range(data.scalings.shape[1])]]
+    return header, [data.frequencies, data.envelope, *data.scalings.T]
+
+
+CHARTS = {  # chart-data type -> (SVG renderer, ``--table`` header and columns)
+    CategoricalSeries: (_series_plot, _series_table),
+    RateEvolution: (_rate_plot, _rate_table),
+    PatternHistogram: (_pattern_plot, _pattern_table),
+    FractalSeries: (_ifs_plot, _ifs_table),
+    DependenceTable: (_dependence_plot, _dependence_table),
+    ControlChart: (_control_plot, _control_table),
+    SpectralEnvelope: (_envelope_plot, _envelope_table),
+}
+
+
+def _chart(data):
+    if type(data) not in CHARTS:
+        raise ValueError(f"no renderer for {type(data).__name__}")
+    return CHARTS[type(data)]
+
+
 def render_svg(data, *, title: str | None = None, window=None) -> str:
     """Render any chart-data object to an SVG 1.1 document string.
 
     ``window`` (x0, x1, y0, y1) restricts an IFS scatter to a coordinate
     window, which is how string frequencies are read off by zooming.
     """
-    if isinstance(data, CategoricalSeries):
-        if len(data) == 0:
-            raise ValueError("empty data")
-        return _series_plot(data, title)
-    if isinstance(data, RateEvolution):
-        return _rate_plot(data, title)
-    if isinstance(data, PatternHistogram):
-        return _pattern_plot(data, title)
-    if isinstance(data, FractalSeries):
-        return _ifs_plot(data, title, window)
-    if isinstance(data, DependenceTable):
-        return _dependence_plot(data, title)
-    if isinstance(data, ControlChart):
-        return _control_plot(data, title)
-    if isinstance(data, SpectralEnvelope):
-        return _envelope_plot(data, title)
-    raise ValueError(f"no renderer for {type(data).__name__}")
+    render, _ = _chart(data)
+    return render(data, title, window) if render is _ifs_plot else render(data, title)
+
+
+def plot_table(data) -> tuple[list[str], list]:
+    """Header and columns of a chart's data table: numeric arrays, or lists
+    of text such as symbols."""
+    return _chart(data)[1](data)
