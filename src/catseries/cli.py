@@ -149,12 +149,39 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _head(series: CategoricalSeries, limit: int | None) -> CategoricalSeries:
+    """The first ``limit`` observations (``--limit``), or the whole series."""
+    if limit is None:
+        return series
+    if limit < 1:
+        raise ValueError(f"--limit must be a positive integer, got {limit}")
+    return CategoricalSeries(series.codes[:limit], series.alphabet)
+
+
+def _marginal(text: str | None) -> np.ndarray | None:
+    """``--c`` as an array, or None (estimate the marginal) when it is not given."""
+    if not text:
+        return None
+    try:
+        return np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"--c expects a comma list of numbers, got {text!r}") from None
+
+
+def _window(text: str) -> tuple[float, ...]:
+    """``--window`` as four finite numbers; the renderer checks that they bound a window."""
+    try:
+        window = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        window = ()
+    if len(window) != 4 or not np.all(np.isfinite(window)):
+        raise ValueError(f"--window expects finite x0,x1,y0,y1, got {text!r}")
+    return window
+
+
 def _cmd_plot(args) -> int:
     data = args.build(_pick_series(_load_corpus(args), args.index), args)
-    window = tuple(float(v) for v in args.window.split(",")) if args.window else None
-    if window is not None and (len(window) != 4 or not np.all(np.isfinite(window))):
-        raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
-    document = svg.render_svg(data, title=args.title, window=window)
+    document = svg.render_svg(data, title=args.title, window=_window(args.window) if args.window else None)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     if args.table:
@@ -232,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(func=_cmd_plot, build=build, window=None)
         return q
 
-    q = plot_parser("series", "step plot of the coded series",
-                    lambda s, a: CategoricalSeries(s.codes[: a.limit], s.alphabet))
-    q.add_argument("--limit", type=int, help="plot only the first N observations")
+    q = plot_parser("series", "step plot of the coded series", lambda s, a: _head(s, a.limit))
+    q.add_argument("--limit", type=int, help="plot only the first N observations (N >= 1)")
     plot_parser("rate", "rate evolution graph", lambda s, a: graphics.rate_evolution(s))
     q = plot_parser("pattern", "cycle-length histogram of one category",
                     lambda s, a: graphics.cycle_lengths(s, a.category)[1])
@@ -256,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=float, default=0.01)
     q.add_argument("--p", type=float, help="hypothesized in-control probability (default: estimated)")
     q = plot_parser("ewma-chart", "EWMA chart of the marginal distribution",
-                    lambda s, a: graphics.ewma_marginal_chart(
-                        s, a.lam, np.asarray([float(v) for v in a.c.split(",")]) if a.c else None, a.k, a.collapse))
+                    lambda s, a: graphics.ewma_marginal_chart(s, a.lam, _marginal(a.c), a.k, a.collapse))
     q.add_argument("--lambda", dest="lam", type=float, default=0.9)
     q.add_argument("--k", type=float, default=3.0)
     q.add_argument("--c", help="comma list: hypothesized in-control marginal (default: estimated)")

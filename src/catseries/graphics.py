@@ -1,7 +1,8 @@
 """Data behind the exploratory and monitoring plots for categorical series.
 
-Each function returns a small structured object that the SVG renderer (and
-the CSV export in the CLI) consumes; nothing here draws.  Monitoring charts
+Each function returns a small structured object that ``svg`` turns into a
+chart (``render_svg``) and into the ``--table`` CSV columns (``plot_table``);
+nothing here draws.  Monitoring charts
 follow the standardized-statistic convention: deviations are scaled by the
 distance from the center to the control limit on the relevant side, so an
 out-of-control alarm is flagged exactly when |T| > 1 (the boundary itself

@@ -4,7 +4,8 @@ Pure string building: no clock, no ids, no randomness, fixed float
 formatting, so the same input always yields byte-identical output.  Fixed
 800x500 viewBox, embedded CSS, no external fonts.  Per-point marks (polyline
 vertices, scatter and alarm circles) map whole coordinate arrays through one
-format string.
+format string.  ``CHARTS`` maps each chart-data type to its renderer and to
+the header and columns of its ``--table`` CSV (``plot_table``).
 """
 
 from __future__ import annotations
@@ -188,10 +189,21 @@ def _pattern_table(data: PatternHistogram):
     return ["length", "count"], [np.array(list(data.counts)), np.array(list(data.counts.values()))]
 
 
+def _window(window) -> list[float]:
+    """``window`` as four finite numbers with x0 < x1 and y0 < y1."""
+    try:
+        bounds = np.asarray(window, dtype=float)
+    except (TypeError, ValueError):
+        bounds = np.empty(0)
+    if bounds.shape != (4,) or not np.all(np.isfinite(bounds)) or not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise ValueError(f"window must be four finite numbers with x0 < x1 and y0 < y1, got {window!r}")
+    return bounds.tolist()
+
+
 def _ifs_plot(data: FractalSeries, title, window=None) -> str:
     pts = data.points
     if window is not None:
-        x0, x1, y0, y1 = window
+        x0, x1, y0, y1 = _window(window)
         keep = (pts[:, 0] >= x0) & (pts[:, 0] <= x1) & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
         pts = pts[keep]
     else:
@@ -301,6 +313,8 @@ def render_svg(data, *, title: str | None = None, window=None) -> str:
     window, which is how string frequencies are read off by zooming.
     """
     render, _ = _chart(data)
+    if window is not None and render is not _ifs_plot:
+        raise ValueError(f"window {window!r} applies only to the IFS scatter, not to {type(data).__name__}")
     return render(data, title, window) if render is _ifs_plot else render(data, title)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import catseries
 from catseries.cli import main
+from catseries.inference import TEST_FAMILIES
 from catseries.io import parse_corpus
 from catseries.mining import MEASURES, METRICS
 from catseries.series import Alphabet
@@ -157,6 +158,19 @@ def test_plot_svg_and_table(corpus_file, tmp_path):
     assert svg2.read_bytes() == svg_out.read_bytes()
 
 
+# the --table header README documents for each kind, on the corpus over 1,2,3
+TABLE_HEADERS = {
+    "series": "t,code,symbol",
+    "rate": "t,count_1,count_2,count_3",
+    "pattern": "length,count",
+    "dependence": "lag,estimate,lower_critical,upper_critical",
+    "cycle-chart": "t,T_1",
+    "ewma-chart": "t,T_min,T_max",
+    "envelope": "frequency,envelope,gamma_1,gamma_2",
+    "ifs": "t,x,y",
+}
+
+
 @pytest.mark.parametrize(
     "kind,extra",
     [
@@ -167,14 +181,26 @@ def test_plot_svg_and_table(corpus_file, tmp_path):
         ("cycle-chart", ["--category", "1", "--alpha", "0.05"]),
         ("ewma-chart", ["--collapse"]),
         ("envelope", []),
+        ("ifs", ["--alpha", "0.17", "--beta", "0.1"]),
     ],
 )
 def test_all_plot_kinds(corpus_file, tmp_path, kind, extra):
     out = tmp_path / f"{kind}.svg"
+    table = tmp_path / f"{kind}.csv"
     code = main(["plot", kind, "--input", str(corpus_file), "--alphabet", "1,2,3",
-                 "--out", str(out), *extra])
+                 "--out", str(out), "--table", str(table), *extra])
     assert code == 0
     assert out.read_text().startswith("<svg")
+    assert table.read_text().splitlines()[0] == TABLE_HEADERS[kind]
+
+
+@pytest.mark.parametrize("command", [["test"], ["plot", "dependence"]])
+def test_family_help_lists_the_family_table(capsys, command):
+    with pytest.raises(SystemExit):
+        main([*command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"one of {', '.join(TEST_FAMILIES)}" in help_text
+    assert all(name in help_text for name in TEST_FAMILIES)
 
 
 def test_features_help_and_unknown_measure_list_the_measure_table(corpus_file, tmp_path, capsys):
@@ -256,16 +282,27 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["features"], ["--measures", "gini", "--lags", "1,,2"],
      "--lags expects a comma list of positive integers, got '1,,2'"),
     (["features"], ["--measures", "gini", "--lags", "2,0"], "--lags expects a comma list of positive integers, got '2,0'"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", "x,1,0,1"],
+     "--window expects finite x0,x1,y0,y1, got 'x,1,0,1'"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", "1,0,0,1"],
+     "window must be four finite numbers with x0 < x1 and y0 < y1, got (1.0, 0.0, 0.0, 1.0)"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", "0,0,0,1"],
+     "window must be four finite numbers with x0 < x1 and y0 < y1, got (0.0, 0.0, 0.0, 1.0)"),
+    (["plot", "ewma-chart"], ["--c", "x,0.5,0.5"], "--c expects a comma list of numbers, got 'x,0.5,0.5'"),
+    (["plot", "series"], ["--limit", "-5"], "--limit must be a positive integer, got -5"),
+    (["plot", "series"], ["--limit", "0"], "--limit must be a positive integer, got 0"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
     if command == ["outliers"]:
         source = ["--dist", str(tmp_path / "dist.csv")]
         assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--out", source[1]]) == 0
-    out = tmp_path / "out"
+    out, table = tmp_path / "out", tmp_path / "table.csv"
+    if command[0] == "plot":
+        options = [*options, "--table", str(table)]
     assert main([*command, *source, *options, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and not table.exists()
 
 
 @pytest.mark.parametrize("max_lag", ["0", "-1"])

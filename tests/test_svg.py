@@ -13,6 +13,7 @@ from catseries import (
     render_svg,
     spectral_envelope,
 )
+from catseries.svg import plot_table
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +99,40 @@ def test_empty_histogram_errors():
 def test_unknown_type_errors():
     with pytest.raises(ValueError, match="no renderer"):
         render_svg(object())
+
+
+@pytest.mark.parametrize("window", [
+    (1.0, 0.0, 0.0, 1.0),  # x0 > x1
+    (0.0, 1.0, 0.5, 0.5),  # y0 == y1: empty
+    (float("nan"), 1.0, 0.0, 1.0),
+    (0.0, float("inf"), 0.0, 1.0),
+    (0.0, 1.0, 0.0),
+    ("x", 1.0, 0.0, 1.0),
+    "0,1,0,1",
+])
+def test_ifs_window_must_bound_a_finite_window(window):
+    series = CategoricalSeries(np.ones(50, dtype=int), Alphabet.of_size(2))
+    data = ifs_circle_transform(series, 0.17, 0.10)
+    with pytest.raises(ValueError, match="window must be four finite numbers with x0 < x1 and y0 < y1") as err:
+        render_svg(data, window=window)
+    assert repr(window) in str(err.value)
+
+
+def test_window_is_rejected_for_charts_other_than_the_ifs_scatter(demo_series):
+    for name, data in all_chart_data(demo_series).items():
+        if name == "ifs":
+            continue
+        with pytest.raises(ValueError, match=r"window \(0, 1, 0, 1\) applies only to the IFS scatter"):
+            render_svg(data, window=(0, 1, 0, 1))
+
+
+def test_plot_table_has_one_value_per_row_in_every_column(demo_series):
+    for name, data in all_chart_data(demo_series).items():
+        header, columns = plot_table(data)
+        assert len(header) == len(columns), name
+        assert len({len(column) for column in columns}) == 1, name
+    header, columns = plot_table(demo_series)
+    assert header == ["t", "code", "symbol"]
+    assert columns[2] == demo_series.to_symbols()
+    with pytest.raises(ValueError, match="no renderer for object"):
+        plot_table(object())
