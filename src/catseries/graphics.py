@@ -2,11 +2,10 @@
 
 Each function returns a small structured object that ``svg`` turns into a
 chart (``render_svg``) and into the ``--table`` CSV columns (``plot_table``);
-nothing here draws.  Monitoring charts
-follow the standardized-statistic convention: deviations are scaled by the
-distance from the center to the control limit on the relevant side, so an
-out-of-control alarm is flagged exactly when |T| > 1 (the boundary itself
-does not alarm).
+nothing here draws.  Monitoring charts follow the standardized-statistic
+convention: deviations are scaled by the distance from the center to the
+control limit on the relevant side, so an out-of-control alarm is flagged
+exactly when |T| > 1 (the boundary itself does not alarm).
 
 The control limits require an in-control model.  The defaults assume an
 i.i.d. process with a given (estimated or hypothesized) marginal: cycle
