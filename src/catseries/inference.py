@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .association import cohens_kappa, cramers_v
 from .series import CategoricalSeries, lag_tables, marginal_probabilities
@@ -41,19 +40,27 @@ __all__ = [
 
 def chi2_upper_tail(x: float, df: float) -> float:
     """P(X >= x) for X chi-square with df degrees of freedom."""
+    from scipy import special
+
     return float(special.gammaincc(df / 2.0, x / 2.0))
 
 
 def chi2_quantile(q: float, df: float) -> float:
     """Inverse chi-square CDF."""
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(df / 2.0, q))
 
 
 def normal_cdf(z: float) -> float:
+    from scipy import special
+
     return float(special.ndtr(z))
 
 
 def normal_quantile(q: float) -> float:
+    from scipy import special
+
     return float(special.ndtri(q))
 
 

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.ndimage
 
 from .series import CategoricalSeries, binarize
 
@@ -67,6 +65,8 @@ def default_window(T: int) -> int:
 
 def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
     """Two circular flat-window passes along axis 0 (iterated Daniell)."""
+    import scipy.ndimage
+
     once = scipy.ndimage.uniform_filter1d(values, window, axis=0, mode="wrap")
     return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
 
@@ -87,6 +87,8 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
 
 def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
     """Envelope of an already rank-reduced (T, k) indicator matrix."""
+    import scipy.linalg
+
     y = np.asarray(indicators, dtype=float)
     if y.ndim == 1:
         y = y[:, None]

@@ -391,12 +391,43 @@ def test_unknown_family_same_error_in_test_and_plot(corpus_file, tmp_path, capsy
     assert "unknown test family 'bogus'" in str(err.value)
 
 
-def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
-    """Each of these adds hundreds of milliseconds to every CLI call."""
-    slow = ("scipy.signal", "scipy.spatial", "scipy.stats", "scipy.sparse")
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports catseries from this checkout."""
     src = str(Path(catseries.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, catseries.cli; print(*(m for m in {slow!r} if m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
+    """Importing scipy adds about 0.35 s to every CLI call; no module of it may load at import."""
+    for module in ("catseries", "catseries.cli"):
+        assert _fresh_python(f"import sys, {module}; print(*{_SCIPY_LOADED})").split() == [], module
+
+
+def test_commands_load_scipy_only_to_test_or_smooth(corpus_file, tmp_path):
+    """The corpus chain and the plots that neither test nor smooth run in one
+    fresh interpreter without loading scipy; ``test``, ``plot dependence`` and
+    ``plot envelope`` each import what they need in their own."""
+    source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
+    dist = str(tmp_path / "dist.csv")
+    plots = {"series": [], "rate": [], "pattern": ["--category", "1"], "ifs": ["--alpha", "0.5", "--beta", "0.1"],
+             "cycle-chart": ["--category", "1"], "ewma-chart": []}
+    lean = [
+        ["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again.csv")],
+        ["features", *source, "--measures", ",".join(MEASURES), "--out", str(tmp_path / "features.csv")],
+        ["dist", *source, "--out", dist],
+        ["mds", "--dist", dist, "--out", str(tmp_path / "mds.csv")],
+        ["outliers", "--dist", dist, "--out", str(tmp_path / "outliers.json")],
+        *(["plot", kind, *source, *extra, "--out", str(tmp_path / f"{kind}.svg")] for kind, extra in plots.items()),
+    ]
+    run = f"import json, sys; from catseries.cli import main\nfor argv in json.loads(sys.argv[1]): print(main(argv), *{_SCIPY_LOADED})"
+    assert _fresh_python(run, json.dumps(lean)).splitlines() == ["0"] * len(lean)
+    for argv in (["test", *source, "--out", str(tmp_path / "test.json")],
+                 ["plot", "dependence", *source, "--out", str(tmp_path / "dependence.svg")],
+                 ["plot", "envelope", *source, "--out", str(tmp_path / "envelope.svg")]):
+        assert _fresh_python(run, json.dumps([argv])).split()[0] == "0", argv
