@@ -99,7 +99,7 @@ def _check_test_args(series: CategoricalSeries, max_lag: int, alpha: float) -> N
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if max_lag < 1 or max_lag >= len(series):
-        raise ValueError("max_lag must satisfy 1 <= max_lag < T")
+        raise ValueError(f"max_lag must satisfy 1 <= max_lag < T, got {max_lag} with T={len(series)}")
     p = marginal_probabilities(series)
     if np.sum(p * p) >= 1.0:
         raise ValueError("tests undefined for one-point marginal")

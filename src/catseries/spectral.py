@@ -96,9 +96,9 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     if T < 8:
         raise ValueError("series too short for spectral analysis (need T >= 8)")
     if window % 2 == 0 or window < 1:
-        raise ValueError("smoothing window must be a positive odd integer")
+        raise ValueError(f"smoothing window must be a positive odd integer, got {window} with T={T}")
     if window >= T / 2:
-        raise ValueError("smoothing window must be shorter than T/2")
+        raise ValueError(f"smoothing window must be shorter than T/2, got {window} with T={T}")
     bad = np.argwhere(~np.isfinite(y))
     if bad.size:
         row, col = bad[0]

@@ -291,6 +291,12 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "ewma-chart"], ["--c", "x,0.5,0.5"], "--c expects a comma list of numbers, got 'x,0.5,0.5'"),
     (["plot", "series"], ["--limit", "-5"], "--limit must be a positive integer, got -5"),
     (["plot", "series"], ["--limit", "0"], "--limit must be a positive integer, got 0"),
+    (["plot", "dependence"], ["--max-lag", "1000"], "max_lag must satisfy 1 <= max_lag < T, got 1000 with T=150"),
+    (["plot", "dependence"], ["--max-lag", "0"], "max_lag must satisfy 1 <= max_lag < T, got 0 with T=150"),
+    (["test"], ["--max-lag", "1000"], "max_lag must satisfy 1 <= max_lag < T, got 1000 with T=150"),
+    (["plot", "envelope"], ["--window-length", "4"],
+     "smoothing window must be a positive odd integer, got 4 with T=150"),
+    (["plot", "envelope"], ["--window-length", "75"], "smoothing window must be shorter than T/2, got 75 with T=150"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
