@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -300,8 +300,12 @@ def _parse_row(cells: list[str], line: int, path) -> list[float]:
 
     The fast path skips the strip: both parsers ignore surrounding
     whitespace, and a cell that needs the strip to parse fails there and is
-    read by the cell-by-cell path."""
-    parse = float.fromhex if all(map(str.startswith, cells, repeat(_HEX_PREFIXES))) else float
+    read by the cell-by-cell path.  The row is judged hex once, from its
+    joined text: only a cell holding a comma, which float.fromhex rejects,
+    can add a hex prefix the count does not owe to a cell."""
+    text = ",".join(cells)
+    hexed = text.startswith(_HEX_PREFIXES) and text.count(",0x") + text.count(",-0x") == len(cells) - 1
+    parse = float.fromhex if hexed else float
     try:
         return list(map(parse, cells))
     except ValueError:
