@@ -13,19 +13,27 @@ the file.  Numbers are written with 10 significant digits by default; the
 ``bitexact`` flag switches to hexadecimal float notation for byte-stable
 golden files.
 
-Numbers become text a row or a column at a time: :func:`format_numbers`
-maps one C-level formatter (``float.hex`` or ``"{:.10g}".format``) over a
-whole array, and the CSV writers join its cells with ``","``.  Only the
-text fields (ids, class labels and headers) go through :mod:`csv` quoting.
-:func:`read_distance_csv` splits a line that holds no quote on ``","``
-without :mod:`csv`, and parses a row with one ``map`` call, checking it
-cell by cell only when that fails.  Every value is written with the same
+Numbers become text a block of rows at a time.  Decimal text maps
+``"{:.10g}".format`` over a row; ``bitexact`` text comes from one numpy
+kernel, :func:`_hex_text`, which builds each cell in four uint64 lanes
+(sign, ``0x`` and lead digit; two lanes of mantissa nibbles turned into
+ASCII several bytes at once; ``p±exp`` and the separator, from a table
+indexed by sign, biased exponent and a zero mantissa) and keeps the bytes
+that ``float.hex`` writes.  Only the text fields (ids, class labels and
+headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` reads a
+file without a quote by splitting each row once, at the id's comma, and
+parses a block of rows of canonical hex cells (``0x1.`` with 13 lowercase
+digits and a normal exponent, or ``0x0.0p+0``, either signed) in numpy;
+any other file, or a block holding any other cell, goes through
+:mod:`csv` and ``float``/``float.fromhex`` cell by cell, which reads the
+same values and names a bad cell.  Every value is written with the same
 text as the scalar :func:`format_number` gives it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -195,7 +203,61 @@ def format_numbers(values, bitexact: bool = False) -> list[str]:
     array = np.asarray(values)
     if array.dtype.kind in "iu":
         return list(map(str, array.tolist()))
-    return list(map(float.hex if bitexact else "{:.10g}".format, array.astype(float).tolist()))
+    if bitexact:
+        return _hex_text(array[:, None]).splitlines()
+    return list(map("{:.10g}".format, array.astype(float).tolist()))
+
+
+_BLOCK_CELLS = 8192  # numbers made into text or parsed at a time; bounds the memory held
+_KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1
+_BYTES = 0x0101010101010101
+
+
+@functools.cache
+def _hex_lanes():
+    """Lane tables of :func:`_hex_text`, indexed by ``bits >> 52 << 1 |
+    (mantissa != 0)`` (sign, biased exponent, non-zero mantissa): the head
+    lane (sign, ``0x``, lead digit and ``.``, or ``inf``/``nan``), the tail
+    lane (``p±exp`` and ``,``), the tail lane ending in ``\n``, and a byte of
+    1 for each byte of the four lanes that a cell keeps."""
+    def lanes(texts, choice):
+        return np.array(texts, "S8").view("<u8")[choice], np.array(list(map(len, texts)))[choice]
+
+    index = np.arange(8192)
+    negative, exponent, nonzero = index >> 12, index >> 1 & 2047, index & 1
+    special, zero = exponent == 2047, (exponent == 0) & (nonzero == 0)
+    head, head_length = lanes([b"0x1.", b"0x0.", b"inf", b"nan", b"-0x1.", b"-0x0.", b"-inf", b"nan"],
+                              np.where(special, 2 + nonzero, exponent == 0) + 4 * negative)
+    powers = [b"p%+d" % (e - 1023) for e in range(2048)] + [b"p-1022", b"p+0", b""]
+    tail, tail_length = lanes(powers, np.where(special, 2050, np.where(zero, 2049, np.where(exponent, exponent, 2048))))
+    digits = np.where(special, 0, np.where(zero, 1, 13))
+    keep = _KEEP[np.stack([head_length, np.minimum(digits, 8), np.maximum(digits - 8, 0), tail_length + 1], 1)]
+    shift = 8 * tail_length.astype(np.uint64)
+    return head, tail | ord(",") << shift, tail | ord("\n") << shift, keep
+
+
+def _hex_text(block) -> str:
+    """``",".join(map(float.hex, row)) + "\n"`` for every row of a 2-D
+    block, each cell built in four uint64 lanes whose kept bytes are its
+    text."""
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+    if bits.shape[1] == 0:
+        return "\n" * len(bits)
+    head, comma, newline, keep = _hex_lanes()
+    mantissa = bits & 0xFFFFFFFFFFFFF
+    index = bits >> 52 << 1 | (mantissa != 0)
+    # 8 + 5 nibbles at the top of two 32-bit words, one to a byte, least
+    # significant first until the byte swap
+    digits = np.stack((mantissa >> 20, mantissa << 12 & 0xFFFFFFFF), axis=-1)
+    for shift, mask in (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F):
+        digits |= digits << shift
+        digits &= mask
+    lanes = np.empty(bits.shape + (4,), np.uint64)
+    lanes[..., 0] = head.take(index)
+    lanes[..., 1:3] = _hex_ascii(digits).byteswap(inplace=True)
+    lanes[..., 3] = comma.take(index)
+    lanes[:, -1, 3] = newline.take(index[:, -1])
+    return lanes.view(np.uint8)[keep.take(index, axis=0).view(bool)].tobytes().decode("ascii")
 
 
 class _Echo:
@@ -228,20 +290,32 @@ def _csv_cell(text: str) -> str:
 def write_features_csv(path, ids, schema, matrix, labels=None, bitexact: bool = False) -> None:
     """Feature matrix: one row per series, columns = id, features[, label]."""
     header = ["id", *schema] + (["label"] if labels is not None else [])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_row(header))
-        for i, row in enumerate(matrix):
-            tail = "," + _csv_cell(labels[i]) if labels is not None else ""
-            handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}{tail}\n")
+    _write_id_rows(path, header, ids, matrix, labels, bitexact)
 
 
 def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None:
     """Square distance matrix with an id header row and id-leading rows."""
     ids = dm.ids if dm.ids is not None else tuple(f"series_{i + 1}" for i in range(dm.size))
+    _write_id_rows(path, ["id", *ids], ids, dm.values, None, bitexact)
+
+
+def _write_id_rows(path, header, ids, matrix, labels, bitexact: bool) -> None:
+    """A header, then one "id,numbers[,label]" row per matrix row, made
+    into text a block of rows at a time."""
+    matrix = np.asarray(matrix)
+    heads = list(map(_csv_cell, ids))
+    tails = ["\n"] * len(matrix) if labels is None else [f",{_csv_cell(label)}\n" for label in labels]
+    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[-1]))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_row(["id", *ids]))
-        for i, row in enumerate(dm.values):
-            handle.write(f"{_csv_cell(ids[i])},{','.join(format_numbers(row, bitexact))}\n")
+        handle.write(_csv_row(header))
+        for start in range(0, len(matrix), step):
+            block, stop = matrix[start:start + step], start + step
+            if bitexact and block.dtype.kind not in "iu":
+                numbers = _hex_text(block).splitlines()
+            else:
+                numbers = [",".join(format_numbers(row, bitexact)) for row in block]
+            rows = zip(heads[start:stop], numbers, tails[start:stop], strict=True)
+            handle.writelines(f"{head},{text}{tail}" for head, text, tail in rows)
 
 
 def read_distance_csv(path) -> DistanceMatrix:
@@ -252,7 +326,18 @@ def read_distance_csv(path) -> DistanceMatrix:
     cell that is not a number is named by file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        numbered = _csv_rows(handle)
+        lines = handle.readlines()
+    ids, values = _read_plain(lines, path) or _read_csv(lines, path)
+    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        raise ValueError(f"distances must be finite and non-negative: {path}")
+    if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
+        raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
+    return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+
+
+def _read_csv(lines, path) -> tuple[tuple, np.ndarray]:
+    """The ids and values of a distance file, every row split into cells."""
+    numbered = _csv_rows(lines)
     if len(numbered) < 2 or numbered[0][1][0] != "id":
         raise ValueError(f"not a distance matrix file: {path}")
     header, body = numbered[0][1], numbered[1:]
@@ -262,12 +347,88 @@ def read_distance_csv(path) -> DistanceMatrix:
         raise ValueError(f"distance matrix is not square: {path}")
     if tuple(row[0] for _, row in body) != ids:
         raise ValueError(f"row ids do not match the header ids: {path}")
-    values = np.asarray([_parse_row(row[1:], line, path) for line, row in body], dtype=float)
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise ValueError(f"distances must be finite and non-negative: {path}")
-    if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
-        raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
-    return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+    return ids, np.asarray([_parse_row(row[1:], line, path) for line, row in body], dtype=float)
+
+
+def _read_plain(lines, path) -> tuple[tuple, np.ndarray] | None:
+    """What :func:`_read_csv` reads from a file that holds no quote and has
+    the header, rows and ids it accepts, or None for any other file.  Each
+    row is split once, at the id's comma; a block of rows whose cells are
+    all canonical hex is parsed by :func:`_parse_hex`, any other block row
+    by row by :func:`_parse_row`."""
+    rows = [(number, line) for number, line in enumerate(lines, start=1) if line[0] not in "\r\n"]
+    if len(rows) < 2 or any('"' in line for line in lines):
+        return None
+    header = rows[0][1].rstrip("\r\n").split(",")
+    ids, body, n = tuple(header[1:]), rows[1:], len(header) - 1
+    if (header[0] != "id" or len(body) != n or any(line.count(",") != n for _, line in body)
+            or tuple(line[:line.index(",")] for _, line in body) != ids):
+        return None
+    values = np.empty((n, n))
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        block = [(number, line[line.index(",") + 1:].rstrip("\r\n")) for number, line in body[start:start + step]]
+        parsed = _parse_hex(",".join(text for _, text in block))
+        if parsed is None:
+            parsed = [_parse_row(text.split(","), number, path) for number, text in block]
+        values[start:start + step] = np.reshape(parsed, (len(block), n))
+    return ids, values
+
+
+_HEX_HEAD = int.from_bytes(b"0x1.", "little")
+_HEX_ZERO = int.from_bytes(b"0x0.0p+0", "little")
+
+
+def _parse_hex(text: str) -> np.ndarray | None:
+    """The values of comma-separated cells that are each a normal number or
+    zero exactly as ``float.hex`` writes it; None when any cell is not.
+    Cells are read through an unaligned little-endian uint64 view at every
+    byte offset, and every byte of a cell is checked.  Text that does not
+    start as hex, such as a decimal file's, is not looked at further."""
+    if not text.startswith(_HEX_PREFIXES):
+        return None
+    data = np.frombuffer((text + ",").encode() + bytes(32), np.uint8)
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    ends = np.flatnonzero(data == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    negative = data[starts] == ord("-")
+    starts += negative
+    length = ends - starts
+    # "0x1." at 0, 13 digits at 4 (read as 4..11 and 9..16), then from 17
+    # "p", the exponent's sign and 1-4 digits: with the "," that follows,
+    # they must be the writer's tail lane for the exponent they spell
+    high, high_ok = _hex_nibbles(words[starts + 4])
+    low, low_ok = _hex_nibbles(words[starts + 9])
+    power = words[starts + 17] & _KEEP[np.clip(length - 16, 0, 8)] * 255
+    places = np.clip(length - 19, 1, 4).astype(np.uint64) * 8
+    digits = (power >> 16 << 32 - places & 0xFFFFFFFF | 0x30303030 >> places) & 0x0F0F0F0F  # "0"-padded
+    pairs = (digits * 10 + (digits >> 8)) & 0x00FF00FF
+    magnitude = ((pairs & 0xFF) * 100 + (pairs >> 16)).astype(np.int64)
+    biased = np.clip(np.where(power >> 8 & 0xFF == ord("-"), -magnitude, magnitude) + 1023, 0, 2047)
+    normal = ((length >= 20) & (length <= 23) & (words[starts] & 0xFFFFFFFF == _HEX_HEAD) & high_ok & low_ok
+              & (power == _hex_lanes()[1].take(biased << 1)))
+    zero = (length == 8) & (words[starts] == _HEX_ZERO)
+    if not np.all(normal | zero):
+        return None
+    mantissa = biased.astype(np.uint64) << 52 | high << 20 | low & 0xFFFFF
+    return (negative.astype(np.uint64) << 63 | np.where(zero, 0, mantissa)).view(np.float64)
+
+
+def _hex_nibbles(words):
+    """The 32-bit value of words of eight lowercase hex digits, first digit
+    in the lowest byte, and whether each word is eight such digits."""
+    value = (words & 0x0F0F0F0F0F0F0F0F) + (words >> 6 & _BYTES) * 9
+    valid = (value & 0x1010101010101010 == 0) & (words == _hex_ascii(value))
+    value.byteswap(inplace=True)
+    for shift, mask in (4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF), (16, 0xFFFFFFFF):
+        value = (value | value >> shift) & mask
+    return value, valid
+
+
+def _hex_ascii(nibbles):
+    """Lowercase hex digits of one nibble a byte: b + "0", and 39 more to
+    reach "a" when b > 9, which is when b + 6 carries into bit 4."""
+    return nibbles + (nibbles + 0x0606060606060606 >> 4 & _BYTES) * 39 + 0x3030303030303030
 
 
 def _csv_rows(lines) -> list[tuple[int, list[str]]]:
@@ -308,13 +469,13 @@ def _parse_row(cells: list[str], line: int, path) -> list[float]:
     parse = float.fromhex if hexed else float
     try:
         return list(map(parse, cells))
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     values = []
     for column, cell in enumerate(cells, start=2):
         try:
             values.append(_parse_number(cell))
-        except ValueError:
+        except (ValueError, OverflowError):  # a hex cell too large for a float overflows
             raise ValueError(f"not a number: {cell.strip()!r} at line {line}, column {column} of {path}") from None
     return values
 
@@ -359,6 +520,8 @@ def _jsonify(value, bitexact: bool):
         return [_jsonify(v, bitexact) for v in value]
     if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
         return value
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     x = float(value)
     return x.hex() if bitexact else float(format_number(x))
 

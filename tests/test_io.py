@@ -1,6 +1,10 @@
 import csv
 import io
+import json
+import math
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,14 +19,20 @@ from catseries.cli import main
 from catseries.io import (
     _csv_cell,
     _csv_rows,
+    _hex_text,
+    _jsonify,
+    _parse_hex,
     _parse_number,
     _parse_row,
+    _read_csv,
+    _read_plain,
     format_number,
     format_numbers,
     parse_corpus,
     read_distance_csv,
     write_corpus,
     write_distance_csv,
+    write_json_report,
     write_table_csv,
 )
 
@@ -152,6 +162,16 @@ def test_read_distance_csv_names_the_bad_cell(tmp_path, capsys):
     assert str(path) in str(err.value)
     assert main(["mds", "--dist", str(path), "--out", str(tmp_path / "mds.csv")]) == 2
     assert f"'abc' at line 3, column 4 of {path}" in capsys.readouterr().err
+
+
+def test_a_hex_cell_too_large_for_a_float_is_named(tmp_path, capsys):
+    path = tmp_path / "dist.csv"
+    path.write_text("id,a,b\na,0x0.0p+0,0x1.0000000000000p+1024\nb,0x1.0000000000000p+1024,0x0.0p+0\n")
+    message = f"not a number: '0x1.0000000000000p+1024' at line 2, column 3 of {path}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_distance_csv(path)
+    assert main(["mds", "--dist", str(path), "--out", str(tmp_path / "mds.csv")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x", ""])
@@ -318,3 +338,184 @@ def test_row_parser_agrees_with_the_cell_parser(cells, ident):
 @settings(max_examples=400, deadline=None)
 def test_csv_rows_match_csv_reader_on_any_text(text):
     assert _csv_rows(io.StringIO(text, newline="")) == _csv_reader_rows(text)
+
+
+def test_json_writes_numpy_integers_and_bools_as_format_number_does(tmp_path):
+    payload = {"n": np.int64(3), "u": np.uint8(7), "flag": np.bool_(True), "rows": [np.int32(-2), np.bool_(False)]}
+    expected = {"n": 3, "u": 7, "flag": True, "rows": [-2, False]}
+    for bitexact in (False, True):
+        out = _jsonify(payload, bitexact)
+        assert out == expected
+        assert [type(out[k]) for k in ("n", "u", "flag")] == [int, int, bool]
+        assert out["n"] == int(format_number(np.int64(3), bitexact))
+        path = tmp_path / f"report-{bitexact}.json"
+        write_json_report(path, payload, bitexact)
+        assert json.loads(path.read_text()) == expected
+    assert _jsonify({"x": np.float64(1.5)}, True) == {"x": "0x1.8000000000000p+0"}
+
+
+# bit patterns float.hex writes in every distinct way: signed zeros, the
+# smallest subnormal, the largest subnormal and normal, signed infinities and
+# nans with either sign and a non-zero mantissa
+_SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+                 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,
+                 0x3FF0000000000000, 0xBFF8000000000000]
+_block_shapes = st.one_of(
+    st.just((1, 1)), st.tuples(st.integers(1, 9), st.just(1)), st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.just(0), st.integers(0, 4)), st.tuples(st.integers(1, 6), st.integers(0, 6)),
+)
+
+
+@example(np.array([_SPECIAL_BITS], dtype=np.uint64))
+@example(np.array(_SPECIAL_BITS, dtype=np.uint64)[:, None])
+@given(hnp.arrays(np.uint64, _block_shapes, elements=st.integers(0, 2**64 - 1) | st.sampled_from(_SPECIAL_BITS)))
+@settings(max_examples=300, deadline=None)
+def test_hex_kernel_writes_what_float_hex_writes(bits):
+    block = bits.view(np.float64)
+    assert _hex_text(block) == "".join(",".join(map(float.hex, row)) + "\n" for row in block.tolist())
+
+
+def _canonical(cell):
+    """Whether float.hex writes this text for a normal number or zero."""
+    try:
+        value = float.fromhex(cell)
+    except (ValueError, OverflowError):
+        return False
+    return value.hex() == cell and (value == 0.0 or abs(value) >= 2.2250738585072014e-308) and math.isfinite(value)
+
+
+def _hex_cells():
+    numbers = st.floats(allow_subnormal=True).map(float.hex)
+    # one character of a float.hex text replaced, inserted or dropped
+    edited = st.tuples(numbers, st.integers(0, 24), st.sampled_from(["", "0", "9", "a", "f", "g", "A", "X", "P",
+                                                                    "p", "+", "-", ".", " ", "`", "/", ":", "\u00e9"]),
+                       st.integers(0, 1))
+    return numbers | edited.map(lambda e: e[0][:e[1]] + e[2] + e[0][e[1] + e[3]:])
+
+
+@example(["0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0", "-0x1.fffffffffffffp+1023", "0x1.0000000000000p-1022"])
+@example(["0x1.0000000000000p+01"])
+@example(["0x1.0000000000000p-1023"])
+@example(["0x1.0000000000000p+1024"])
+@example(["0x1.0000000000000p-0"])
+@example(["0x1.8p+1"])
+@given(st.lists(_hex_cells(), min_size=1, max_size=6))
+@settings(max_examples=500, deadline=None)
+def test_hex_parser_reads_exactly_the_canonical_cells(cells):
+    """Cells joined by "," parse in numpy only when every one is float.hex
+    text of a normal number or zero, and then to float.fromhex's bits."""
+    parsed = _parse_hex(",".join(cells))
+    if all(map(_canonical, cells)):
+        assert parsed is not None
+        assert parsed.view(np.uint64).tolist() == np.array(list(map(float.fromhex, cells))).view(np.uint64).tolist()
+    else:
+        assert parsed is None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 7))
+    upper = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1e300, allow_subnormal=True)
+                            | st.sampled_from([0.0, 1.0, 2.5e-308, 5e-324])))
+    values = np.triu(upper, 1)
+    ids = draw(st.lists(st.text(st.sampled_from('ab1,"\' _\r\n'), max_size=4) | st.sampled_from(["s1", "s2"]),
+                        min_size=n, max_size=n))
+    return DistanceMatrix(values + values.T, "db", 1, tuple(ids))
+
+
+@given(symmetric_matrices(), st.sampled_from(["\n", "\r\n"]), st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_bitexact_round_trip_with_either_line_end(dm, end, block_cells):
+    """A bitexact file reads back with the bits written, through numpy blocks,
+    blocks read cell by cell (a subnormal) and the csv path (quoted ids)."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
+        path = Path(tmp) / "dist.csv"
+        write_distance_csv(path, dm, bitexact=True)
+        text = path.read_bytes().decode("utf-8")
+        if end != "\n":
+            if any(set(i) & set("\r\n") for i in dm.ids):
+                reject()  # a quoted line break inside an id is part of the id
+            path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        back = read_distance_csv(path)
+    assert back.ids == dm.ids
+    assert back.values.view(np.uint64).tolist() == dm.values.view(np.uint64).tolist()
+
+
+_MUTATIONS = {
+    "upper X": lambda cell: cell.replace("x", "X"),
+    "upper P": lambda cell: cell.replace("p", "P"),
+    "spaces": lambda cell: f" {cell} ",
+    "short mantissa": lambda cell: "0x1.8p+1",
+    "leading zero": lambda cell: re.sub(r"p([+-])", r"p\g<1>0", cell),
+    "p+01024": lambda cell: "0x1.0000000000000p+01024",
+    "subnormal": lambda cell: "0x0.0000000000001p-1022",
+    "decimal": lambda cell: repr(float.fromhex(cell)),
+    "not a number": lambda cell: "0x1.000000000000gp+0",
+}
+
+
+@given(symmetric_matrices().filter(lambda dm: all(i and not set(i) & set(',"\r\n') for i in dm.ids)
+                                   and len(set(dm.ids)) == dm.size),
+       st.data(), st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 20))
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_cell_reads_as_the_cell_by_cell_path_reads_it(dm, data, mutation, block_cells):
+    """One cell of a bitexact file changed: the rows split once, parsed in
+    numpy blocks, give the values or the error the csv path gives, and the
+    cell's value is the cell parser's (float.fromhex for hex text)."""
+    row = data.draw(st.integers(0, dm.size - 1), label="row")
+    column = data.draw(st.integers(0, dm.size - 1), label="column")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
+        path = Path(tmp) / "dist.csv"
+        write_distance_csv(path, dm, bitexact=True)
+        lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+        cells = lines[row + 1].rstrip("\n").split(",")
+        cell = cells[column + 1] = _MUTATIONS[mutation](cells[column + 1])
+        lines[row + 1] = ",".join(cells) + "\n"
+
+        def outcome(read):
+            try:
+                ids, values = read(lines, path)
+            except ValueError as err:
+                return str(err)
+            return ids, values.view(np.uint64).tolist()
+
+        plain = outcome(_read_plain)
+        assert plain == outcome(_read_csv)
+        if not isinstance(plain, str):
+            assert plain[1][row][column] == np.float64(_parse_number(cell)).view(np.uint64)
+        else:
+            assert plain == f"not a number: {cell.strip()!r} at line {row + 2}, column {column + 2} of {path}"
+
+
+def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parser(tmp_path):
+    values = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 5e-324], [2.0, 5e-324, 0.0]])
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, DistanceMatrix(values, "db", 1, ("a", "b", "c")), bitexact=True)
+    with mock.patch("catseries.io._BLOCK_CELLS", 3), \
+            mock.patch("catseries.io._parse_row", side_effect=_parse_row) as rows:
+        back = read_distance_csv(path)
+    assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    # rows 2 and 3 hold the subnormal; row 1 is read in numpy
+    assert [call.args[1] for call in rows.call_args_list] == [3, 4]
+
+
+def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
+    """A 600x600 file is made into text and parsed a block at a time: neither
+    direction holds a Python object per cell of the matrix."""
+    rng = np.random.default_rng(7)
+    upper = np.triu(rng.uniform(0.5, 40.0, (600, 600)), 1)
+    dm = DistanceMatrix(upper + upper.T, "db", 1, tuple(f"series_{i}" for i in range(1, 601)))
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, dm, bitexact=True)  # builds the kernel's tables outside the measurement
+    peaks = {}
+    calls = {"write": lambda: write_distance_csv(path, dm, bitexact=True), "read": lambda: read_distance_csv(path)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(result.values, dm.values)
+    assert peaks["write"] <= 4.0, peaks
+    assert peaks["read"] <= 20.0, peaks
