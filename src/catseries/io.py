@@ -13,7 +13,17 @@ the file.  Numbers are written with 10 significant digits by default; the
 ``bitexact`` flag switches to hexadecimal float notation for byte-stable
 golden files.
 
-Numbers become text a block of rows at a time.  Decimal text maps
+Numbers become text a block of rows at a time.  Integers come from a numpy
+digit kernel, :func:`_digit_text`: a row is laid out once as a byte
+template (its fixed text, then a sign byte and 4 bytes per group of four
+digits for each number), a block of rows fills the groups from a table of
+"0000" to "9999" and keeps the bytes of each number's text.  The same
+kernel writes the ``"{:.2f}"`` text of SVG coordinates
+(:func:`_fixed_text`), after :func:`_hundredths` rounds each float to
+hundredths exactly in uint64 arithmetic; when any value of a call is
+non-finite or of magnitude 2**40 or more, Python formats the call's values
+instead.  :func:`write_table_csv` makes each run of adjacent integer or
+float columns into text with one kernel call.  Decimal floats map
 ``"{:.10g}".format`` over a row; ``bitexact`` text comes from one numpy
 kernel, :func:`_hex_text`, which builds each cell in four uint64 lanes
 (sign, ``0x`` and lead digit; two lanes of mantissa nibbles turned into
@@ -23,11 +33,11 @@ that ``float.hex`` writes.  Only the text fields (ids, class labels and
 headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` reads a
 file without a quote by splitting each row once, at the id's comma, and
 parses a block of rows of canonical hex cells (``0x1.`` with 13 lowercase
-digits and a normal exponent, or ``0x0.0p+0``, either signed) in numpy;
-any other file, or a block holding any other cell, goes through
-:mod:`csv` and ``float``/``float.fromhex`` cell by cell, which reads the
-same values and names a bad cell.  Every value is written with the same
-text as the scalar :func:`format_number` gives it.
+digits and a normal exponent, or ``0x0.0p+0``, either signed) in numpy; any
+other file, or a block holding any other cell, goes through :mod:`csv` and
+``float``/``float.fromhex`` cell by cell, which reads the same values and
+names a bad cell.  Every value is written with the same text as the scalar
+:func:`format_number` gives it.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -200,15 +210,117 @@ def format_number(value, bitexact: bool = False) -> str:
 def format_numbers(values, bitexact: bool = False) -> list[str]:
     """The text of every value of a 1-D array-like, as :func:`format_number`
     writes it; the array's dtype, not each value, picks integer or float."""
-    array = np.asarray(values)
-    if array.dtype.kind in "iu":
-        return list(map(str, array.tolist()))
+    return _number_text([np.asarray(values)], bitexact).splitlines()
+
+
+def _number_text(columns, bitexact: bool) -> str:
+    """``",".join(format_numbers(row, bitexact)) + "\n"`` for every row of
+    1-D numeric columns that are all of integer dtype or all not.  Integers
+    and ``bitexact`` floats come from the numpy kernels
+    :func:`_integer_text` and :func:`_hex_text`."""
+    if columns[0].dtype.kind in "iu":
+        return _integer_text(columns)
     if bitexact:
-        return _hex_text(array[:, None]).splitlines()
-    return list(map("{:.10g}".format, array.astype(float).tolist()))
+        return _hex_text(np.column_stack(columns))
+    row = ",".join(["{:.10g}"] * len(columns)) + "\n"
+    return "".join(map(row.format, *(column.astype(float).tolist() for column in columns)))
 
 
 _BLOCK_CELLS = 8192  # numbers made into text or parsed at a time; bounds the memory held
+_BLOCK_ROWS = 8192  # rows made into text at a time; bounds the text held in memory
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
+
+
+@functools.cache
+def _digit_lanes():
+    """"0000" to "9999" as little-endian uint32 lanes of four ASCII digits."""
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    return digits.astype(np.uint8).view("<u4").ravel()
+
+
+def _digit_text(rows: int, parts: list[bytes], magnitudes, negatives, point: bool) -> bytes:
+    """For every row: ``parts[0]``, number 0, ``parts[1]``, ..., ``parts[-1]``,
+    where number k is "-" if ``negatives[k]`` is set, then the digits of the
+    uint64 ``magnitudes[k]`` without leading zeros, the last two after a "."
+    (and at least "0.dd") when ``point``.  Each number takes a sign byte
+    and as many groups of four digits as its column's largest magnitude
+    needs in a byte template of the row, filled a block of rows at a time
+    from :func:`_digit_lanes`; a keep mask drops the unused bytes."""
+    row, numbers = bytearray(), []
+    for part, magnitude in zip(parts, magnitudes):
+        row += part
+        width = -(-len(str(int(magnitude.max(initial=0)))) // 4) * 4
+        position = len(row) + 1 + np.arange(width)
+        if point:
+            position[-2:] += 1
+        numbers.append((len(row), position, width))
+        row += b"-" + b"." * (width + point)  # every byte but the sign and the "." is a digit's
+    template = np.frombuffer(bytes(row + parts[-1]), np.uint8)
+    blocks = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(rows, start + _BLOCK_ROWS)
+        text = np.broadcast_to(template, (stop - start, len(template))).copy()
+        keep = np.ones(text.shape, bool)
+        for (sign, position, width), magnitude, negative in zip(numbers, magnitudes, negatives):
+            groups = np.empty((stop - start, width // 4), np.uint64)
+            rest = magnitude[start:stop]
+            length = np.searchsorted(_POWERS, rest, "right") + 1
+            for k in range(width // 4 - 1, 0, -1):
+                rest, groups[:, k] = np.divmod(rest, 10000)
+            groups[:, 0] = rest
+            text[:, position] = _digit_lanes().take(groups).view(np.uint8)
+            keep[:, position] = np.arange(width) >= width - np.maximum(length, 3 if point else 1)[:, None]
+            keep[:, sign] = negative[start:stop]
+        blocks.append(text[keep].tobytes())
+    return b"".join(blocks)
+
+
+def _integer_text(columns) -> str:
+    """``",".join(map(str, row)) + "\n"`` for every row of 1-D integer
+    columns, each of its own dtype."""
+    negatives = [column < 0 for column in columns]
+    # negated in uint64, which is right for -2**63 as well
+    magnitudes = [np.where(negative, -column.astype(np.uint64), column.astype(np.uint64))
+                  for column, negative in zip(columns, negatives)]
+    parts = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
+    return _digit_text(len(columns[0]), parts, magnitudes, negatives, point=False).decode("ascii")
+
+
+def _hundredths(bits):
+    """``round(abs(x) * 100)`` with ties to even, computed exactly, and the
+    sign bit, for float64 bit patterns of magnitude below 2**40.  The
+    significand times 100 stays below 2**60; shifted right by the exponent,
+    the bits shifted out decide the rounding, and a tie is only ever an
+    exact one, which is how ``"{:.2f}".format`` rounds."""
+    exponent = bits >> 52 & 0x7FF
+    mantissa = bits & 0xFFFFFFFFFFFFF
+    scaled = np.where(exponent > 0, mantissa | 1 << 52, mantissa) * 100
+    shift = np.minimum(1075 - np.maximum(exponent, 1), 62)  # from 61 on, every value rounds to 0
+    rounded = scaled >> shift
+    rest = scaled - (rounded << shift)
+    half = np.uint64(1) << shift - 1
+    rounded += (rest > half) | (rest == half) & (rounded & 1 == 1)
+    return rounded, bits >> 63 == 1
+
+
+def _fixed_text(template: str, columns, sep: str) -> str:
+    """``sep.join`` of ``template`` filled with each row of ``columns``: every
+    ``{}`` of the template (which holds no other brace) takes the
+    ``"{:.2f}".format`` text of the row's value in that column.  Values are
+    rounded by :func:`_hundredths` and written by :func:`_digit_text`; when
+    any value is non-finite or of magnitude 2**40 or more, Python formats
+    every value instead."""
+    bits = [np.ascontiguousarray(column, dtype=np.float64).view(np.uint64) for column in columns]
+    if not all(np.all(b >> 52 & 0x7FF < 1023 + 40) for b in bits):
+        fill = template.replace("{}", "{:.2f}").format
+        return sep.join(map(fill, *(b.view(np.float64).tolist() for b in bits)))
+    parts = [part.encode() for part in template.split("{}")]
+    parts[-1] += sep.encode()  # after every row; the last row's is cut off
+    text = _digit_text(len(bits[0]), parts, *zip(*map(_hundredths, bits)), point=True)
+    return text[:len(text) - len(sep.encode())].decode()
+
+
 _KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1
 _BYTES = 0x0101010101010101
 
@@ -481,8 +593,11 @@ def _parse_row(cells: list[str], line: int, path) -> list[float]:
 
 
 def _parse_number(cell: str) -> float:
+    """A cell as ``float.fromhex`` reads it when it starts, after an optional
+    sign, with ``0x`` or ``0X``, and as ``float`` reads it otherwise."""
     cell = cell.strip()
-    if cell.startswith(_HEX_PREFIXES):
+    unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
+    if unsigned[:2] in ("0x", "0X"):
         return float.fromhex(cell)
     return float(cell)
 
@@ -492,20 +607,34 @@ def write_coordinates_csv(path, ids, coords, bitexact: bool = False) -> None:
     write_table_csv(path, ["id", "x", "y"], [ids, coords[:, 0], coords[:, 1]], bitexact)
 
 
-_BLOCK_ROWS = 8192  # rows formatted at a time; bounds the text held in memory
-
-
 def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
     """A table given column by column: a numpy array holds numbers, written
-    with :func:`format_numbers`; any other sequence holds text cells, quoted
-    as csv.writer quotes them."""
-    columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
+    as :func:`format_numbers` writes them; any other sequence holds text
+    cells, quoted as csv.writer quotes them.  Each run of adjacent integer,
+    float or text columns becomes text together, a block of rows at a time.
+    Raises before opening the file unless there is one header name per
+    column and every column has the same length."""
+    lengths = [len(column) for column in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"table header has {len(header)} names for {len(columns)} columns: {list(header)}")
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns {list(header)} have different lengths {lengths}")
+    runs = [list(run) for _, run in groupby(columns, _column_kind)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_csv_row(header))
-        for start in range(0, min(map(len, columns), default=0), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            cells = [format_numbers(c, bitexact) if isinstance(c, np.ndarray) else c for c in block]
-            handle.writelines(map("{}\n".format, map(",".join, zip(*cells))))
+        for start in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
+            blocks = [[column[start:start + _BLOCK_ROWS] for column in run] for run in runs]
+            if len(blocks) == 1 and isinstance(blocks[0][0], np.ndarray):
+                handle.write(_number_text(blocks[0], bitexact))
+                continue
+            rows = [_number_text(block, bitexact).splitlines() if isinstance(block[0], np.ndarray)
+                    else list(map(",".join, zip(*map(_csv_cells, block)))) for block in blocks]
+            handle.writelines(map("{}\n".format, map(",".join, zip(*rows))))
+
+
+def _column_kind(column):
+    """Integer (True), float (False) or text (None) column of a table."""
+    return column.dtype.kind in "iu" if isinstance(column, np.ndarray) else None
 
 
 def _csv_cells(texts) -> list[str]:

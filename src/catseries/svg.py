@@ -3,9 +3,13 @@
 Pure string building: no clock, no ids, no randomness, fixed float
 formatting, so the same input always yields byte-identical output.  Fixed
 800x500 viewBox, embedded CSS, no external fonts.  Per-point marks (polyline
-vertices, scatter and alarm circles) map whole coordinate arrays through one
-format string.  ``CHARTS`` maps each chart-data type to its renderer and to
-the header and columns of its ``--table`` CSV (``plot_table``).
+vertices, scatter and alarm circles) become text a whole coordinate array at
+a time: the numpy digit kernel of :mod:`catseries.io` (``_fixed_text``)
+writes the ``{:.2f}`` text of every coordinate into a byte template of the
+mark, and Python's ``format`` takes over only for a non-finite coordinate or
+one of magnitude 2**40 or more.  ``CHARTS`` maps each chart-data type to its
+renderer and to the header and columns of its ``--table`` CSV
+(``plot_table``).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphics import ControlChart, DependenceTable, FractalSeries, PatternHistogram, RateEvolution
+from .io import _fixed_text
 from .series import CategoricalSeries
 from .spectral import SpectralEnvelope
 
@@ -34,11 +39,8 @@ _CSS = (
 )
 
 
-_NUM = "{:.2f}"
-
-
 def _num(x: float) -> str:
-    return _NUM.format(float(x))
+    return f"{float(x):.2f}"
 
 
 def _label(x: float) -> str:
@@ -79,8 +81,12 @@ class _Frame:
         return self.py0 + (np.asarray(v, dtype=float) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
     def marks(self, template: str, xs, ys) -> list[str]:
-        """``template`` filled with the pixel coordinates of each point."""
-        return list(map(template.format, self.x(xs).tolist(), self.y(ys).tolist()))
+        """``template`` filled with the pixel coordinates of each point (its
+        two ``{}`` take x and y at two decimals), one point a line, as one
+        block of text; no block when there is no point, so that the
+        document gains no empty line."""
+        text = _fixed_text(template, (self.x(xs), self.y(ys)), "\n")
+        return [text] if text else []
 
     def axes(self, xlab: str, ylab: str, yticks=None, xticks=None) -> list[str]:
         out = [
@@ -108,7 +114,7 @@ class _Frame:
         return _el("line", x1=_num(self.px0), y1=_num(self.y(v)), x2=_num(self.px1), y2=_num(self.y(v)), **{"class": cls})
 
     def polyline(self, xs, ys, color) -> str:
-        pts = " ".join(self.marks(f"{_NUM},{_NUM}", xs, ys))
+        pts = _fixed_text("{},{}", (self.x(xs), self.y(ys)), " ")
         return _el("polyline", points=pts, fill="none", stroke=color, stroke_width="1.5")
 
 
@@ -211,7 +217,7 @@ def _ifs_plot(data: FractalSeries, title, window=None) -> str:
         x0, x1, y0, y1 = -lim, lim, -lim, lim
     frame = _Frame(x0, x1, y0, y1)
     body = frame.axes("x", "y")
-    circle = _el("circle", cx=_NUM, cy=_NUM, r="1.6", fill=_PALETTE[0], fill_opacity="0.7")
+    circle = _el("circle", cx="{}", cy="{}", r="1.6", fill=_PALETTE[0], fill_opacity="0.7")
     body.extend(frame.marks(circle, pts[:, 0], pts[:, 1]))
     note = f"alpha={_label(data.alpha)} beta={_label(data.beta)} points={pts.shape[0]}"
     body.append(_el("text", _esc(note), x=_num(frame.px0), y=_num(HEIGHT - 26), text_anchor="start"))
@@ -257,7 +263,7 @@ def _control_plot(chart: ControlChart, title) -> str:
     body.append(frame.hline(1.0))
     body.append(frame.hline(-1.0))
     alarms = chart.alarms if chart.alarms.ndim == 2 else chart.alarms[:, None]
-    circle = _el("circle", cx=_NUM, cy=_NUM, r="3.5", **{"class": "alarm"})
+    circle = _el("circle", cx="{}", cy="{}", r="3.5", **{"class": "alarm"})
     for i in range(stats.shape[1]):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(frame.polyline(chart.times, stats[:, i], color))

@@ -664,3 +664,18 @@ def ndarma_sample(model, length, rng):
         if t >= model.burn_in:
             codes[t - model.burn_in] = value
     return codes
+
+
+def svg_marks(template, pixel_xs, pixel_ys):
+    """Point marks as the SVG renderer wrote them with one format call per
+    point: each "{}" of ``template`` takes the "{:.2f}" text of the point's
+    pixel x, then y.  One string per point, so no points give no string."""
+    fill = template.replace("{}", "{:.2f}").format
+    return [fill(float(x), float(y)) for x, y in zip(pixel_xs, pixel_ys)]
+
+
+def fixed_text(template, columns, sep):
+    """``sep.join`` of ``template`` filled row by row from ``columns``, every
+    "{}" taking the "{:.2f}" text of its column's value."""
+    fill = template.replace("{}", "{:.2f}").format
+    return sep.join(fill(*map(float, row)) for row in zip(*columns))

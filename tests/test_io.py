@@ -19,7 +19,9 @@ from catseries.cli import main
 from catseries.io import (
     _csv_cell,
     _csv_rows,
+    _fixed_text,
     _hex_text,
+    _integer_text,
     _jsonify,
     _parse_hex,
     _parse_number,
@@ -30,6 +32,7 @@ from catseries.io import (
     format_numbers,
     parse_corpus,
     read_distance_csv,
+    write_coordinates_csv,
     write_corpus,
     write_distance_csv,
     write_json_report,
@@ -239,6 +242,117 @@ def test_format_numbers_matches_format_number(values, bitexact):
     assert format_numbers(values, bitexact) == [format_number(x, bitexact) for x in values]
 
 
+def _floats_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+_TWO_DECIMAL_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(_floats_from_bits([bits])[0])),  # nan, inf, any exponent
+    st.floats(-2.0**41, 2.0**41, allow_subnormal=True),  # both sides of 2**40
+    st.floats(-1e-3, 1e-3, allow_subnormal=True),
+    st.decimals(-1000, 1000, places=3, allow_nan=False, allow_infinity=False).map(float),  # ties like 2.675
+)
+
+
+@example([0.125, 2.675, 0.005, -0.005, 1.005, 999.995, 0.0, -0.0, -0.001, 5e-324, 2.0**39])
+@example([2.0**40, -2.0**40 + 2.0**-13, math.inf, math.nan, 1e300])
+@given(st.lists(_TWO_DECIMAL_VALUES, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_two_decimal_text_is_python_format(values):
+    """The digit kernel writes what "{:.2f}".format writes: each value alone
+    (the kernel for any value below 2**40), a whole column (Python for every
+    value when one is not), and pairs in a template between separators."""
+    for value in values:
+        assert _fixed_text("{}", [np.array([value])], "") == f"{value:.2f}"
+    column = np.array(values, dtype=float)
+    assert _fixed_text("{}", [column], "\n") == "\n".join(map("{:.2f}".format, values))
+    mark = '<c x="{}" y="{}"/>'
+    expected = " | ".join(f'<c x="{x:.2f}" y="{y:.2f}"/>' for x, y in zip(values, values[::-1]))
+    assert _fixed_text(mark, [column, column[::-1]], " | ") == expected
+
+
+@example([-2**63, 2**63 - 1, 0, -1, 9999, 10000, -10000, 10**18])
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_integer_text_is_str(values):
+    assert _integer_text([np.array(values, dtype=np.int64)]) == "".join(f"{v}\n" for v in values)
+
+
+@given(st.lists(hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64]), 7),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_integer_text_writes_rows_of_columns_of_any_integer_dtype(columns):
+    expected = "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    assert _integer_text(columns) == expected
+
+
+def test_empty_columns_give_empty_text():
+    empty = np.empty(0)
+    assert _fixed_text("{},{}", [empty, empty], " ") == ""
+    assert _fixed_text('<circle cx="{}" cy="{}"/>', [empty, empty], "\n") == ""
+    assert _integer_text([np.empty(0, np.int64), np.empty(0, np.uint8)]) == ""
+    for dtype in (np.int64, np.int32, np.uint8, float):
+        assert format_numbers(np.empty(0, dtype)) == format_numbers(np.empty(0, dtype), bitexact=True) == []
+
+
+@pytest.mark.parametrize("cell", ["0X1.8000000000000p+1", "0X1.8p+1", "-0X1p0", "+0x1p0", "+0X1P-2", " -0x1.8p1 "])
+def test_hex_cells_read_with_a_sign_and_either_case_of_x(cell):
+    assert _parse_number(cell) == float.fromhex(cell)
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b"], [np.arange(5), np.arange(3.0)], r"columns \['a', 'b'\] have different lengths \[5, 3\]"),
+    (["a", "b", "c"], [np.arange(2), np.arange(2.0)], r"header has 3 names for 2 columns"),
+    (["a"], [np.arange(2), ["x", "y"]], r"header has 1 names for 2 columns"),
+    (["id", "n"], [["x", "y", "z"], np.arange(2)], r"have different lengths \[3, 2\]"),
+])
+def test_table_csv_rejects_a_ragged_table_before_opening_the_file(tmp_path, header, columns, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=message):
+        write_table_csv(path, header, columns)
+    assert not path.exists()
+
+
+def test_coordinates_csv_rejects_more_ids_than_coordinate_rows(tmp_path):
+    path = tmp_path / "coords.csv"
+    with pytest.raises(ValueError, match=r"columns \['id', 'x', 'y'\] have different lengths \[3, 2, 2\]"):
+        write_coordinates_csv(path, ["a", "b", "c"], np.zeros((2, 2)))
+    assert not path.exists()
+
+
+_TABLE_COLUMNS = {
+    "text": st.text(max_size=4),
+    "float": st.floats(allow_subnormal=True),
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "uint8": st.integers(0, 255),
+}
+
+
+@given(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), max_size=6), st.integers(0, 7), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds, rows, bitexact, data):
+    """Any order of text, float and integer columns of several dtypes:
+    adjacent columns of one kind become text together, and the file is the
+    one csv.writer writes from the cells' format_number text."""
+    cells = [data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
+    if kinds == ["text"] and "" in cells[0]:
+        reject()  # csv.writer writes a row of one empty cell as '""', the table writer as an empty line
+    columns = [c if kind == "text" else np.array(c, dtype=float if kind == "float" else kind)
+               for kind, c in zip(kinds, cells)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\r\n")  # quotes a "\r" or "\n" as the table writer does
+    writer.writerow(header)
+    for row in zip(*cells) if kinds else ():
+        writer.writerow([c if kind == "text" else format_number(int(c) if kind != "float" else float(c), bitexact)
+                         for kind, c in zip(kinds, row)])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_ROWS", 3):
+        path = Path(tmp) / "table.csv"
+        write_table_csv(path, header, columns, bitexact)
+        assert path.read_bytes() == expected.getvalue().replace("\r\n", "\n").encode("utf-8")
+
+
 @given(st.lists(st.tuples(st.text(max_size=4), st.floats(), st.integers(-2**63, 2**63 - 1)), max_size=8),
        st.booleans())
 @settings(max_examples=200, deadline=None)
@@ -432,6 +546,7 @@ _MUTATIONS = {
     "subnormal": lambda cell: "0x0.0000000000001p-1022",
     "decimal": lambda cell: repr(float.fromhex(cell)),
     "not a number": lambda cell: "0x1.000000000000gp+0",
+    "+0x": lambda cell: f"+{cell}",
 }
 
 

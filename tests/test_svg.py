@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+import oracles
 
 from catseries import (
     Alphabet,
@@ -13,6 +17,7 @@ from catseries import (
     render_svg,
     spectral_envelope,
 )
+from catseries import svg
 from catseries.svg import plot_table
 
 
@@ -136,3 +141,30 @@ def test_plot_table_has_one_value_per_row_in_every_column(demo_series):
     assert columns[2] == demo_series.to_symbols()
     with pytest.raises(ValueError, match="no renderer for object"):
         plot_table(object())
+
+
+def _per_point_svg(data, **kwargs):
+    """The SVG as it was written with one format call per coordinate pair:
+    marks extend the body by one element per point, none for no point."""
+    def marks(frame, template, xs, ys):
+        return oracles.svg_marks(template, frame.x(xs), frame.y(ys))
+
+    with mock.patch.object(svg._Frame, "marks", marks), mock.patch("catseries.svg._fixed_text", oracles.fixed_text):
+        return render_svg(data, **kwargs)
+
+
+def test_mark_blocks_write_the_bytes_of_one_format_call_per_point():
+    codes = np.r_[np.ones(60, np.int64), np.tile([1, 2, 3], 80)]  # a long run of category 1 only
+    series = CategoricalSeries(codes, Alphabet.of_size(3))
+    ewma = ewma_marginal_chart(series, 0.9, None, 3.0)
+    quiet = ewma_marginal_chart(series, 0.9, None, 1000.0)
+    ifs = ifs_circle_transform(series, 0.17, 0.10)
+    assert ewma.alarms.any() and not ewma.alarms.all(axis=0).any() and not ewma.alarms.any(axis=0).all()
+    assert not quiet.alarms.any()
+    cases = [(ewma, {}), (quiet, {}), (ifs, {}), (ifs, {"window": (0.117, 0.120, -0.025, 0.025)}),
+             (ifs, {"window": (10.0, 11.0, 10.0, 11.0)})]  # the last window keeps no point
+    for data, kwargs in cases:
+        text = render_svg(data, **kwargs)
+        assert text == _per_point_svg(data, **kwargs)
+        assert "\n\n" not in text
+    assert "<circle" not in render_svg(ifs, window=(10.0, 11.0, 10.0, 11.0))
