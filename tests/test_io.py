@@ -242,12 +242,8 @@ def test_format_numbers_matches_format_number(values, bitexact):
     assert format_numbers(values, bitexact) == [format_number(x, bitexact) for x in values]
 
 
-def _floats_from_bits(bits):
-    return np.array(bits, dtype=np.uint64).view(np.float64)
-
-
 _TWO_DECIMAL_VALUES = st.one_of(
-    st.integers(0, 2**64 - 1).map(lambda bits: float(_floats_from_bits([bits])[0])),  # nan, inf, any exponent
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),  # nan, inf, any exponent
     st.floats(-2.0**41, 2.0**41, allow_subnormal=True),  # both sides of 2**40
     st.floats(-1e-3, 1e-3, allow_subnormal=True),
     st.decimals(-1000, 1000, places=3, allow_nan=False, allow_infinity=False).map(float),  # ties like 2.675
