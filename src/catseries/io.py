@@ -13,6 +13,15 @@ the file.  Numbers are written with 10 significant digits by default; the
 ``bitexact`` flag switches to hexadecimal float notation for byte-stable
 golden files.
 
+A symbol-csv file is canonical when it holds only printable ASCII bytes
+but the space, and ``\n`` ending lines that are not blank, and every
+declared symbol is one such byte but ``,`` and ``|``.  :func:`parse_corpus`
+reads such a file as bytes: each line is split at its last ``|``, and its
+body is coded by a 256-entry table indexed by every other byte, the bytes
+between being ``,``.  Any other body or file, FASTA and an inferred alphabet
+go through :func:`_read_text`, which splits text lines as
+``str.splitlines`` does and names the line and position of a bad symbol.
+
 Numbers become text a block of rows at a time.  Integers come from a numpy
 digit kernel, :func:`_digit_text`: a row is laid out once as a byte
 template (its fixed text, then a sign byte and 4 bytes per group of four
@@ -76,10 +85,6 @@ class Corpus:
     labels: list[str] | None
 
 
-def _sniff_format(first_line: str) -> str:
-    return "fasta" if first_line.lstrip().startswith(">") else "csv"
-
-
 def _split_csv_line(line: str) -> tuple[list[str], str | None]:
     body, sep, label = line.rpartition("|")
     if sep:
@@ -97,12 +102,50 @@ def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infe
     """
     if alphabet is None and not infer_alphabet:
         raise ValueError("declare an alphabet or pass infer_alphabet=True")
+    alphabet, codes, ids, labels = _read_canonical(path, alphabet, fmt) or _read_text(path, alphabet, fmt)
+    series = [CategoricalSeries(c, alphabet) for c in codes]
+    ids = ids or [f"series_{k}" for k in range(1, len(series) + 1)]
+    return Corpus(series, ids, labels if any(labels) else None)
+
+
+_CANONICAL_BYTES = bytes(range(0x21, 0x7F)) + b"\n"  # printable ASCII but the space, and line ends
+
+
+def _read_canonical(path, alphabet: Alphabet | None, fmt: str):
+    """What :func:`_read_text` reads from a canonical symbol-csv file (see
+    the module docstring), or None for :func:`_read_text` to read the file
+    and name what is wrong with it."""
+    if alphabet is None or fmt not in ("auto", "csv") or not all(
+            len(s) == 1 and "!" <= s <= "~" and s not in ",|" for s in alphabet.symbols):
+        return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.removesuffix(b"\n").split(b"\n")
+    if (fmt == "auto" and data[:1] == b">") or data.translate(None, _CANONICAL_BYTES):
+        return None
+    table = np.zeros(256, np.int64)
+    table[list(map(ord, alphabet.symbols))] = np.arange(1, alphabet.size + 1)
+    codes, labels = [], []
+    for line in lines:
+        body, bar, label = line.rpartition(b"|")
+        body = body if bar else label
+        row = table[np.frombuffer(body, np.uint8)[::2]]
+        # n symbols take 2n - 1 bytes; a blank line or an empty body takes none
+        if len(body) % 2 == 0 or body[1::2].count(b",") != len(body) // 2 or not row.all():
+            return None
+        codes.append(row)
+        labels.append(label.decode() if bar else "")
+    return alphabet, codes, [], labels
+
+
+def _read_text(path, alphabet: Alphabet | None, fmt: str):
+    """The alphabet (inferred when None), codes, ids and labels of any corpus file."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not any(line.strip() for line in lines):
         raise ValueError(f"empty corpus file: {path}")
     if fmt == "auto":
-        fmt = _sniff_format(next(line for line in lines if line.strip()))
+        fmt = "fasta" if next(line for line in lines if line.strip()).lstrip().startswith(">") else "csv"
     if fmt == "csv":
         rows, ids, labels = _parse_symbol_csv(lines)
     elif fmt == "fasta":
@@ -119,13 +162,11 @@ def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infe
                                     for pos, s in enumerate(symbols, start=1) if s not in known)
         raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}")
     code = {symbol: alphabet.code(symbol) for symbol in distinct}.__getitem__
-    series = [CategoricalSeries(np.fromiter(map(code, symbols), np.int64, len(symbols)), alphabet)
-              for _, symbols in rows]
-    return Corpus(series, ids, labels if labels and any(labels) else None)
+    return alphabet, [np.fromiter(map(code, symbols), np.int64, len(symbols)) for _, symbols in rows], ids, labels
 
 
 def _parse_symbol_csv(lines: list[str]) -> tuple[list[tuple[int, list[str]]], list[str], list[str]]:
-    rows, ids, labels = [], [], []
+    rows, labels = [], []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -134,13 +175,12 @@ def _parse_symbol_csv(lines: list[str]) -> tuple[list[tuple[int, list[str]]], li
         if not symbols or symbols == [""]:
             raise ValueError(f"no symbols on line {line_no}")
         rows.append((line_no, symbols))
-        ids.append(f"series_{len(rows)}")
         labels.append(label or "")
-    return rows, ids, labels
+    return rows, [], labels
 
 
 def _parse_fasta(lines: list[str]) -> tuple[list[tuple[int, list[str]]], list[str], list[str]]:
-    rows, ids = [], []
+    rows, ids, headers = [], [], {}
     current: list[str] | None = None
     header_line = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -151,6 +191,8 @@ def _parse_fasta(lines: list[str]) -> tuple[list[tuple[int, list[str]]], list[st
             if current is not None:
                 rows.append((header_line, current))
             ids.append(line[1:].strip() or f"record_{len(ids) + 1}")
+            if headers.setdefault(ids[-1], line_no) != line_no:
+                raise ValueError(f"duplicate record id {ids[-1]!r} at lines {headers[ids[-1]]} and {line_no}")
             current = []
             header_line = line_no
         else:
@@ -629,7 +671,8 @@ def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
                 continue
             rows = [_number_text(block, bitexact).splitlines() if isinstance(block[0], np.ndarray)
                     else list(map(",".join, zip(*map(_csv_cells, block)))) for block in blocks]
-            handle.writelines(map("{}\n".format, map(",".join, zip(*rows))))
+            # a row of one empty cell is '""', as csv.writer writes it: an empty line would read as no row
+            handle.writelines((row or '""') + "\n" for row in map(",".join, zip(*rows)))
 
 
 def _column_kind(column):

@@ -26,6 +26,7 @@ from catseries.io import (
     _parse_hex,
     _parse_number,
     _parse_row,
+    _read_canonical,
     _read_csv,
     _read_plain,
     format_number,
@@ -232,6 +233,133 @@ def test_corpus_round_trips(corpus):
     assert back.labels == (labels if labels and any(labels) else None)
 
 
+def test_a_fasta_id_given_twice_is_named_with_both_header_lines(tmp_path, capsys):
+    path = tmp_path / "seqs.fa"
+    path.write_text(">x\nac\n>y\nca\n\n>x\naa\n")
+    message = "duplicate record id 'x' at lines 1 and 6"
+    with pytest.raises(ValueError, match=message):
+        parse_corpus(path, Alphabet(("a", "c")))
+    out = tmp_path / "dist.csv"
+    assert main(["dist", "--input", str(path), "--alphabet", "a,c", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PRINTABLE = "".join(map(chr, range(0x21, 0x7F)))  # printable ASCII but the space
+_ONE_BYTE_SYMBOLS = _PRINTABLE.replace(",", "").replace("|", "")  # 92 of them
+
+
+@st.composite
+def canonical_corpora(draw):
+    """Declared one-byte symbols and a canonical symbol-csv text over them."""
+    symbols = draw(st.lists(st.sampled_from(_ONE_BYTE_SYMBOLS), min_size=2, max_size=5, unique=True))
+    bodies = st.lists(st.sampled_from(symbols), min_size=1, max_size=6).map(",".join)
+    labels = st.none() | st.text(st.sampled_from(_PRINTABLE.replace("|", "")), max_size=3)
+    lines = draw(st.lists(st.tuples(bodies, labels), min_size=1, max_size=4))
+    return symbols, "".join(body + ("" if label is None else f"|{label}") + "\n" for body, label in lines)
+
+
+def _inserted(piece):
+    def mutate(text, symbols, k):
+        at = k % (len(text) + 1)
+        return text[:at] + piece + text[at:], symbols
+    return mutate
+
+
+def _replaced(old, pick):
+    """The k-th (cyclically) of the characters of the text that ``old``
+    accepts replaced by the one that ``pick`` gives for the symbols and k."""
+    def mutate(text, symbols, k):
+        places = [i for i, c in enumerate(text) if old(c, symbols)]
+        at = places[k % len(places)] if places else len(text)
+        return text[:at] + pick(symbols, k) + text[at + 1:], symbols
+    return mutate
+
+
+def _unknown(symbols, k):
+    others = [c for c in _ONE_BYTE_SYMBOLS if c not in symbols]
+    return others[k % len(others)]
+
+
+# each turns a text and its declared symbols, given a drawn k, into ones that
+# the canonical reader must read as the text reader does or hand back
+_CORPUS_MUTATIONS = {
+    **{f"insert {piece!r}": _inserted(piece)
+       for piece in [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n", "|", "\u00e9", "\ufeff"]},
+    "CRLF": lambda text, symbols, k: (text.replace("\n", "\r\n"), symbols),
+    "leading blank line": lambda text, symbols, k: ("\n" + text, symbols),
+    "no final newline": lambda text, symbols, k: (text[:-1], symbols),
+    "non-ASCII label": lambda text, symbols, k: (text + f"{symbols[0]}|\u00e9t\u00e9\n", symbols),
+    "BOM": lambda text, symbols, k: ("\ufeff" + text, symbols),
+    "multi-byte symbol": lambda text, symbols, k: (f"\u00e9,{text}", symbols + ["\u00e9"]),
+    "unknown symbol": _replaced(lambda c, symbols: c in symbols, _unknown),
+    "separator": _replaced(lambda c, symbols: c == ",", lambda symbols, k: _ONE_BYTE_SYMBOLS[k % 92]),
+    "empty body": lambda text, symbols, k: (text + "|x\n", symbols),
+    "empty label": lambda text, symbols, k: (text.replace("\n", "|\n", 1), symbols),
+    "| in a label": lambda text, symbols, k: (text + f"{symbols[0]}|x|y\n", symbols),
+    "leading >": lambda text, symbols, k: (">" + text, symbols),
+    "leading > declared": lambda text, symbols, k: (">," + text, symbols + [">"]),
+    ", declared": lambda text, symbols, k: (f"{symbols[0]},,,{symbols[0]}\n{text}", symbols + [","]),
+    "| declared": lambda text, symbols, k: (f"{symbols[0]},|,{symbols[0]}\n{text}", symbols + ["|"]),
+    "two-character symbol": lambda text, symbols, k: (f"{symbols[0]}{symbols[1]},{text}",
+                                                      symbols + [symbols[0] + symbols[1]]),
+}
+
+
+def _corpus_outcome(path, alphabet, fmt):
+    try:
+        corpus = parse_corpus(path, alphabet, fmt)
+    except ValueError as err:  # a UnicodeDecodeError too
+        return type(err).__name__, str(err)
+    return [s.codes.tolist() for s in corpus.series], corpus.ids, corpus.labels
+
+
+@example((["a", "b"], "a,b\n"), [("unknown symbol", 1)], "csv")
+@example((["a", "b"], "a,b\n"), [("separator", 0)], "csv")
+@example((["a", "b"], "a,b\n"), [("| declared", 0)], "csv")
+@example((["a", "b"], "a,b\n"), [(", declared", 0)], "csv")
+@example((["a", "b"], "a,b\n"), [("leading > declared", 0)], "auto")
+@example((["a", "b"], "a,b|x\n"), [("insert '\\x1c'", 3)], "auto")
+@given(canonical_corpora(), st.lists(st.tuples(st.sampled_from(sorted(_CORPUS_MUTATIONS)), st.integers(0, 99)),
+                                     min_size=1, max_size=2), st.sampled_from(["auto", "csv"]))
+@settings(max_examples=400, deadline=None)
+def test_the_canonical_reader_reads_what_the_text_reader_reads(corpus, mutations, fmt):
+    """A canonical file is read in numpy.  Changed in ways the canonical
+    reader must read alike or hand back, it reads to the same codes, ids and
+    labels, or the same error, as with the text reader alone."""
+    symbols, text = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        path.write_bytes(text.encode("utf-8"))
+        alphabet = Alphabet(tuple(symbols))
+        if not (fmt == "auto" and text.startswith(">")):
+            assert _read_canonical(path, alphabet, fmt) is not None
+        for name, k in mutations:
+            text, symbols = _CORPUS_MUTATIONS[name](text, symbols, k)
+        path.write_bytes(text.encode("utf-8"))
+        alphabet = Alphabet(tuple(dict.fromkeys(symbols)))
+        outcome = _corpus_outcome(path, alphabet, fmt)
+        with mock.patch("catseries.io._read_canonical", return_value=None):
+            assert outcome == _corpus_outcome(path, alphabet, fmt)
+
+
+def test_corpora_shaped_like_the_benchmark_inputs_are_read_in_numpy(tmp_path):
+    """The simulated corpus (one-byte symbols, a digit class label) and a
+    long unlabelled series never reach the text reader."""
+    rng = np.random.default_rng(5)
+    corpus = [CategoricalSeries(rng.integers(1, 4, 1000), Alphabet(("a", "b", "c"))) for _ in range(30)]
+    long = CategoricalSeries(rng.integers(1, 5, 50_000), Alphabet(("A", "C", "G", "T")))
+    write_corpus(tmp_path / "corpus.csv", corpus, [str(k % 3 + 1) for k in range(30)])
+    write_corpus(tmp_path / "series.csv", [long])
+    with mock.patch("catseries.io._parse_symbol_csv", side_effect=AssertionError("read as text")):
+        back = parse_corpus(tmp_path / "corpus.csv", corpus[0].alphabet)
+        [series] = parse_corpus(tmp_path / "series.csv", long.alphabet).series
+    assert [s.codes.tolist() for s in back.series] == [s.codes.tolist() for s in corpus]
+    assert back.labels == [str(k % 3 + 1) for k in range(30)]
+    assert back.ids == [f"series_{k}" for k in range(1, 31)]
+    assert series.codes.tolist() == long.codes.tolist()
+
+
 float_arrays = hnp.arrays(np.float64, st.integers(0, 30), elements=st.floats(allow_subnormal=True))
 int_arrays = hnp.arrays(np.int64, st.integers(0, 30))
 
@@ -332,8 +460,6 @@ def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds,
     adjacent columns of one kind become text together, and the file is the
     one csv.writer writes from the cells' format_number text."""
     cells = [data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
-    if kinds == ["text"] and "" in cells[0]:
-        reject()  # csv.writer writes a row of one empty cell as '""', the table writer as an empty line
     columns = [c if kind == "text" else np.array(c, dtype=float if kind == "float" else kind)
                for kind, c in zip(kinds, cells)]
     header = [f"c{i}" for i in range(len(kinds))]
@@ -347,6 +473,14 @@ def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds,
         path = Path(tmp) / "table.csv"
         write_table_csv(path, header, columns, bitexact)
         assert path.read_bytes() == expected.getvalue().replace("\r\n", "\n").encode("utf-8")
+
+
+def test_table_csv_writes_an_empty_cell_alone_in_its_row_as_csv_writer_does(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table_csv(path, ["name"], [["", "x", ""]])
+    assert path.read_text() == 'name\n""\nx\n""\n'
+    with open(path, newline="") as handle:
+        assert list(csv.reader(handle)) == [["name"], [""], ["x"], [""]]
 
 
 @given(st.lists(st.tuples(st.text(max_size=4), st.floats(), st.integers(-2**63, 2**63 - 1)), max_size=8),
