@@ -120,13 +120,12 @@ def _read_canonical(path, alphabet: Alphabet | None, fmt: str):
         return None
     with open(path, "rb") as handle:
         data = handle.read()
-    lines = data.removesuffix(b"\n").split(b"\n")
     if (fmt == "auto" and data[:1] == b">") or data.translate(None, _CANONICAL_BYTES):
         return None
     table = np.zeros(256, np.int64)
     table[list(map(ord, alphabet.symbols))] = np.arange(1, alphabet.size + 1)
     codes, labels = [], []
-    for line in lines:
+    for line in data.removesuffix(b"\n").split(b"\n"):
         body, bar, label = line.rpartition(b"|")
         body = body if bar else label
         row = table[np.frombuffer(body, np.uint8)[::2]]
