@@ -14,7 +14,7 @@ the file.  Numbers are written with 10 significant digits by default; the
 golden files.
 
 A symbol-csv file is canonical when it holds only printable ASCII bytes
-but the space, and ``\n`` ending lines that are not blank, and every
+but the space, and line feeds ending lines that are not blank, and every
 declared symbol is one such byte but ``,`` and ``|``.  :func:`parse_corpus`
 reads such a file as bytes: each line is split at its last ``|``, and its
 body is coded by a 256-entry table indexed by every other byte, the bytes
