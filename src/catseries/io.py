@@ -39,14 +39,14 @@ kernel, :func:`_hex_text`, which builds each cell in four uint64 lanes
 ASCII several bytes at once; ``p±exp`` and the separator, from a table
 indexed by sign, biased exponent and a zero mantissa) and keeps the bytes
 that ``float.hex`` writes.  Only the text fields (ids, class labels and
-headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` reads a
-file without a quote by splitting each row once, at the id's comma, and
-parses a block of rows of canonical hex cells (``0x1.`` with 13 lowercase
-digits and a normal exponent, or ``0x0.0p+0``, either signed) in numpy; any
-other file, or a block holding any other cell, goes through :mod:`csv` and
-``float``/``float.fromhex`` cell by cell, which reads the same values and
-names a bad cell.  Every value is written with the same text as the scalar
-:func:`format_number` gives it.
+headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` splits
+a line without a quote once, at the id's comma, and a row that starts on a
+line holding a quote with :mod:`csv`.  A block of quote-free rows whose
+cells are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
+exponent, or ``0x0.0p+0``, either signed) is parsed in numpy; any other
+block goes row by row through ``float``/``float.fromhex``, which read the
+same values and name a bad cell.  Every value is written with the same text
+as the scalar :func:`format_number` gives it.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def parse_corpus(path, alphabet: Alphabet | None = None, fmt: str = "auto", infe
     categories change every downstream statistic.  Unknown symbols raise
     with their line and position.
     """
-    if alphabet is None and not infer_alphabet:
-        raise ValueError("declare an alphabet or pass infer_alphabet=True")
+    if (alphabet is None) != infer_alphabet:
+        raise ValueError("declare an alphabet or pass infer_alphabet=True, not both")
     alphabet, codes, ids, labels = _read_canonical(path, alphabet, fmt) or _read_text(path, alphabet, fmt)
     series = [CategoricalSeries(c, alphabet) for c in codes]
     ids = ids or [f"series_{k}" for k in range(1, len(series) + 1)]
@@ -457,7 +457,8 @@ def _write_id_rows(path, header, ids, matrix, labels, bitexact: bool) -> None:
     into text a block of rows at a time."""
     matrix = np.asarray(matrix)
     heads = list(map(_csv_cell, ids))
-    tails = ["\n"] * len(matrix) if labels is None else [f",{_csv_cell(label)}\n" for label in labels]
+    tails = [""] * len(matrix) if labels is None else [f",{_csv_cell(label)}" for label in labels]
+    sep = "," if matrix.shape[-1] else ""  # no number columns, no empty cell for them
     step = max(1, _BLOCK_CELLS // max(1, matrix.shape[-1]))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_csv_row(header))
@@ -468,7 +469,8 @@ def _write_id_rows(path, header, ids, matrix, labels, bitexact: bool) -> None:
             else:
                 numbers = [",".join(format_numbers(row, bitexact)) for row in block]
             rows = zip(heads[start:stop], numbers, tails[start:stop], strict=True)
-            handle.writelines(f"{head},{text}{tail}" for head, text, tail in rows)
+            # a row of one empty cell is '""', as csv.writer writes it: an empty line would read as no row
+            handle.writelines((f"{head}{sep}{text}{tail}" or '""') + "\n" for head, text, tail in rows)
 
 
 def read_distance_csv(path) -> DistanceMatrix:
@@ -479,8 +481,27 @@ def read_distance_csv(path) -> DistanceMatrix:
     cell that is not a number is named by file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.readlines()
-    ids, values = _read_plain(lines, path) or _read_csv(lines, path)
+        rows = _distance_rows(handle)
+    if len(rows) < 2 or rows[0][1] != "id":
+        raise ValueError(f"not a distance matrix file: {path}")
+    header, body = rows[0][2], rows[1:]
+    ids = tuple(header.split(",") if isinstance(header, str) else header)
+    n = len(ids)
+    if len(body) != n or any((cells.count(",") + 1 if isinstance(cells, str) else len(cells)) != n
+                             for _, _, cells in body):
+        raise ValueError(f"distance matrix is not square: {path}")
+    if tuple(head for _, head, _ in body) != ids:
+        raise ValueError(f"row ids do not match the header ids: {path}")
+    values = np.empty((n, n))
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        block = body[start:start + step]
+        texts = [cells for _, _, cells in block if isinstance(cells, str)]
+        parsed = _parse_hex(",".join(texts)) if len(texts) == len(block) else None
+        if parsed is None:
+            parsed = [_parse_row(cells.split(",") if isinstance(cells, str) else cells, line, path)
+                      for line, _, cells in block]
+        values[start:start + step] = np.reshape(parsed, (len(block), n))
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise ValueError(f"distances must be finite and non-negative: {path}")
     if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
@@ -488,44 +509,28 @@ def read_distance_csv(path) -> DistanceMatrix:
     return DistanceMatrix(values, "euclidean-on-features", 0, ids)
 
 
-def _read_csv(lines, path) -> tuple[tuple, np.ndarray]:
-    """The ids and values of a distance file, every row split into cells."""
-    numbered = _csv_rows(lines)
-    if len(numbered) < 2 or numbered[0][1][0] != "id":
-        raise ValueError(f"not a distance matrix file: {path}")
-    header, body = numbered[0][1], numbered[1:]
-    ids = tuple(header[1:])
-    n = len(ids)
-    if len(body) != n or any(len(row) != n + 1 for _, row in body):
-        raise ValueError(f"distance matrix is not square: {path}")
-    if tuple(row[0] for _, row in body) != ids:
-        raise ValueError(f"row ids do not match the header ids: {path}")
-    return ids, np.asarray([_parse_row(row[1:], line, path) for line, row in body], dtype=float)
-
-
-def _read_plain(lines, path) -> tuple[tuple, np.ndarray] | None:
-    """What :func:`_read_csv` reads from a file that holds no quote and has
-    the header, rows and ids it accepts, or None for any other file.  Each
-    row is split once, at the id's comma; a block of rows whose cells are
-    all canonical hex is parsed by :func:`_parse_hex`, any other block row
-    by row by :func:`_parse_row`."""
-    rows = [(number, line) for number, line in enumerate(lines, start=1) if line[0] not in "\r\n"]
-    if len(rows) < 2 or any('"' in line for line in lines):
-        return None
-    header = rows[0][1].rstrip("\r\n").split(",")
-    ids, body, n = tuple(header[1:]), rows[1:], len(header) - 1
-    if (header[0] != "id" or len(body) != n or any(line.count(",") != n for _, line in body)
-            or tuple(line[:line.index(",")] for _, line in body) != ids):
-        return None
-    values = np.empty((n, n))
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        block = [(number, line[line.index(",") + 1:].rstrip("\r\n")) for number, line in body[start:start + step]]
-        parsed = _parse_hex(",".join(text for _, text in block))
-        if parsed is None:
-            parsed = [_parse_row(text.split(","), number, path) for number, text in block]
-        values[start:start + step] = np.reshape(parsed, (len(block), n))
-    return ids, values
+def _distance_rows(handle) -> list[tuple[int, str, str | list[str]]]:
+    r"""(last line number, id, cells) of every non-empty row, as csv.reader
+    reads them from ``handle``, a file opened with ``newline=""``.  A line
+    without a quote is split once, at its first ",", and its cells stay one
+    text; a row that starts on a line holding a quote goes through
+    csv.reader, which takes as many more lines as its quoted cells span,
+    and its cells stay a list."""
+    rows = []
+    line_num = 0
+    for line in handle:
+        line_num += 1
+        if '"' in line:
+            reader = csv.reader(chain((line,), handle))
+            head, *cells = next(reader)
+            line_num += reader.line_num - 1
+        elif line := line.rstrip("\r\n"):
+            head, comma, cells = line.partition(",")
+            cells = cells if comma else []
+        else:
+            continue
+        rows.append((line_num, head, cells))
+    return rows
 
 
 _HEX_HEAD = int.from_bytes(b"0x1.", "little")
@@ -582,27 +587,6 @@ def _hex_ascii(nibbles):
     """Lowercase hex digits of one nibble a byte: b + "0", and 39 more to
     reach "a" when b > 9, which is when b + 6 carries into bit 4."""
     return nibbles + (nibbles + 0x0606060606060606 >> 4 & _BYTES) * 39 + 0x3030303030303030
-
-
-def _csv_rows(lines) -> list[tuple[int, list[str]]]:
-    r"""(last line number, cells) of every non-empty row, as csv.reader reads
-    them from ``lines``: lines that keep their "\n", "\r" or "\r\n", such
-    as a file opened with ``newline=""``.  A line without a quote is split
-    on ","; a row that starts on a line holding a quote goes through
-    csv.reader, which takes as many more lines as its quoted cells span."""
-    rows = []
-    line_num = 0
-    lines = iter(lines)
-    for line in lines:
-        line_num += 1
-        if '"' in line:
-            reader = csv.reader(chain((line,), lines))
-            row = next(reader)
-            line_num += reader.line_num - 1
-            rows.append((line_num, row))
-        elif line := line.rstrip("\r\n"):
-            rows.append((line_num, line.split(",")))
-    return rows
 
 
 _HEX_PREFIXES = ("0x", "-0x")

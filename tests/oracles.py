@@ -5,8 +5,10 @@ independent of the numpy code paths under test.  Keep it slow and obvious.
 """
 
 import bisect
+import csv
 import itertools
 import math
+import re
 
 
 def count_pairs(codes, r, lag):
@@ -679,3 +681,40 @@ def fixed_text(template, columns, sep):
     "{}" taking the "{:.2f}" text of its column's value."""
     fill = template.replace("{}", "{:.2f}").format
     return sep.join(fill(*map(float, row)) for row in zip(*columns))
+
+
+def read_distance_csv(path):
+    """(ids, rows of values) of a distance file, read as the package's
+    reader documents it: every row by csv.reader, then every cell by
+    float.fromhex when it starts, after an optional sign, with 0x or 0X,
+    and by float otherwise.  Raises the package's ValueError messages, in
+    the package's order: the file's shape, then the first bad cell, then
+    the values."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if len(rows) < 2 or rows[0][1][0] != "id":
+        raise ValueError(f"not a distance matrix file: {path}")
+    ids = tuple(rows[0][1][1:])
+    body = rows[1:]
+    if len(body) != len(ids) or any(len(row) != len(ids) + 1 for _, row in body):
+        raise ValueError(f"distance matrix is not square: {path}")
+    if tuple(row[0] for _, row in body) != ids:
+        raise ValueError(f"row ids do not match the header ids: {path}")
+    values = []
+    for line, row in body:
+        values.append([])
+        for column, cell in enumerate(row[1:], start=2):
+            cell = cell.strip()
+            parse = float.fromhex if re.match("[+-]?0[xX]", cell) else float
+            try:
+                values[-1].append(parse(cell))
+            except (ValueError, OverflowError):
+                raise ValueError(f"not a number: {cell!r} at line {line}, column {column} of {path}") from None
+    cells = [x for row in values for x in row]
+    if not all(map(math.isfinite, cells)) or any(x < 0.0 for x in cells):
+        raise ValueError(f"distances must be finite and non-negative: {path}")
+    symmetric = all(values[i][j] == values[j][i] for i in range(len(ids)) for j in range(i))
+    if not symmetric or any(values[i][i] != 0.0 for i in range(len(ids))):
+        raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
+    return ids, values

@@ -357,6 +357,14 @@ def test_infer_alphabet_flag(corpus_file, tmp_path):
     assert header == "id,p.1,p.2,p.3,label"
 
 
+def test_an_alphabet_and_infer_alphabet_together_exit_2(corpus_file, tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    assert main(["features", "--input", str(corpus_file), "--alphabet", "1,2,3", "--infer-alphabet",
+                 "--measures", "marginals", "--out", str(out)]) == 2
+    assert "declare an alphabet or pass infer_alphabet=True, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_alphabet_labels_are_stripped(corpus_file, tmp_path):
     out = tmp_path / "features.csv"
     assert main(["features", "--input", str(corpus_file), "--alphabet", "1, 2 ,3",

@@ -18,7 +18,6 @@ from catseries import Alphabet, CategoricalSeries, DistanceMatrix, distance_matr
 from catseries.cli import main
 from catseries.io import (
     _csv_cell,
-    _csv_rows,
     _fixed_text,
     _hex_text,
     _integer_text,
@@ -27,8 +26,6 @@ from catseries.io import (
     _parse_number,
     _parse_row,
     _read_canonical,
-    _read_csv,
-    _read_plain,
     format_number,
     format_numbers,
     parse_corpus,
@@ -36,10 +33,12 @@ from catseries.io import (
     write_coordinates_csv,
     write_corpus,
     write_distance_csv,
+    write_features_csv,
     write_json_report,
     write_table_csv,
 )
 
+import oracles
 from conftest import random_series
 
 
@@ -106,6 +105,8 @@ def test_alphabet_must_be_declared_or_inferred(tmp_path):
     corpus = parse_corpus(path, infer_alphabet=True)
     assert corpus.series[0].alphabet.symbols == ("a", "b")  # sorted order
     assert corpus.series[0].codes.tolist() == [2, 1, 2]
+    with pytest.raises(ValueError, match="declare an alphabet or pass infer_alphabet=True, not both"):
+        parse_corpus(path, Alphabet(("b", "a")), infer_alphabet=True)
 
 
 def test_format_number_modes():
@@ -475,6 +476,16 @@ def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds,
         assert path.read_bytes() == expected.getvalue().replace("\r\n", "\n").encode("utf-8")
 
 
+@pytest.mark.parametrize("labels", [None, ["x", ""]])
+@pytest.mark.parametrize("bitexact", [False, True])
+def test_features_csv_without_feature_columns_gives_every_row_the_header_width(tmp_path, labels, bitexact):
+    path = tmp_path / "features.csv"
+    write_features_csv(path, ["s1", ""], [], np.empty((2, 0)), labels, bitexact)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == ([["id"], ["s1"], [""]] if labels is None else [["id", "label"], ["s1", "x"], ["", ""]])
+
+
 def test_table_csv_writes_an_empty_cell_alone_in_its_row_as_csv_writer_does(tmp_path):
     path = tmp_path / "table.csv"
     write_table_csv(path, ["name"], [["", "x", ""]])
@@ -522,8 +533,8 @@ def distance_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_distance_csv_round_trips_bitexact(dm, end, block_cells):
     """A bitexact file reads back with the bits written, with either line
-    end, through numpy blocks, blocks read cell by cell (a subnormal) and
-    the csv path (quoted ids)."""
+    end, through numpy blocks, blocks read row by row (a subnormal) and rows
+    split by csv.reader (quoted ids)."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
         path = Path(tmp) / "dist.csv"
         write_distance_csv(path, dm, bitexact=True)
@@ -547,51 +558,6 @@ def _cell_texts():
     pad = st.sampled_from(["", "", "", " ", "\t", "\u3000"])
     # mostly hex cells, so that rows of hex cells with one odd cell are common
     return st.tuples(pad, st.one_of(hex_cells, hex_cells, other), pad).map("".join)
-
-
-def _csv_reader_rows(text):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader if row]
-
-
-@example(["0x1p0", "1.5"], "a")
-@example(["0x1p0", " 0x1p0", "0x1p0\u3000"], "a,b")
-@example(["1.5", "0x1p0"], 'say "x"')
-@example(["0x1p0", "+0x1p0"], "two\r\nlines\r")
-@example(["2", "abc", "-0x1p0"], "\n")
-@given(st.lists(_cell_texts(), min_size=1, max_size=8), st.text(st.sampled_from('ab,"\r\n \u2028'), max_size=6))
-@settings(max_examples=400, deadline=None)
-def test_row_parser_agrees_with_the_cell_parser(cells, ident):
-    """A distance row, an id then number cells, is split as csv.reader
-    splits it, on the str.split path or, for an id csv.writer quotes, the
-    csv path; its cells parse as the cell parser parses them one by one,
-    and a bad cell is named by the row's line and its column."""
-    text = f"{_csv_cell(ident)},{','.join(cells)}\n"
-    rows = _csv_rows(io.StringIO(text, newline=""))
-    assert rows == _csv_reader_rows(text)
-    [(line, row)] = rows
-    assert row == [ident, *cells]
-    expected, bad = [], None
-    for column, cell in enumerate(cells, start=2):
-        try:
-            expected.append(_parse_number(cell))
-        except ValueError:
-            bad = bad or (cell, column)
-    if bad is None:
-        assert [x.hex() for x in _parse_row(row[1:], line, "f.csv")] == [x.hex() for x in expected]
-    else:
-        with pytest.raises(ValueError, match="not a number") as err:
-            _parse_row(row[1:], line, "f.csv")
-        assert f"{bad[0].strip()!r} at line {line}, column {bad[1]}" in str(err.value)
-
-
-@example('a,"b\r\nc",d\n\n"e""",\r"\n')
-@example('"unterminated\n,x')
-@example('x\r\ny\rz\n\r\n,\n')
-@given(st.text(st.sampled_from('a0,"\r\n \u2028\x00'), max_size=40))
-@settings(max_examples=400, deadline=None)
-def test_csv_rows_match_csv_reader_on_any_text(text):
-    assert _csv_rows(io.StringIO(text, newline="")) == _csv_reader_rows(text)
 
 
 def test_json_writes_numpy_integers_and_bools_as_format_number_does(tmp_path):
@@ -678,38 +644,81 @@ _MUTATIONS = {
     "not a number": lambda cell: "0x1.000000000000gp+0",
     "+0x": lambda cell: f"+{cell}",
 }
+# edits that read any cell's text, hex or decimal
+_CELL_EDITS = {
+    "quoted": lambda cell: f'"{cell}"',
+    "quoted with a comma": lambda cell: f'"{cell},{cell}"',
+}
 
 
-@given(distance_matrices(), st.data(), st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 20))
-@settings(max_examples=150, deadline=None)
-def test_a_mutated_cell_reads_as_the_cell_by_cell_path_reads_it(dm, data, mutation, block_cells):
-    """One cell of a bitexact file changed: the rows split once, parsed in
-    numpy blocks, give the values or the error the csv path gives, and the
-    cell's value is the cell parser's (float.fromhex for hex text)."""
-    dm = DistanceMatrix(dm.values, "db", 1, tuple(f"s{i}" for i in range(dm.size)))  # no quote in the file
-    row = data.draw(st.integers(0, dm.size - 1), label="row")
-    column = data.draw(st.integers(0, dm.size - 1), label="column")
+def _distance_text(ids, grid, end="\n"):
+    """A distance file of ``ids`` and rows of cell texts, ids quoted as
+    csv.writer quotes them among other cells, every row ended by ``end``."""
+    lines = [",".join(["id", *map(_csv_cell, ids)])]
+    lines += [",".join([_csv_cell(ident), *row]) for ident, row in zip(ids, grid)]
+    return "".join(line + end for line in lines)
+
+
+def _first_row_file(ident, cells):
+    """A distance file whose first row holds the id ``ident``, then "0" and
+    ``cells``, whose first column repeats ``cells``, and whose other cells
+    are "0" on the diagonal and "0x1p0" off it."""
+    ids = [ident, *(f"s{j}" for j in range(1, len(cells) + 1))]
+    grid = [["0" if i == j else "0x1p0" for j in range(len(ids))] for i in range(len(ids))]
+    for j, cell in enumerate(cells, start=1):
+        grid[0][j] = grid[j][0] = cell
+    return _distance_text(ids, grid)
+
+
+@st.composite
+def distance_files(draw):
+    """The text of a distance file: one written as the writer writes it,
+    bitexact or decimal, with ids csv.writer may quote, "\n" or "\r\n"
+    line ends and at most one cell edited; or any short text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(["", "id,", "id,a\n"])) + draw(st.text(st.sampled_from('a0,"\r\n \u2028\x00'),
+                                                                         max_size=40))
+    dm = draw(distance_matrices())
+    bitexact = draw(st.booleans())
+    grid = [[format_number(x, bitexact) for x in row] for row in dm.values.tolist()]
+    edits = {"replaced": lambda cell: draw(_cell_texts()), **_CELL_EDITS, **(_MUTATIONS if bitexact else {})}
+    edit = draw(st.sampled_from(["none", *sorted(edits)]))
+    if edit != "none":
+        row, column = draw(st.integers(0, dm.size - 1)), draw(st.integers(0, dm.size - 1))
+        grid[row][column] = edits[edit](grid[row][column])
+    return _distance_text(dm.ids, grid, draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def _read_outcome(read, path):
+    """The ids and value bits ``read`` gives, or the type and text of its error."""
+    try:
+        ids, values = read(path)
+    except (ValueError, csv.Error) as err:
+        return type(err), str(err)
+    return ids, np.array(values, dtype=float).reshape(len(ids), len(ids)).view(np.uint64).tolist()
+
+
+@example(_first_row_file("a", ["0x1p0", "1.5"]), 8192)
+@example(_first_row_file("a,b", ["0x1p0", " 0x1p0", "0x1p0\u3000"]), 8192)
+@example(_first_row_file('say "x"', ["1.5", "0x1p0"]), 1)
+@example(_first_row_file("two\r\nlines\r", ["0x1p0", "+0x1p0"]), 2)
+@example(_first_row_file("\n", ["2", "abc", "-0x1p0"]), 8192)
+@example('a,"b\r\nc",d\n\n"e""",\r"\n', 8192)
+@example('"unterminated\n,x', 8192)
+@example('x\r\ny\rz\n\r\n,\n', 8192)
+@example('id,a,b\r\na,"0",0x1p0\r\nb,1,0\r\n', 1)
+@given(distance_files(), st.integers(1, 20))
+@settings(max_examples=500, deadline=None)
+def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
+    """Any file reads as the reference reader reads it, csv.reader row by
+    row and float.fromhex or float cell by cell: the same ids and value
+    bits, or the same message naming file, line and column, whatever the
+    block of rows parsed at a time."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
         path = Path(tmp) / "dist.csv"
-        write_distance_csv(path, dm, bitexact=True)
-        lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
-        cells = lines[row + 1].rstrip("\n").split(",")
-        cell = cells[column + 1] = _MUTATIONS[mutation](cells[column + 1])
-        lines[row + 1] = ",".join(cells) + "\n"
-
-        def outcome(read):
-            try:
-                ids, values = read(lines, path)
-            except ValueError as err:
-                return str(err)
-            return ids, values.view(np.uint64).tolist()
-
-        plain = outcome(_read_plain)
-        assert plain == outcome(_read_csv)
-        if not isinstance(plain, str):
-            assert plain[1][row][column] == np.float64(_parse_number(cell)).view(np.uint64)
-        else:
-            assert plain == f"not a number: {cell.strip()!r} at line {row + 2}, column {column + 2} of {path}"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _read_outcome(oracles.read_distance_csv, path)
+        assert _read_outcome(lambda p: (lambda dm: (dm.ids, dm.values))(read_distance_csv(p)), path) == expected
 
 
 def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parser(tmp_path):
@@ -722,25 +731,37 @@ def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parse
     assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
     # rows 2 and 3 hold the subnormal; row 1 is read in numpy
     assert [call.args[1] for call in rows.call_args_list] == [3, 4]
+    # a quoted id sends its own row, read by csv.reader, to the row parser and no other
+    values[1, 2] = values[2, 1] = 2.5
+    write_distance_csv(path, DistanceMatrix(values, "db", 1, ("a", "b,c", "d")), bitexact=True)
+    with mock.patch("catseries.io._BLOCK_CELLS", 3), \
+            mock.patch("catseries.io._parse_row", side_effect=_parse_row) as rows:
+        back = read_distance_csv(path)
+    assert back.ids == ("a", "b,c", "d")
+    assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert [call.args[1] for call in rows.call_args_list] == [3]
 
 
 def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
     """A 600x600 file is made into text and parsed a block at a time: neither
-    direction holds a Python object per cell of the matrix."""
+    direction holds a Python object per cell of the matrix, with or without
+    a quoted id."""
     rng = np.random.default_rng(7)
     upper = np.triu(rng.uniform(0.5, 40.0, (600, 600)), 1)
-    dm = DistanceMatrix(upper + upper.T, "db", 1, tuple(f"series_{i}" for i in range(1, 601)))
+    ids = tuple(f"series_{i}" for i in range(1, 601))
     path = tmp_path / "dist.csv"
-    write_distance_csv(path, dm, bitexact=True)  # builds the kernel's tables outside the measurement
-    peaks = {}
-    calls = {"write": lambda: write_distance_csv(path, dm, bitexact=True), "read": lambda: read_distance_csv(path)}
-    for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            result = call()
-            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-    assert np.array_equal(result.values, dm.values)
-    assert peaks["write"] <= 4.0, peaks
-    assert peaks["read"] <= 20.0, peaks
+    for dm in (DistanceMatrix(upper + upper.T, "db", 1, ids), DistanceMatrix(upper + upper.T, "db", 1, ("a,b", *ids[1:]))):
+        write_distance_csv(path, dm, bitexact=True)  # builds the kernel's tables outside the measurement
+        peaks = {}
+        calls = {"write": lambda: write_distance_csv(path, dm, bitexact=True), "read": lambda: read_distance_csv(path)}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                result = call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert result.ids == dm.ids
+        assert np.array_equal(result.values, dm.values)
+        assert peaks["write"] <= 4.0, (dm.ids[0], peaks)
+        assert peaks["read"] <= 20.0, (dm.ids[0], peaks)
