@@ -18,6 +18,7 @@ from catseries import Alphabet, CategoricalSeries, DistanceMatrix, distance_matr
 from catseries.cli import main
 from catseries.io import (
     _csv_cell,
+    _distance_rows,
     _fixed_text,
     _hex_text,
     _integer_text,
@@ -560,6 +561,57 @@ def _cell_texts():
     return st.tuples(pad, st.one_of(hex_cells, hex_cells, other), pad).map("".join)
 
 
+def _csv_reader_rows(text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader if row]
+
+
+def _split_rows(rows):
+    """The rows of :func:`_distance_rows` as csv.reader gives them: the
+    line number and the list of cells, id first."""
+    return [(line, [head, *(cells.split(",") if isinstance(cells, str) else cells)]) for line, head, cells in rows]
+
+
+@example(["0x1p0", "1.5"], "a")
+@example(["0x1p0", " 0x1p0", "0x1p0\u3000"], "a,b")
+@example(["1.5", "0x1p0"], 'say "x"')
+@example(["0x1p0", "+0x1p0"], "two\r\nlines\r")
+@example(["2", "abc", "-0x1p0"], "\n")
+@given(st.lists(_cell_texts(), min_size=1, max_size=8), st.text(st.sampled_from('ab,"\r\n \u2028'), max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_row_parser_agrees_with_the_cell_parser(cells, ident):
+    """A distance row, an id then number cells, is split as csv.reader
+    splits it, at its first comma or, for an id csv.writer quotes, by
+    csv.reader; its cells parse as the cell parser parses them one by one,
+    and a bad cell is named by the row's line and its column."""
+    text = f"{_csv_cell(ident)},{','.join(cells)}\n"
+    rows = _split_rows(_distance_rows(io.StringIO(text, newline="")))
+    assert rows == _csv_reader_rows(text)
+    [(line, row)] = rows
+    assert row == [ident, *cells]
+    expected, bad = [], None
+    for column, cell in enumerate(cells, start=2):
+        try:
+            expected.append(_parse_number(cell))
+        except ValueError:
+            bad = bad or (cell, column)
+    if bad is None:
+        assert [x.hex() for x in _parse_row(row[1:], line, "f.csv")] == [x.hex() for x in expected]
+    else:
+        with pytest.raises(ValueError, match="not a number") as err:
+            _parse_row(row[1:], line, "f.csv")
+        assert f"{bad[0].strip()!r} at line {line}, column {bad[1]}" in str(err.value)
+
+
+@example('a,"b\r\nc",d\n\n"e""",\r"\n')
+@example('"unterminated\n,x')
+@example('x\r\ny\rz\n\r\n,\n')
+@given(st.text(st.sampled_from('a0,"\r\n \u2028\x00'), max_size=40))
+@settings(max_examples=400, deadline=None)
+def test_csv_rows_match_csv_reader_on_any_text(text):
+    assert _split_rows(_distance_rows(io.StringIO(text, newline=""))) == _csv_reader_rows(text)
+
+
 def test_json_writes_numpy_integers_and_bools_as_format_number_does(tmp_path):
     payload = {"n": np.int64(3), "u": np.uint8(7), "flag": np.bool_(True), "rows": [np.int32(-2), np.bool_(False)]}
     expected = {"n": 3, "u": 7, "flag": True, "rows": [-2, False]}
@@ -649,6 +701,41 @@ _CELL_EDITS = {
     "quoted": lambda cell: f'"{cell}"',
     "quoted with a comma": lambda cell: f'"{cell},{cell}"',
 }
+
+
+@given(distance_matrices(), st.data(), st.sampled_from(sorted(_MUTATIONS)), st.integers(1, 20))
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_cell_reads_as_the_cell_by_cell_path_reads_it(dm, data, mutation, block_cells):
+    """One cell of a bitexact file and its mirror changed alike: the rows
+    split once, parsed in numpy blocks, give the values or the error the
+    reference reader gives, reading cell by cell, and the cell's value is
+    the cell parser's (float.fromhex for hex text)."""
+    dm = DistanceMatrix(dm.values, "db", 1, tuple(f"s{i}" for i in range(dm.size)))  # no quote in the file
+    row = data.draw(st.integers(0, dm.size - 1), label="row")
+    column = data.draw(st.integers(0, dm.size - 1), label="column")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
+        path = Path(tmp) / "dist.csv"
+        write_distance_csv(path, dm, bitexact=True)
+        lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+        for i, j in {(row, column), (column, row)}:
+            cells = lines[i + 1].rstrip("\n").split(",")
+            cell = cells[j + 1] = _MUTATIONS[mutation](cells[j + 1])
+            lines[i + 1] = ",".join(cells) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        outcome = _read_outcome(lambda p: (lambda back: (back.ids, back.values))(read_distance_csv(p)), path)
+        assert outcome == _read_outcome(oracles.read_distance_csv, path)
+    try:
+        value = _parse_number(cell)
+    except (ValueError, OverflowError):  # a hex cell too large for a float overflows
+        first, last = sorted((row, column))  # the first of the two cells in the file
+        assert outcome == (ValueError, f"not a number: {cell.strip()!r} at line {first + 2}, column {last + 2} of {path}")
+        return
+    if not math.isfinite(value):
+        assert outcome == (ValueError, f"distances must be finite and non-negative: {path}")
+    elif row == column and value != 0.0:
+        assert outcome == (ValueError, f"distance matrix must be symmetric with a zero diagonal: {path}")
+    else:
+        assert outcome[1][row][column] == outcome[1][column][row] == np.float64(value).view(np.uint64)
 
 
 def _distance_text(ids, grid, end="\n"):
