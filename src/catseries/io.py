@@ -31,8 +31,11 @@ kernel writes the ``"{:.2f}"`` text of SVG coordinates
 (:func:`_fixed_text`), after :func:`_hundredths` rounds each float to
 hundredths exactly in uint64 arithmetic; when any value of a call is
 non-finite or of magnitude 2**40 or more, Python formats the call's values
-instead.  :func:`write_table_csv` makes each run of adjacent integer or
-float columns into text with one kernel call.  Decimal floats map
+instead.  :func:`write_table_csv` writes every CSV table (features,
+distances, coordinates and plot tables), ``_BLOCK_CELLS`` cells at a
+time: a 2-D array is a block of adjacent number columns, cut by rows
+only, and each run of adjacent integer or float columns becomes text
+with one kernel call.  Decimal floats map
 ``"{:.10g}".format`` over a row; ``bitexact`` text comes from one numpy
 kernel, :func:`_hex_text`, which builds each cell in four uint64 lanes
 (sign, ``0x`` and lead digit; two lanes of mantissa nibbles turned into
@@ -41,7 +44,7 @@ indexed by sign, biased exponent and a zero mantissa) and keeps the bytes
 that ``float.hex`` writes.  Only the text fields (ids, class labels and
 headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` splits
 a line without a quote once, at the id's comma, and a row that starts on a
-line holding a quote with :mod:`csv`.  A block of quote-free rows whose
+line holding a quote with strict :mod:`csv`.  A block of quote-free rows whose
 cells are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
 exponent, or ``0x0.0p+0``, either signed) is parsed in numpy; any other
 block goes row by row through ``float``/``float.fromhex``, which read the
@@ -55,7 +58,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
 from typing import Sequence
 
 import numpy as np
@@ -219,6 +222,8 @@ def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | N
                 raise ValueError(f"symbol {symbol!r} is empty or has leading or trailing whitespace or a leading '>'")
     if labels is not None:
         labels = [str(label) for label in labels]
+        if len(labels) != len(corpus):
+            raise ValueError(f"{len(labels)} class labels for {len(corpus)} series")
         for label in labels:
             _check_field("class label", label, "|")
             if label != label.strip():
@@ -256,19 +261,20 @@ def format_numbers(values, bitexact: bool = False) -> list[str]:
 
 def _number_text(columns, bitexact: bool) -> str:
     """``",".join(format_numbers(row, bitexact)) + "\n"`` for every row of
-    1-D numeric columns that are all of integer dtype or all not.  Integers
-    and ``bitexact`` floats come from the numpy kernels
-    :func:`_integer_text` and :func:`_hex_text`."""
+    numeric columns, 1-D or 2-D blocks of adjacent columns, that are all of
+    integer dtype or all not.  Integers and ``bitexact`` floats come from
+    the numpy kernels :func:`_integer_text` and :func:`_hex_text`."""
     if columns[0].dtype.kind in "iu":
-        return _integer_text(columns)
+        return _integer_text([c for column in columns for c in (column.T if column.ndim == 2 else [column])])
+    block = np.column_stack(columns)
     if bitexact:
-        return _hex_text(np.column_stack(columns))
-    row = ",".join(["{:.10g}"] * len(columns)) + "\n"
-    return "".join(map(row.format, *(column.astype(float).tolist() for column in columns)))
+        return _hex_text(block)
+    row = ",".join(["{:.10g}"] * block.shape[1]) + "\n"
+    return "".join(map(row.format, *block.T.tolist()))
 
 
-_BLOCK_CELLS = 8192  # numbers made into text or parsed at a time; bounds the memory held
-_BLOCK_ROWS = 8192  # rows made into text at a time; bounds the text held in memory
+_BLOCK_CELLS = 8192  # cells made into text or parsed at a time; bounds the memory held
+_BLOCK_ROWS = 8192  # rows of a digit template filled at a time; bounds the bytes held
 _POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
 
 
@@ -443,34 +449,14 @@ def _csv_cell(text: str) -> str:
 def write_features_csv(path, ids, schema, matrix, labels=None, bitexact: bool = False) -> None:
     """Feature matrix: one row per series, columns = id, features[, label]."""
     header = ["id", *schema] + (["label"] if labels is not None else [])
-    _write_id_rows(path, header, ids, matrix, labels, bitexact)
+    columns = [ids, np.asarray(matrix)] + ([labels] if labels is not None else [])
+    write_table_csv(path, header, columns, bitexact)
 
 
 def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None:
     """Square distance matrix with an id header row and id-leading rows."""
     ids = dm.ids if dm.ids is not None else tuple(f"series_{i + 1}" for i in range(dm.size))
-    _write_id_rows(path, ["id", *ids], ids, dm.values, None, bitexact)
-
-
-def _write_id_rows(path, header, ids, matrix, labels, bitexact: bool) -> None:
-    """A header, then one "id,numbers[,label]" row per matrix row, made
-    into text a block of rows at a time."""
-    matrix = np.asarray(matrix)
-    heads = list(map(_csv_cell, ids))
-    tails = [""] * len(matrix) if labels is None else [f",{_csv_cell(label)}" for label in labels]
-    sep = "," if matrix.shape[-1] else ""  # no number columns, no empty cell for them
-    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[-1]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_row(header))
-        for start in range(0, len(matrix), step):
-            block, stop = matrix[start:start + step], start + step
-            if bitexact and block.dtype.kind not in "iu":
-                numbers = _hex_text(block).splitlines()
-            else:
-                numbers = [",".join(format_numbers(row, bitexact)) for row in block]
-            rows = zip(heads[start:stop], numbers, tails[start:stop], strict=True)
-            # a row of one empty cell is '""', as csv.writer writes it: an empty line would read as no row
-            handle.writelines((f"{head}{sep}{text}{tail}" or '""') + "\n" for head, text, tail in rows)
+    write_table_csv(path, ["id", *ids], [ids, dm.values], bitexact)
 
 
 def read_distance_csv(path) -> DistanceMatrix:
@@ -481,7 +467,7 @@ def read_distance_csv(path) -> DistanceMatrix:
     cell that is not a number is named by file, line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = _distance_rows(handle)
+        rows = _distance_rows(handle, path)
     if len(rows) < 2 or rows[0][1] != "id":
         raise ValueError(f"not a distance matrix file: {path}")
     header, body = rows[0][2], rows[1:]
@@ -509,20 +495,24 @@ def read_distance_csv(path) -> DistanceMatrix:
     return DistanceMatrix(values, "euclidean-on-features", 0, ids)
 
 
-def _distance_rows(handle) -> list[tuple[int, str, str | list[str]]]:
-    r"""(last line number, id, cells) of every non-empty row, as csv.reader
-    reads them from ``handle``, a file opened with ``newline=""``.  A line
-    without a quote is split once, at its first ",", and its cells stay one
-    text; a row that starts on a line holding a quote goes through
+def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:
+    r"""(last line number, id, cells) of every non-empty row, as a strict
+    csv.reader reads them from ``handle``, a file opened with ``newline=""``.
+    A line without a quote is split once, at its first ",", and its cells
+    stay one text; a row that starts on a line holding a quote goes through
     csv.reader, which takes as many more lines as its quoted cells span,
-    and its cells stay a list."""
+    and its cells stay a list.  A quote left open or followed by anything
+    but a "," or the line's end raises, naming the line of ``path``."""
     rows = []
     line_num = 0
     for line in handle:
         line_num += 1
         if '"' in line:
-            reader = csv.reader(chain((line,), handle))
-            head, *cells = next(reader)
+            reader = csv.reader(chain((line,), handle), strict=True)
+            try:
+                head, *cells = next(reader)
+            except csv.Error as err:
+                raise ValueError(f"malformed CSV ({err}) at line {line_num + reader.line_num - 1} of {path}") from None
             line_num += reader.line_num - 1
         elif line := line.rstrip("\r\n"):
             head, comma, cells = line.partition(",")
@@ -633,34 +623,40 @@ def write_coordinates_csv(path, ids, coords, bitexact: bool = False) -> None:
 
 
 def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
-    """A table given column by column: a numpy array holds numbers, written
-    as :func:`format_numbers` writes them; any other sequence holds text
+    """A table given column by column: a numpy array of numbers holds
+    numbers, a 2-D one a block of adjacent number columns, written as
+    :func:`format_numbers` writes them; any other sequence holds text
     cells, quoted as csv.writer quotes them.  Each run of adjacent integer,
-    float or text columns becomes text together, a block of rows at a time.
-    Raises before opening the file unless there is one header name per
-    column and every column has the same length."""
+    float or text columns becomes text together, a block of rows at a time:
+    as many rows as ``_BLOCK_CELLS`` cells fill.  Raises before opening the
+    file unless there is one header name per column and every column has
+    the same length."""
+    widths = [column.shape[1] if _column_kind(column) is not None and column.ndim == 2 else 1 for column in columns]
     lengths = [len(column) for column in columns]
-    if len(header) != len(columns):
-        raise ValueError(f"table header has {len(header)} names for {len(columns)} columns: {list(header)}")
+    if len(header) != sum(widths):
+        raise ValueError(f"table header has {len(header)} names for {sum(widths)} columns: {list(header)}")
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns {list(header)} have different lengths {lengths}")
-    runs = [list(run) for _, run in groupby(columns, _column_kind)]
+    runs = [(kind, list(run)) for kind, run in groupby(compress(columns, widths), _column_kind)]
+    step = max(1, _BLOCK_CELLS // max(1, len(header)))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_csv_row(header))
-        for start in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
-            blocks = [[column[start:start + _BLOCK_ROWS] for column in run] for run in runs]
-            if len(blocks) == 1 and isinstance(blocks[0][0], np.ndarray):
-                handle.write(_number_text(blocks[0], bitexact))
+        for start in range(0, lengths[0] if lengths else 0, step):
+            blocks = [(kind, [column[start:start + step] for column in run]) for kind, run in runs]
+            if len(blocks) == 1 and blocks[0][0] is not None:
+                handle.write(_number_text(blocks[0][1], bitexact))
                 continue
-            rows = [_number_text(block, bitexact).splitlines() if isinstance(block[0], np.ndarray)
-                    else list(map(",".join, zip(*map(_csv_cells, block)))) for block in blocks]
+            rows = [list(map(",".join, zip(*map(_csv_cells, block)))) if kind is None
+                    else _number_text(block, bitexact).splitlines() for kind, block in blocks]
             # a row of one empty cell is '""', as csv.writer writes it: an empty line would read as no row
             handle.writelines((row or '""') + "\n" for row in map(",".join, zip(*rows)))
 
 
 def _column_kind(column):
     """Integer (True), float (False) or text (None) column of a table."""
-    return column.dtype.kind in "iu" if isinstance(column, np.ndarray) else None
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return column.dtype.kind in "iu"
+    return None
 
 
 def _csv_cells(texts) -> list[str]:

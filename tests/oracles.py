@@ -685,14 +685,17 @@ def fixed_text(template, columns, sep):
 
 def read_distance_csv(path):
     """(ids, rows of values) of a distance file, read as the package's
-    reader documents it: every row by csv.reader, then every cell by
+    reader documents it: every row by a strict csv.reader, then every cell by
     float.fromhex when it starts, after an optional sign, with 0x or 0X,
     and by float otherwise.  Raises the package's ValueError messages, in
     the package's order: the file's shape, then the first bad cell, then
     the values."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row]
+        reader = csv.reader(handle, strict=True)
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as err:
+            raise ValueError(f"malformed CSV ({err}) at line {reader.line_num} of {path}") from None
     if len(rows) < 2 or rows[0][1][0] != "id":
         raise ValueError(f"not a distance matrix file: {path}")
     ids = tuple(rows[0][1][1:])

@@ -180,6 +180,20 @@ def test_a_hex_cell_too_large_for_a_float_is_named(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('id,a\na,"0', "malformed CSV (unexpected end of data) at line 2"),
+    ('id,a\na,"0\n', "malformed CSV (unexpected end of data) at line 2"),
+    ('"a" ,0', "malformed CSV (',' expected after '\"') at line 1"),
+])
+def test_a_malformed_quote_is_named_by_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{message} of {path}")):
+        read_distance_csv(path)
+    assert main(["mds", "--dist", str(path), "--out", str(tmp_path / "mds.csv")]) == 2
+    assert f"{message} of {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x", ""])
 def test_write_corpus_rejects_symbols_that_do_not_read_back(tmp_path, symbol):
     series = CategoricalSeries(np.array([1, 2, 1]), Alphabet((symbol, "z")))
@@ -197,6 +211,15 @@ def test_write_corpus_rejects_class_labels_that_do_not_read_back(tmp_path, label
     with pytest.raises(ValueError, match="class label") as err:
         write_corpus(path, [series, series], ["ok", label])
     assert repr(label) in str(err.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_write_corpus_rejects_a_label_count_that_is_not_the_series_count(tmp_path, count):
+    series = CategoricalSeries(np.array([1, 2, 1]), Alphabet.of_size(2))
+    path = tmp_path / "corpus.csv"
+    with pytest.raises(ValueError, match=f"{count} class labels for 2 series"):
+        write_corpus(path, [series, series], ["g"] * count)
     assert not path.exists()
 
 
@@ -455,26 +478,60 @@ _TABLE_COLUMNS = {
 }
 
 
-@given(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), max_size=6), st.integers(0, 7), st.booleans(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds, rows, bitexact, data):
-    """Any order of text, float and integer columns of several dtypes:
-    adjacent columns of one kind become text together, and the file is the
-    one csv.writer writes from the cells' format_number text."""
-    cells = [data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows)) for kind in kinds]
-    columns = [c if kind == "text" else np.array(c, dtype=float if kind == "float" else kind)
-               for kind, c in zip(kinds, cells)]
-    header = [f"c{i}" for i in range(len(kinds))]
+@given(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), max_size=6), st.integers(0, 7), st.booleans(),
+       st.integers(1, 20), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds, rows, bitexact, block_cells, data):
+    """Any order of text, float and integer columns of several dtypes,
+    numbers given as 1-D columns or as 2-D blocks of 0 to 3 columns, text
+    as lists or numpy string arrays: adjacent columns of one kind become
+    text together, and the file is the one csv.writer writes from the
+    cells' format_number text, whatever the number of cells made into text
+    at a time."""
+    columns, cells = [], []  # cells: the values of every column of the file
+    for kind in kinds:
+        width = data.draw(st.none() | st.integers(0, 3), label="width")  # None: a 1-D column or a list
+        if kind == "text":
+            texts = data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows))
+            columns.append(texts if width is None else np.array(texts, dtype=str))
+            cells.append(texts if width is None else columns[-1].tolist())  # numpy drops trailing NULs
+            continue
+        shape = (rows, 1 if width is None else width)
+        values = data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows * shape[1], max_size=rows * shape[1]))
+        columns.append(np.array(values, dtype=float if kind == "float" else kind).reshape(shape))
+        cells += [[format_number(x, bitexact) for x in column] for column in columns[-1].T.tolist()]
+        if width is None:
+            columns[-1] = columns[-1][:, 0]
+    header = [f"c{i}" for i in range(len(cells))]
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\r\n")  # quotes a "\r" or "\n" as the table writer does
     writer.writerow(header)
-    for row in zip(*cells) if kinds else ():
-        writer.writerow([c if kind == "text" else format_number(int(c) if kind != "float" else float(c), bitexact)
-                         for kind, c in zip(kinds, row)])
-    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_ROWS", 3):
+    writer.writerows(zip(*cells))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
         path = Path(tmp) / "table.csv"
         write_table_csv(path, header, columns, bitexact)
         assert path.read_bytes() == expected.getvalue().replace("\r\n", "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: write_features_csv(path, ["s1"], ["f1", "f2"], np.zeros((2, 2))),
+     "table columns ['id', 'f1', 'f2'] have different lengths [1, 2]"),
+    (lambda path: write_features_csv(path, ["s1", "s2"], ["f1", "f2"], np.zeros((2, 2)), ["x"]),
+     "table columns ['id', 'f1', 'f2', 'label'] have different lengths [2, 2, 1]"),
+    (lambda path: write_distance_csv(path, DistanceMatrix(np.zeros((2, 2)), "db", 1, ("a",))),
+     "table header has 2 names for 3 columns"),
+])
+def test_features_and_distance_csv_reject_ragged_input_before_opening_the_file(tmp_path, write, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(path)
+    assert not path.exists()
+
+
+def test_features_csv_writes_numpy_string_ids_and_labels_as_quoted_text(tmp_path):
+    path = tmp_path / "features.csv"
+    write_features_csv(path, np.array(["a,b", "c"]), ["f"], np.array([[1.5], [2.0]]), np.array(['x"y', ""]))
+    assert path.read_text() == 'id,f,label\n"a,b",1.5,"x""y"\nc,2,\n'
 
 
 @pytest.mark.parametrize("labels", [None, ["x", ""]])
@@ -510,7 +567,7 @@ def test_table_csv_matches_csv_writer(rows, bitexact):
     expected.writelines(csv_line([text, format_number(x, bitexact), str(n)]) for text, x, n in rows)
     columns = [[text for text, _, _ in rows], np.array([x for _, x, _ in rows], dtype=float),
                np.array([n for _, _, n in rows], dtype=np.int64)]
-    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_ROWS", 3):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", 6):  # 2 rows a block
         path = Path(tmp) / "table.csv"
         write_table_csv(path, ["id", "x", "n"], columns, bitexact)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
@@ -562,13 +619,24 @@ def _cell_texts():
 
 
 def _csv_reader_rows(text):
-    reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader if row]
+    """(line number, cells) of every non-empty row of ``text`` as a strict
+    csv.reader reads it, or the message the distance reader gives for the
+    reader's error."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        return [(reader.line_num, row) for row in reader if row]
+    except csv.Error as err:
+        return f"malformed CSV ({err}) at line {reader.line_num} of f.csv"
 
 
-def _split_rows(rows):
-    """The rows of :func:`_distance_rows` as csv.reader gives them: the
-    line number and the list of cells, id first."""
+def _split_rows(text):
+    """The rows :func:`_distance_rows` splits ``text`` into, as csv.reader
+    gives them: the line number and the list of cells, id first; or the
+    message of its error."""
+    try:
+        rows = _distance_rows(io.StringIO(text, newline=""), "f.csv")
+    except ValueError as err:
+        return str(err)
     return [(line, [head, *(cells.split(",") if isinstance(cells, str) else cells)]) for line, head, cells in rows]
 
 
@@ -585,7 +653,7 @@ def test_row_parser_agrees_with_the_cell_parser(cells, ident):
     csv.reader; its cells parse as the cell parser parses them one by one,
     and a bad cell is named by the row's line and its column."""
     text = f"{_csv_cell(ident)},{','.join(cells)}\n"
-    rows = _split_rows(_distance_rows(io.StringIO(text, newline="")))
+    rows = _split_rows(text)
     assert rows == _csv_reader_rows(text)
     [(line, row)] = rows
     assert row == [ident, *cells]
@@ -609,7 +677,7 @@ def test_row_parser_agrees_with_the_cell_parser(cells, ident):
 @given(st.text(st.sampled_from('a0,"\r\n \u2028\x00'), max_size=40))
 @settings(max_examples=400, deadline=None)
 def test_csv_rows_match_csv_reader_on_any_text(text):
-    assert _split_rows(_distance_rows(io.StringIO(text, newline=""))) == _csv_reader_rows(text)
+    assert _split_rows(text) == _csv_reader_rows(text)
 
 
 def test_json_writes_numpy_integers_and_bools_as_format_number_does(tmp_path):
@@ -780,7 +848,7 @@ def _read_outcome(read, path):
     """The ids and value bits ``read`` gives, or the type and text of its error."""
     try:
         ids, values = read(path)
-    except (ValueError, csv.Error) as err:
+    except ValueError as err:
         return type(err), str(err)
     return ids, np.array(values, dtype=float).reshape(len(ids), len(ids)).view(np.uint64).tolist()
 
