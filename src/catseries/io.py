@@ -22,34 +22,32 @@ between being ``,``.  Any other body or file, FASTA and an inferred alphabet
 go through :func:`_read_text`, which splits text lines as
 ``str.splitlines`` does and names the line and position of a bad symbol.
 
-Numbers become text a block of rows at a time.  Integers come from a numpy
-digit kernel, :func:`_digit_text`: a row is laid out once as a byte
-template (its fixed text, then a sign byte and 4 bytes per group of four
-digits for each number), a block of rows fills the groups from a table of
-"0000" to "9999" and keeps the bytes of each number's text.  The same
-kernel writes the ``"{:.2f}"`` text of SVG coordinates
-(:func:`_fixed_text`), after :func:`_hundredths` rounds each float to
-hundredths exactly in uint64 arithmetic; when any value of a call is
-non-finite or of magnitude 2**40 or more, Python formats the call's values
-instead.  :func:`write_table_csv` writes every CSV table (features,
-distances, coordinates and plot tables), ``_BLOCK_CELLS`` cells at a
-time: a 2-D array is a block of adjacent number columns, cut by rows
-only, and each run of adjacent integer or float columns becomes text
-with one kernel call.  Decimal floats map
-``"{:.10g}".format`` over a row; ``bitexact`` text comes from one numpy
-kernel, :func:`_hex_text`, which builds each cell in four uint64 lanes
-(sign, ``0x`` and lead digit; two lanes of mantissa nibbles turned into
-ASCII several bytes at once; ``p±exp`` and the separator, from a table
-indexed by sign, biased exponent and a zero mantissa) and keeps the bytes
-that ``float.hex`` writes.  Only the text fields (ids, class labels and
-headers) go through :mod:`csv` quoting.  :func:`read_distance_csv` splits
-a line without a quote once, at the id's comma, and a row that starts on a
-line holding a quote with strict :mod:`csv`.  A block of quote-free rows whose
-cells are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
-exponent, or ``0x0.0p+0``, either signed) is parsed in numpy; any other
-block goes row by row through ``float``/``float.fromhex``, which read the
-same values and name a bad cell.  Every value is written with the same text
-as the scalar :func:`format_number` gives it.
+Numbers become text in numpy kernels.  :func:`_digit_text` writes a call's
+integers from one row template, which gives every number a sign byte and
+one width of 4-digit groups, the widest the call needs: every row's copy
+is filled from a table of "0000" to "9999" and the unused bytes dropped.
+It also writes the ``"{:.2f}"`` text of SVG coordinates (:func:`_fixed_text`)
+once :func:`_hundredths` has rounded each float to hundredths exactly in
+uint64; a call holding a non-finite value or one of magnitude 2**40 or
+more is formatted by Python instead.  :func:`write_table_csv` writes every
+CSV table (features, distances, coordinates and plot tables),
+``_BLOCK_CELLS`` cells at a time: a 2-D array is a block of adjacent number
+columns, cut by rows only, and each run of adjacent integer or float
+columns becomes text with one kernel call.  Decimal floats map
+``"{:.10g}".format`` over a row; ``bitexact`` text comes from
+:func:`_hex_text`, which builds each cell in four uint64 lanes (sign,
+``0x`` and lead digit; two lanes of mantissa nibbles made ASCII several
+bytes at once; ``p±exp`` and the separator, from a table indexed by sign,
+biased exponent and a zero mantissa) and keeps the bytes ``float.hex``
+writes.  Only text fields (ids, class labels and headers) go through
+:mod:`csv` quoting.  :func:`read_distance_csv` splits a line without a
+quote and within csv's field limit once, at the id's comma, and reads any
+other row with strict :mod:`csv`.  A block of quote-free rows whose cells
+are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
+exponent, or ``0x0.0p+0``, either signed) is parsed in numpy, any other
+block row by row by ``float``/``float.fromhex``, which read the same values
+and name a bad cell.  Every value is written with the same text as the
+scalar :func:`format_number` gives it.
 """
 
 from __future__ import annotations
@@ -265,7 +263,7 @@ def _number_text(columns, bitexact: bool) -> str:
     integer dtype or all not.  Integers and ``bitexact`` floats come from
     the numpy kernels :func:`_integer_text` and :func:`_hex_text`."""
     if columns[0].dtype.kind in "iu":
-        return _integer_text([c for column in columns for c in (column.T if column.ndim == 2 else [column])])
+        return _integer_text(columns)
     block = np.column_stack(columns)
     if bitexact:
         return _hex_text(block)
@@ -274,7 +272,6 @@ def _number_text(columns, bitexact: bool) -> str:
 
 
 _BLOCK_CELLS = 8192  # cells made into text or parsed at a time; bounds the memory held
-_BLOCK_ROWS = 8192  # rows of a digit template filled at a time; bounds the bytes held
 _POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
 
 
@@ -286,52 +283,48 @@ def _digit_lanes():
     return digits.astype(np.uint8).view("<u4").ravel()
 
 
-def _digit_text(rows: int, parts: list[bytes], magnitudes, negatives, point: bool) -> bytes:
-    """For every row: ``parts[0]``, number 0, ``parts[1]``, ..., ``parts[-1]``,
-    where number k is "-" if ``negatives[k]`` is set, then the digits of the
-    uint64 ``magnitudes[k]`` without leading zeros, the last two after a "."
-    (and at least "0.dd") when ``point``.  Each number takes a sign byte
-    and as many groups of four digits as its column's largest magnitude
-    needs in a byte template of the row, filled a block of rows at a time
-    from :func:`_digit_lanes`; a keep mask drops the unused bytes."""
-    row, numbers = bytearray(), []
-    for part, magnitude in zip(parts, magnitudes):
-        row += part
-        width = -(-len(str(int(magnitude.max(initial=0)))) // 4) * 4
-        position = len(row) + 1 + np.arange(width)
-        if point:
-            position[-2:] += 1
-        numbers.append((len(row), position, width))
-        row += b"-" + b"." * (width + point)  # every byte but the sign and the "." is a digit's
-    template = np.frombuffer(bytes(row + parts[-1]), np.uint8)
-    blocks = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(rows, start + _BLOCK_ROWS)
-        text = np.broadcast_to(template, (stop - start, len(template))).copy()
-        keep = np.ones(text.shape, bool)
-        for (sign, position, width), magnitude, negative in zip(numbers, magnitudes, negatives):
-            groups = np.empty((stop - start, width // 4), np.uint64)
-            rest = magnitude[start:stop]
-            length = np.searchsorted(_POWERS, rest, "right") + 1
-            for k in range(width // 4 - 1, 0, -1):
-                rest, groups[:, k] = np.divmod(rest, 10000)
-            groups[:, 0] = rest
-            text[:, position] = _digit_lanes().take(groups).view(np.uint8)
-            keep[:, position] = np.arange(width) >= width - np.maximum(length, 3 if point else 1)[:, None]
-            keep[:, sign] = negative[start:stop]
-        blocks.append(text[keep].tobytes())
-    return b"".join(blocks)
+def _digit_text(parts: list[bytes], magnitudes, negatives, point: bool) -> bytes:
+    """For every row of the (rows, numbers) arrays: ``parts[0]``, number 0,
+    ``parts[1]``, ..., ``parts[-1]``, where number k is "-" if
+    ``negatives[:, k]`` is set, then the digits of the uint64
+    ``magnitudes[:, k]`` without leading zeros, the last two after a "."
+    (and at least "0.dd") when ``point``.  A row's byte template gives each
+    number a slot: the part before it, NUL-padded to the longest part, a
+    sign byte and as many groups of four digits as the largest magnitude
+    needs.  Every row's copy is filled from :func:`_digit_lanes` at once,
+    unused bytes are zeroed and every NUL is dropped: no part may hold one."""
+    rows = len(magnitudes)
+    width = -(-len(str(int(magnitudes.max(initial=0)))) // 4) * 4
+    lengths = np.array(list(map(len, parts[:-1])))
+    slots = np.zeros((len(lengths), lengths.max() + 1 + width + point), np.uint8)
+    slots[np.arange(slots.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(parts[:-1]), np.uint8)
+    slots[:, -3] = ord(".")  # the "." when ``point``; a digit's byte, written over, otherwise
+    text = np.tile(np.concatenate((slots.ravel(), np.frombuffer(parts[-1], np.uint8))), (rows, 1))
+    numbers = text[:, :slots.size].reshape(rows, *slots.shape)[..., lengths.max():]
+    numbers[..., 0] = negatives * np.uint8(ord("-"))
+    groups = np.empty((*magnitudes.shape, width // 4), np.uint64)
+    rest = magnitudes
+    for k in range(width // 4 - 1, 0, -1):
+        rest, groups[..., k] = np.divmod(rest, 10000)
+    groups[..., 0] = rest
+    digits = _digit_lanes().take(groups).view(np.uint8)
+    # row k: the digits that a number of k digits shows
+    shown = np.arange(width) >= width - np.maximum(np.arange(21), 1 + 2 * point)[:, None]
+    digits *= shown.take(np.searchsorted(_POWERS, magnitudes, "right") + 1, axis=0)
+    split = width - 2 * point  # digits before the "."
+    numbers[..., 1:split + 1] = digits[..., :split]
+    numbers[..., split + 1 + point:] = digits[..., split:]
+    return text[text != 0].tobytes()
 
 
 def _integer_text(columns) -> str:
-    """``",".join(map(str, row)) + "\n"`` for every row of 1-D integer
-    columns, each of its own dtype."""
-    negatives = [column < 0 for column in columns]
-    # negated in uint64, which is right for -2**63 as well
-    magnitudes = [np.where(negative, -column.astype(np.uint64), column.astype(np.uint64))
-                  for column, negative in zip(columns, negatives)]
-    parts = [b""] + [b","] * (len(columns) - 1) + [b"\n"]
-    return _digit_text(len(columns[0]), parts, magnitudes, negatives, point=False).decode("ascii")
+    """``",".join(map(str, row)) + "\n"`` for every row of integer columns,
+    1-D or 2-D blocks of adjacent columns, each of its own dtype."""
+    values = np.column_stack([column.astype(np.uint64) for column in columns])
+    negatives = np.column_stack([column < 0 for column in columns])
+    magnitudes = np.where(negatives, -values, values)  # negated in uint64: right for -2**63 too
+    parts = [b""] + [b","] * (values.shape[1] - 1) + [b"\n"]
+    return _digit_text(parts, magnitudes, negatives, point=False).decode("ascii")
 
 
 def _hundredths(bits):
@@ -353,19 +346,17 @@ def _hundredths(bits):
 
 def _fixed_text(template: str, columns, sep: str) -> str:
     """``sep.join`` of ``template`` filled with each row of ``columns``: every
-    ``{}`` of the template (which holds no other brace) takes the
-    ``"{:.2f}".format`` text of the row's value in that column.  Values are
-    rounded by :func:`_hundredths` and written by :func:`_digit_text`; when
-    any value is non-finite or of magnitude 2**40 or more, Python formats
-    every value instead."""
-    bits = [np.ascontiguousarray(column, dtype=np.float64).view(np.uint64) for column in columns]
-    if not all(np.all(b >> 52 & 0x7FF < 1023 + 40) for b in bits):
+    ``{}`` of the template takes the ``"{:.2f}".format`` text of the row's
+    value in that column; the template and ``sep`` hold no other brace and
+    no NUL.  The columns are rounded by :func:`_hundredths` and written by
+    :func:`_digit_text` together; when any value is non-finite or of
+    magnitude 2**40 or more, Python formats every value instead."""
+    bits = np.column_stack(columns).astype(np.float64, copy=False).view(np.uint64)
+    if not np.all(bits >> 52 & 0x7FF < 1023 + 40):
         fill = template.replace("{}", "{:.2f}").format
-        return sep.join(map(fill, *(b.view(np.float64).tolist() for b in bits)))
-    parts = [part.encode() for part in template.split("{}")]
-    parts[-1] += sep.encode()  # after every row; the last row's is cut off
-    text = _digit_text(len(bits[0]), parts, *zip(*map(_hundredths, bits)), point=True)
-    return text[:len(text) - len(sep.encode())].decode()
+        return sep.join(map(fill, *bits.view(np.float64).T.tolist()))
+    text = _digit_text((template + sep).encode().split(b"{}"), *_hundredths(bits), point=True)
+    return text.decode().removesuffix(sep)  # every row ends in ``sep``
 
 
 _KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1
@@ -498,16 +489,17 @@ def read_distance_csv(path) -> DistanceMatrix:
 def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:
     r"""(last line number, id, cells) of every non-empty row, as a strict
     csv.reader reads them from ``handle``, a file opened with ``newline=""``.
-    A line without a quote is split once, at its first ",", and its cells
-    stay one text; a row that starts on a line holding a quote goes through
-    csv.reader, which takes as many more lines as its quoted cells span,
-    and its cells stay a list.  A quote left open or followed by anything
-    but a "," or the line's end raises, naming the line of ``path``."""
+    A line without a quote, no longer than csv's field limit, is split
+    once, at its first ",", and its cells stay one text; any other row goes
+    through csv.reader, which takes as many more lines as its quoted cells
+    span, and its cells stay a list.  A quote left open or followed by
+    anything but a "," or the line's end, or a field over the limit, raises,
+    naming the line of ``path``."""
     rows = []
     line_num = 0
     for line in handle:
         line_num += 1
-        if '"' in line:
+        if '"' in line or len(line) > csv.field_size_limit():
             reader = csv.reader(chain((line,), handle), strict=True)
             try:
                 head, *cells = next(reader)
@@ -634,22 +626,29 @@ def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
     widths = [column.shape[1] if _column_kind(column) is not None and column.ndim == 2 else 1 for column in columns]
     lengths = [len(column) for column in columns]
     if len(header) != sum(widths):
-        raise ValueError(f"table header has {len(header)} names for {sum(widths)} columns: {list(header)}")
+        raise ValueError(f"table header has {len(header)} names for {sum(widths)} columns: {_first(header)}")
     if len(set(lengths)) > 1:
-        raise ValueError(f"table columns {list(header)} have different lengths {lengths}")
+        raise ValueError(f"table columns {_first(header)} have different lengths {_first(lengths)}")
     runs = [(kind, list(run)) for kind, run in groupby(compress(columns, widths), _column_kind)]
     step = max(1, _BLOCK_CELLS // max(1, len(header)))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_csv_row(header))
-        for start in range(0, lengths[0] if lengths else 0, step):
+        for start in range(0, lengths[0] if runs else 0, step):
             blocks = [(kind, [column[start:start + step] for column in run]) for kind, run in runs]
             if len(blocks) == 1 and blocks[0][0] is not None:
                 handle.write(_number_text(blocks[0][1], bitexact))
                 continue
             rows = [list(map(",".join, zip(*map(_csv_cells, block)))) if kind is None
                     else _number_text(block, bitexact).splitlines() for kind, block in blocks]
-            # a row of one empty cell is '""', as csv.writer writes it: an empty line would read as no row
-            handle.writelines((row or '""') + "\n" for row in map(",".join, zip(*rows)))
+            if len(header) == 1:  # an empty cell alone in its row is '""', as csv.writer writes it
+                rows = [[cell or '""' for cell in rows[0]]]  # an empty line would read as no row
+            handle.write("\n".join(map(",".join, zip(*rows))) + "\n")
+
+
+def _first(items, shown: int = 4) -> str:
+    """The list of ``items``, cut after the first ``shown`` in a message."""
+    items = list(items)
+    return str(items) if len(items) <= shown else f"{str(items[:shown])[:-1]}, ... {len(items) - shown} more]"
 
 
 def _column_kind(column):

@@ -194,6 +194,40 @@ def test_a_malformed_quote_is_named_by_its_line(tmp_path, capsys, text, message)
     assert f"{message} of {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_a_field_over_the_csv_limit_is_named_by_its_line_quoted_or_not(tmp_path, quote):
+    """An id longer than csv's field limit, read when the reader is called,
+    raises what the reference reader raises, whether it is quoted or not."""
+    path = tmp_path / "dist.csv"
+    name = quote + "a" * 60 + quote
+    path.write_text(f"id,{name}\n{name},0\n")
+    limit = csv.field_size_limit(50)
+    try:
+        message = f"malformed CSV (field larger than field limit (50)) at line 1 of {path}"
+        assert _read_outcome(oracles.read_distance_csv, path) == (ValueError, message)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_distance_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert read_distance_csv(path).ids == ("a" * 60,)
+
+
+def test_a_line_longer_than_the_csv_limit_of_short_fields_reads(tmp_path):
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.uniform(0.5, 40.0, (12, 12)), 1)
+    dm = DistanceMatrix(upper + upper.T, "db", 1, tuple(f"s{i}" for i in range(12)))
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, dm, bitexact=True)
+    limit = csv.field_size_limit(30)  # every line is longer, every field shorter
+    try:
+        back = read_distance_csv(path)
+        assert _read_outcome(oracles.read_distance_csv, path) == (dm.ids, dm.values.view(np.uint64).tolist())
+    finally:
+        csv.field_size_limit(limit)
+    assert back.ids == dm.ids
+    assert back.values.view(np.uint64).tolist() == dm.values.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("symbol", ["x,y", "x|y", "x\ny", "x\r", " x", "x ", ">x", ""])
 def test_write_corpus_rejects_symbols_that_do_not_read_back(tmp_path, symbol):
     series = CategoricalSeries(np.array([1, 2, 1]), Alphabet((symbol, "z")))
@@ -404,6 +438,8 @@ _TWO_DECIMAL_VALUES = st.one_of(
 
 
 @example([0.125, 2.675, 0.005, -0.005, 1.005, 999.995, 0.0, -0.0, -0.001, 5e-324, 2.0**39])
+@example([k / 1000 for k in range(-10000, 10000)])  # 20,000 points: negative, zero and two-decimal ties
+@example([])
 @example([2.0**40, -2.0**40 + 2.0**-13, math.inf, math.nan, 1e300])
 @given(st.lists(_TWO_DECIMAL_VALUES, max_size=12))
 @settings(max_examples=300, deadline=None)
@@ -427,6 +463,12 @@ def test_integer_text_is_str(values):
     assert _integer_text([np.array(values, dtype=np.int64)]) == "".join(f"{v}\n" for v in values)
 
 
+# one call whose columns need 1, 19 and 20 digits; more rows than a digit
+# template used to fill at a time; no row
+@example([np.array([0, 1, 1, 0], np.uint8), np.array([-2**63, 2**63 - 1, 0, -1]),
+          np.array([2**64 - 1, 0, 1, 10**19], np.uint64)])
+@example([np.arange(-4100, 4100) * 997, np.arange(8200, dtype=np.uint32), np.full(8200, -1, np.int8)])
+@example([np.empty(0, np.int8), np.empty(0, np.uint64)])
 @given(st.lists(hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64]), 7),
                 min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
@@ -454,11 +496,14 @@ def test_hex_cells_read_with_a_sign_and_either_case_of_x(cell):
     (["a", "b", "c"], [np.arange(2), np.arange(2.0)], r"header has 3 names for 2 columns"),
     (["a"], [np.arange(2), ["x", "y"]], r"header has 1 names for 2 columns"),
     (["id", "n"], [["x", "y", "z"], np.arange(2)], r"have different lengths \[3, 2\]"),
+    ([f"c{i}" for i in range(600)], [np.zeros(3)] * 599 + [np.zeros(2)],
+     re.escape("columns ['c0', 'c1', 'c2', 'c3', ... 596 more] have different lengths [3, 3, 3, 3, ... 596 more]")),
 ])
 def test_table_csv_rejects_a_ragged_table_before_opening_the_file(tmp_path, header, columns, message):
     path = tmp_path / "table.csv"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as raised:
         write_table_csv(path, header, columns)
+    assert len(str(raised.value)) < 200
     assert not path.exists()
 
 
@@ -520,11 +565,15 @@ def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds,
      "table columns ['id', 'f1', 'f2', 'label'] have different lengths [2, 2, 1]"),
     (lambda path: write_distance_csv(path, DistanceMatrix(np.zeros((2, 2)), "db", 1, ("a",))),
      "table header has 2 names for 3 columns"),
+    (lambda path: write_distance_csv(path, DistanceMatrix(np.zeros((600, 600)), "db", 1, tuple(map(str, range(601))))),
+     "table header has 602 names for 601 columns: ['id', '0', '1', '2', ... 598 more]"),
 ])
 def test_features_and_distance_csv_reject_ragged_input_before_opening_the_file(tmp_path, write, message):
+    """The message names the counts and at most the first few header names."""
     path = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
         write(path)
+    assert len(str(raised.value)) < 200
     assert not path.exists()
 
 
