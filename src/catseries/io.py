@@ -46,8 +46,9 @@ other row with strict :mod:`csv`.  A block of quote-free rows whose cells
 are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
 exponent, or ``0x0.0p+0``, either signed) is parsed in numpy, any other
 block row by row by ``float``/``float.fromhex``, which read the same values
-and name a bad cell.  Every value is written with the same text as the
-scalar :func:`format_number` gives it.
+and name a bad cell; :class:`~catseries.mining.DistanceMatrix` checks
+the values (and names ids ``series_1`` .. ``series_n`` when none are given).
+Every value is written with the same text as :func:`format_number` gives.
 """
 
 from __future__ import annotations
@@ -446,16 +447,15 @@ def write_features_csv(path, ids, schema, matrix, labels=None, bitexact: bool = 
 
 def write_distance_csv(path, dm: DistanceMatrix, bitexact: bool = False) -> None:
     """Square distance matrix with an id header row and id-leading rows."""
-    ids = dm.ids if dm.ids is not None else tuple(f"series_{i + 1}" for i in range(dm.size))
-    write_table_csv(path, ["id", *ids], [ids, dm.values], bitexact)
+    write_table_csv(path, ["id", *dm.ids], [dm.ids, dm.values], bitexact)
 
 
 def read_distance_csv(path) -> DistanceMatrix:
     """Read a matrix written by :func:`write_distance_csv` (hex floats OK).
 
-    Row ids must repeat the header ids in order, and the values must be
-    finite, non-negative, exactly symmetric and zero on the diagonal.  A
-    cell that is not a number is named by file, line and column.
+    Rows must hold one cell per header id and repeat the header ids in
+    order; a cell that is not a number is named by file, line and column.
+    :class:`DistanceMatrix` checks the values, and its error gains the path.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = _distance_rows(handle, path)
@@ -479,11 +479,10 @@ def read_distance_csv(path) -> DistanceMatrix:
             parsed = [_parse_row(cells.split(",") if isinstance(cells, str) else cells, line, path)
                       for line, _, cells in block]
         values[start:start + step] = np.reshape(parsed, (len(block), n))
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise ValueError(f"distances must be finite and non-negative: {path}")
-    if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
-        raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
-    return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+    try:
+        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+    except ValueError as err:
+        raise ValueError(f"{err}: {path}") from None
 
 
 def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:

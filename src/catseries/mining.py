@@ -9,10 +9,10 @@ Euclidean distances between per-series feature vectors:
 * ``db``: per lag, the r^2 signed correlations of the one-hot components,
   then the r marginals.
 
-Because the distance is the squared norm of a feature difference, feature
-matrices can be handed to any external clustering or classification tool
-while the distance matrix feeds medoid methods, scaling and outlier
-scoring directly.
+Feature matrices can feed any external clustering or classification tool.
+A :class:`DistanceMatrix`, which scaling and outlier scoring also build from
+a bare array, is square, finite, non-negative, exactly symmetric, zero on
+the diagonal, and has one id per row (``series_1``, ... by default).
 """
 
 from __future__ import annotations
@@ -54,12 +54,42 @@ class FeatureVector:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric pairwise dissimilarities over a corpus."""
+    """Symmetric pairwise dissimilarities over a corpus.
+
+    The constructor is the one place that decides what a distance matrix
+    is, and checks in this order: ``values`` is a square 2-D matrix with one
+    id per row; ``metric`` is a key of :data:`METRICS` or
+    ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
+    a bool; every value is finite and non-negative; the matrix is exactly
+    symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
+    values are stored as a float64 array and the ids as a tuple; ids left
+    out become ``series_1`` .. ``series_n``.
+    """
 
     values: np.ndarray
-    metric: str  # "dcc" | "db" | "euclidean-on-features"
+    metric: str
     max_lag: int
     ids: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"distance matrix must be square, got shape {values.shape}")
+        n = values.shape[0]
+        ids = tuple(f"series_{i}" for i in range(1, n + 1)) if self.ids is None else tuple(self.ids)
+        if len(ids) != n:
+            raise ValueError(f"distance matrix has {len(ids)} ids for {n} rows")
+        metrics = (*METRICS, "euclidean-on-features")
+        if self.metric not in metrics:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")
+        if isinstance(self.max_lag, bool) or not isinstance(self.max_lag, (int, np.integer)) or self.max_lag < 0:
+            raise ValueError(f"max_lag must be a non-negative integer, got {self.max_lag!r}")
+        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+            raise ValueError("distances must be finite and non-negative")
+        if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
+            raise ValueError("distance matrix must be symmetric with a zero diagonal")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", ids)
 
     @property
     def size(self) -> int:
@@ -200,7 +230,7 @@ def distance_matrix(
     for a in range(n - 1):
         diff = features[a + 1 :] - features[a]
         values[a, a + 1 :] = values[a + 1 :, a] = np.einsum("ij,ij->i", diff, diff)
-    return DistanceMatrix(values, metric, max_lag, tuple(ids) if ids is not None else None)
+    return DistanceMatrix(values, metric, max_lag, ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +255,9 @@ def two_dimensional_scaling(dm: DistanceMatrix | np.ndarray) -> Embedding:
     Column signs are fixed so the largest-magnitude coordinate in each
     column is positive.
     """
-    d = dm.values if isinstance(dm, DistanceMatrix) else np.asarray(dm, dtype=float)
-    n = d.shape[0]
-    if n < 3:
-        raise ValueError("need at least three objects for 2-D scaling")
+    d = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)).values
+    if len(d) < 3:
+        raise ValueError(f"need at least three objects for 2-D scaling, got {len(d)}")
     centered = -0.5 * d**2
     centered = centered - centered.mean(axis=0) - centered.mean(axis=1)[:, None] + centered.mean()
     eigvals, eigvecs = np.linalg.eigh((centered + centered.T) / 2.0)
@@ -251,7 +280,7 @@ def outlier_scores(dm: DistanceMatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     returned order lists indices by decreasing score, ties broken by
     ascending index.
     """
-    d = dm.values if isinstance(dm, DistanceMatrix) else np.asarray(dm, dtype=float)
+    d = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)).values
     scores = d.sum(axis=1)
     order = np.lexsort((np.arange(scores.size), -scores))
     return scores, order
@@ -276,6 +305,8 @@ def boxplot_outlier_count(scores, range_factor: float = 1.0) -> BoxplotOutliers:
     s = np.asarray(scores, dtype=float)
     if s.size < 4:
         raise ValueError("need at least four scores for the boxplot rule")
+    if not np.all(finite := np.isfinite(s)):
+        raise ValueError(f"scores must be finite, got {s[~finite][0]} at index {np.argmin(finite)}")
     if not 0.0 <= range_factor < np.inf:
         raise ValueError(f"range factor must be non-negative and finite, got {range_factor}")
     q1, q3 = np.quantile(s, [0.25, 0.75])

@@ -153,11 +153,11 @@ class LagTables:
         if p.ndim == 0 or joint.shape != p.shape + p.shape[-1:]:
             raise ValueError("joint table must be r x r")
         if self.lag < 0:
-            raise ValueError("lag must be non-negative")
+            raise ValueError(f"lag must be non-negative, got {self.lag!r}")
         if np.any(p < 0) or np.any(p > 1) or np.any(joint < 0) or np.any(joint > 1):
             raise ValueError("probabilities must lie in [0, 1]")
         if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(np.abs(joint.sum(axis=(-2, -1)) - 1.0) > 1e-9):
-            raise ValueError("probability tables must sum to 1")
+            raise ValueError(f"probability tables must sum to 1, got marginal {p.sum(-1)}, joint {joint.sum((-2, -1))}")
         p.flags.writeable = False
         joint.flags.writeable = False
         object.__setattr__(self, "marginals", p)
@@ -201,7 +201,7 @@ def corpus_lag_tables(corpus: Sequence[CategoricalSeries], lag: int) -> LagTable
     every pair; the pairs that straddle two series are then taken out again.
     """
     if lag < 0:
-        raise ValueError("lag must be non-negative")
+        raise ValueError(f"lag must be non-negative, got {lag!r}")
     if not corpus:
         raise ValueError("empty corpus")
     alphabet = corpus[0].alphabet

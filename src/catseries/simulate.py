@@ -204,7 +204,7 @@ def _alphabet_for(model: Model, alphabet: Alphabet | None) -> Alphabet:
 def generate_series(model: Model, length: int, seed: int, alphabet: Alphabet | None = None) -> CategoricalSeries:
     """One seeded series from any model family."""
     if length < 1:
-        raise ValueError("length must be positive")
+        raise ValueError(f"length must be positive, got {length!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return CategoricalSeries(model.sample(length, rng), _alphabet_for(model, alphabet))
 
@@ -230,9 +230,9 @@ class CorpusSpec:
             raise ValueError("all groups must share the same number of categories")
         for _, count in self.groups:
             if count < 1:
-                raise ValueError("group counts must be positive")
+                raise ValueError(f"group counts must be positive, got {count!r}")
         if self.length < 1:
-            raise ValueError("length must be positive")
+            raise ValueError(f"length must be positive, got {self.length!r}")
         if self.seed < 0:
             raise ValueError(f"corpus seed must be non-negative, got {self.seed}")
 

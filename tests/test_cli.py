@@ -311,6 +311,25 @@ def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, o
     assert not out.exists() and not table.exists()
 
 
+@pytest.mark.parametrize("command", ["mds", "outliers"])
+@pytest.mark.parametrize("cells, message", [
+    ({(1, 2): "nan", (2, 1): "nan"}, "distances must be finite and non-negative"),
+    ({(1, 2): "0.5"}, "distance matrix must be symmetric with a zero diagonal"),
+])
+def test_mds_and_outliers_exit_2_on_bad_distances_naming_the_file(corpus_file, tmp_path, capsys, command, cells,
+                                                                 message):
+    dist, out = tmp_path / "dist.csv", tmp_path / "out"
+    assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--out", str(dist)]) == 0
+    rows = [line.split(",") for line in dist.read_text().splitlines()]
+    for (row, column), cell in cells.items():
+        rows[row][column] = cell
+    dist.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main([command, "--dist", str(dist), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}: {dist}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_lag", ["0", "-1"])
 def test_dist_rejects_a_non_positive_max_lag(corpus_file, tmp_path, capsys, max_lag):
     assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--max-lag", max_lag,

@@ -4,6 +4,7 @@ import pytest
 from catseries import (
     Alphabet,
     CategoricalSeries,
+    DistanceMatrix,
     MarkovChainModel,
     boxplot_outlier_count,
     db_features,
@@ -105,6 +106,51 @@ def test_distance_matrix_contract():
     single = distance_matrix(corpus[:2], "db")
     assert single.values[0, 1] == dm.values[0, 1] or True  # different pairs; just check shape
     assert single.values.shape == (2, 2)
+    assert dm.ids == tuple(f"series_{i}" for i in range(1, 7))
+
+
+_VALID = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
+
+def _with(cells):
+    values = _VALID.copy()
+    for (i, j), x in cells.items():
+        values[i, j] = x
+    return values
+
+
+@pytest.mark.parametrize("values, metric, max_lag, ids, message", [
+    (np.zeros((3, 2)), "db", 1, None, "distance matrix must be square, got shape (3, 2)"),
+    (np.zeros(3), "db", 1, None, "distance matrix must be square, got shape (3,)"),
+    (np.zeros((2, 2)), "db", 1, ("a",), "distance matrix has 1 ids for 2 rows"),
+    (np.zeros((600, 600)), "db", 1, tuple(map(str, range(601))), "distance matrix has 601 ids for 600 rows"),
+    (_VALID, "nope", 1, None, "unknown metric 'nope'; expected one of ['dcc', 'db', 'euclidean-on-features']"),
+    (_VALID, "db", -1, None, "max_lag must be a non-negative integer, got -1"),
+    (_VALID, "db", True, None, "max_lag must be a non-negative integer, got True"),
+    (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, None, "distances must be finite and non-negative"),
+    (_with({(0, 1): np.inf, (1, 0): np.inf}), "db", 1, None, "distances must be finite and non-negative"),
+    (_with({(0, 1): -0.5, (1, 0): -0.5}), "db", 1, None, "distances must be finite and non-negative"),
+    (_with({(1, 2): np.nextafter(3.0, 4.0)}), "db", 1, None, "distance matrix must be symmetric with a zero diagonal"),
+    (_with({(2, 2): 0.5}), "db", 1, None, "distance matrix must be symmetric with a zero diagonal"),
+])
+def test_a_distance_matrix_checks_itself_and_so_do_its_consumers(values, metric, max_lag, ids, message):
+    """The constructor raises the message; scaling and outlier scoring,
+    given the bare array of a bad-values case, raise it too (NaN reached
+    the eigensolver and raised LinAlgError before)."""
+    with pytest.raises(ValueError) as err:
+        DistanceMatrix(values, metric, max_lag, ids)
+    assert str(err.value) == message
+    if values is not _VALID and ids is None:  # the cases of bad values, which a bare array can hold
+        for consume in (two_dimensional_scaling, outlier_scores):
+            with pytest.raises(ValueError) as err:
+                consume(values)
+            assert str(err.value) == message
+
+
+def test_a_distance_matrix_stores_float64_values_and_a_tuple_of_ids():
+    dm = DistanceMatrix([[0, 1], [1, 0]], "euclidean-on-features", 0, ["a", "b"])
+    assert dm.values.dtype == np.float64 and dm.ids == ("a", "b")
+    assert DistanceMatrix(_VALID, "dcc", np.int64(2)).ids == ("series_1", "series_2", "series_3")
 
 
 def test_db_relaxed_triangle_inequality():
@@ -187,6 +233,8 @@ def test_boxplot_rule():
     assert boxplot_outlier_count([2.0, 2.0, 2.0, 2.0], 1.0).count == 0
     with pytest.raises(ValueError, match="four"):
         boxplot_outlier_count([1.0, 2.0, 3.0], 1.0)
+    with pytest.raises(ValueError, match="scores must be finite, got nan at index 2"):
+        boxplot_outlier_count([1.0, 2.0, float("nan"), 4.0, 100.0])
     for factor in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"range factor must be non-negative and finite, got {factor}"):
             boxplot_outlier_count([1.0, 2.0, 3.0, 4.0], factor)

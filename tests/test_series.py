@@ -76,8 +76,12 @@ def test_lag_zero_is_diagonal():
 def test_lag_table_errors(s1):
     with pytest.raises(ValueError, match="lag exceeds series length"):
         lag_tables(s1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lag must be non-negative, got -1"):
         lag_tables(s1, -1)
+    with pytest.raises(ValueError, match="lag must be non-negative, got -1"):
+        LagTables.from_probabilities([0.5, 0.5], np.full((2, 2), 0.25), lag=-1)
+    with pytest.raises(ValueError, match="probability tables must sum to 1, got marginal 0.9, joint 1.0"):
+        LagTables.from_probabilities([0.5, 0.4], np.full((2, 2), 0.25))
 
 
 def test_counts_match_double_loop_oracle():

@@ -40,6 +40,8 @@ def test_spec_validation():
         HiddenMarkovModel([[1.0]], [[0.5, 0.5], [0.5, 0.5]], [1.0])
     with pytest.raises(ValueError, match="length p \\+ q \\+ 1"):
         NdarmaModel(1, 1, [0.5, 0.5], UNIFORM3)
+    with pytest.raises(ValueError, match="length must be positive, got 0"):
+        generate_mc(MarkovChainModel(P3, UNIFORM3), 0, 1)
 
 
 def test_determinism_same_seed_same_series():
@@ -193,6 +195,8 @@ def test_corpus_spec_errors():
         ({"seed": 1, "length": 5, "groups": [None]}, "corpus spec group 1 must be an object, got None"),
         ({"seed": 1, "length": 5, "groups": [nd, "mc"]}, "corpus spec group 2 must be an object, got 'mc'"),
         ({"seed": -1, "length": 5, "groups": [nd]}, "corpus seed must be non-negative, got -1"),
+        ({"seed": 1, "length": 0, "groups": [nd]}, "length must be positive, got 0"),
+        ({"seed": 1, "length": 5, "groups": [nd, {**nd, "count": 0}]}, "group counts must be positive, got 0"),
         ([nd], "corpus spec must be an object"),
         ({"seed": 1, "length": 5, "alphabet": "ab", "groups": [nd]},
          "corpus spec key 'alphabet' must be a list of labels, got 'ab'"),
