@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inference import TEST_FAMILIES
-from .series import CategoricalSeries, binarize
+from .series import CategoricalSeries, binarize, marginal_probabilities
 
 __all__ = [
     "RateEvolution",
@@ -227,7 +227,7 @@ def cycle_length_chart(
     if not records:
         raise ValueError("category closes no cycle: needs at least two occurrences")
     if p is None:
-        p = float(np.count_nonzero(series.codes == code) / len(series))
+        p = float(marginal_probabilities(series)[code - 1])
     if not 0.0 < p < 1.0:
         raise ValueError("in-control probability must lie in (0, 1)")
     times = np.array([rec.start + rec.length for rec in records])
@@ -287,7 +287,7 @@ def ewma_marginal_chart(
         raise ValueError(f"k must be positive and finite, got {k}")
     r = series.alphabet.size
     if c is None:
-        c = np.bincount(series.codes, minlength=r + 1)[1:] / len(series)
+        c = marginal_probabilities(series)
     c = np.asarray(c, dtype=float)
     if c.shape != (r,) or not np.all(np.isfinite(c)) or abs(c.sum() - 1.0) > 1e-9:
         raise ValueError("c must be a finite probability vector over the alphabet")

@@ -574,8 +574,8 @@ _HEX_PREFIXES = ("0x", "-0x")
 
 
 def _parse_row(cells: list[str], line: int, path) -> list[float]:
-    """Every cell of a row as :func:`_parse_number` reads it: hex floats when
-    all cells start as hex, decimal otherwise, cell by cell if that fails.
+    """Every cell of a row by float.fromhex if it starts with 0x or 0X after
+    an optional sign, else by float: the whole row first, then cell by cell.
 
     The fast path skips the strip: both parsers ignore surrounding
     whitespace, and a cell that needs the strip to parse fails there and is
@@ -591,21 +591,12 @@ def _parse_row(cells: list[str], line: int, path) -> list[float]:
         pass
     values = []
     for column, cell in enumerate(cells, start=2):
-        try:
-            values.append(_parse_number(cell))
-        except (ValueError, OverflowError):  # a hex cell too large for a float overflows
-            raise ValueError(f"not a number: {cell.strip()!r} at line {line}, column {column} of {path}") from None
+        cell = cell.strip()
+        try:  # both parsers reject a second sign; a hex cell too large for a float overflows
+            values.append((float.fromhex if cell.lstrip("+-")[:2] in ("0x", "0X") else float)(cell))
+        except (ValueError, OverflowError):
+            raise ValueError(f"not a number: {cell!r} at line {line}, column {column} of {path}") from None
     return values
-
-
-def _parse_number(cell: str) -> float:
-    """A cell as ``float.fromhex`` reads it when it starts, after an optional
-    sign, with ``0x`` or ``0X``, and as ``float`` reads it otherwise."""
-    cell = cell.strip()
-    unsigned = cell[1:] if cell[:1] in ("+", "-") else cell
-    if unsigned[:2] in ("0x", "0X"):
-        return float.fromhex(cell)
-    return float(cell)
 
 
 def write_coordinates_csv(path, ids, coords, bitexact: bool = False) -> None:

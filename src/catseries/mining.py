@@ -62,8 +62,8 @@ class DistanceMatrix:
     ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
     a bool; every value is finite and non-negative; the matrix is exactly
     symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
-    values are stored as a float64 array and the ids as a tuple; ids left
-    out become ``series_1`` .. ``series_n``.
+    values are stored as a read-only float64 copy and the ids as a tuple;
+    ids left out become ``series_1`` .. ``series_n``.
     """
 
     values: np.ndarray
@@ -72,7 +72,7 @@ class DistanceMatrix:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)  # a copy, so freezing it leaves the caller's array alone
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {values.shape}")
         n = values.shape[0]
@@ -88,6 +88,7 @@ class DistanceMatrix:
             raise ValueError("distances must be finite and non-negative")
         if np.any(values != values.T) or np.any(np.diag(values) != 0.0):
             raise ValueError("distance matrix must be symmetric with a zero diagonal")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ids", ids)
 
@@ -163,10 +164,9 @@ def run_corpus(compute, corpus: Sequence[CategoricalSeries], ids: Sequence[str] 
 
 
 def _dcc_marginals(p: np.ndarray) -> None:
+    """Every category occurs, which for r >= 2 keeps the Cohen terms' 1 - sum p^2 positive."""
     if np.any(p == 0.0):
         raise ValueError("degenerate marginals: every declared category must occur")
-    if np.any(np.sum(p * p, axis=-1) >= 1.0):
-        raise ValueError("degenerate marginals: series is constant")
 
 
 def _db_marginals(p: np.ndarray) -> None:
@@ -217,9 +217,7 @@ def distance_matrix(
     its id (when given) and 1-based index.
     """
     if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
-    if not corpus:
-        raise ValueError("empty corpus")
+        raise ValueError(f"unknown metric {metric!r}; expected one of {list(METRICS)}")
     if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
     if ids is not None and len(ids) != len(corpus):

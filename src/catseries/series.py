@@ -119,7 +119,7 @@ def binarize(series: CategoricalSeries) -> np.ndarray:
 
 def marginal_probabilities(series: CategoricalSeries) -> np.ndarray:
     """Relative frequency of each category, length r, summing to 1."""
-    return lag_tables(series, 0).marginals.copy()
+    return np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] / len(series)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 Pure string building: no clock, no ids, no randomness, fixed float
 formatting, so the same input always yields byte-identical output.  Fixed
 800x500 viewBox, embedded CSS, no external fonts.  Per-point marks (polyline
-vertices, scatter and alarm circles) become text a whole coordinate array at
+vertices, circles, bars and stems) become text a whole coordinate array at
 a time: the numpy digit kernel of :mod:`catseries.io` (``_fixed_text``)
 writes the ``{:.2f}`` text of every coordinate into a byte template of the
 mark, and Python's ``format`` takes over only for a non-finite coordinate or
@@ -181,13 +181,10 @@ def _pattern_plot(data: PatternHistogram, title) -> str:
     top = max(data.counts.values())
     frame = _Frame(min(lengths) - 0.5, max(lengths) + 0.5, 0, top)
     body = frame.axes("cycle length", "count", xticks=lengths if len(lengths) <= 12 else None)
-    for length in lengths:
-        cnt = data.counts[length]
-        x_left = frame.x(length - 0.4)
-        width = frame.x(length + 0.4) - x_left
-        y_top = frame.y(cnt)
-        body.append(_el("rect", x=_num(x_left), y=_num(y_top), width=_num(width),
-                        height=_num(frame.py0 - y_top), fill=_PALETTE[0], stroke="#ffffff"))
+    x_left, x_right = frame.x(np.array(lengths) - 0.4), frame.x(np.array(lengths) + 0.4)
+    y_top = frame.y([data.counts[length] for length in lengths])
+    bar = _el("rect", x="{}", y="{}", width="{}", height="{}", fill=_PALETTE[0], stroke="#ffffff")
+    body.append(_fixed_text(bar, (x_left, y_top, x_right - x_left, frame.py0 - y_top), "\n"))
     return _document(body, title or f"cycle lengths of category {data.label}")
 
 
@@ -238,11 +235,10 @@ def _dependence_plot(data: DependenceTable, title) -> str:
     body.append(frame.hline(data.upper))
     if data.lower is not None:
         body.append(frame.hline(data.lower))
-    for lag, est in zip(data.lags, data.estimates):
-        px = frame.x(lag)
-        body.append(_el("line", x1=_num(px), y1=_num(frame.y(0.0)), x2=_num(px), y2=_num(frame.y(est)),
-                        stroke=_PALETTE[0], stroke_width="2"))
-        body.append(_el("circle", cx=_num(px), cy=_num(frame.y(est)), r="3", fill=_PALETTE[0]))
+    px, py = frame.x(data.lags), frame.y(data.estimates)
+    stem = _el("line", x1="{}", y1="{}", x2="{}", y2="{}", stroke=_PALETTE[0], stroke_width="2")
+    dot = _el("circle", cx="{}", cy="{}", r="3", fill=_PALETTE[0])
+    body.append(_fixed_text(f"{stem}\n{dot}", (px, np.full(px.size, frame.y(0.0)), px, py, px, py), "\n"))
     return _document(body, title or f"serial dependence ({data.family})")
 
 

@@ -683,11 +683,18 @@ def fixed_text(template, columns, sep):
     return sep.join(fill(*map(float, row)) for row in zip(*columns))
 
 
+def parse_cell(cell):
+    """A distance cell as the package's reader documents it: stripped, then
+    read by float.fromhex when it starts, after an optional sign, with 0x or
+    0X, and by float otherwise."""
+    cell = cell.strip()
+    return (float.fromhex if re.match("[+-]?0[xX]", cell) else float)(cell)
+
+
 def read_distance_csv(path):
     """(ids, rows of values) of a distance file, read as the package's
-    reader documents it: every row by a strict csv.reader, then every cell by
-    float.fromhex when it starts, after an optional sign, with 0x or 0X,
-    and by float otherwise.  Raises the package's ValueError messages, in
+    reader documents it: every row by a strict csv.reader, then every cell
+    by :func:`parse_cell`.  Raises the package's ValueError messages, in
     the package's order: the file's shape, then the first bad cell, then
     the values."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -708,12 +715,10 @@ def read_distance_csv(path):
     for line, row in body:
         values.append([])
         for column, cell in enumerate(row[1:], start=2):
-            cell = cell.strip()
-            parse = float.fromhex if re.match("[+-]?0[xX]", cell) else float
             try:
-                values[-1].append(parse(cell))
+                values[-1].append(parse_cell(cell))
             except (ValueError, OverflowError):
-                raise ValueError(f"not a number: {cell!r} at line {line}, column {column} of {path}") from None
+                raise ValueError(f"not a number: {cell.strip()!r} at line {line}, column {column} of {path}") from None
     cells = [x for row in values for x in row]
     if not all(map(math.isfinite, cells)) or any(x < 0.0 for x in cells):
         raise ValueError(f"distances must be finite and non-negative: {path}")

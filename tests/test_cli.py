@@ -297,6 +297,9 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "envelope"], ["--window-length", "4"],
      "smoothing window must be a positive odd integer, got 4 with T=150"),
     (["plot", "envelope"], ["--window-length", "75"], "smoothing window must be shorter than T/2, got 75 with T=150"),
+    (["features"], ["--measures", " , "], "no measures selected"),
+    (["plot", "cycle-chart"], ["--category", "9"], "unknown symbol '9'; not in alphabet ('1', '2', '3')"),
+    (["plot", "cycle-chart"], ["--category", "1", "--p", "1"], "in-control probability must lie in (0, 1)"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]

@@ -154,6 +154,7 @@ def test_geometric_quantile_matches_cdf_inversion():
             cdf = lambda m: 1.0 - (1.0 - p) ** m
             assert cdf(k) >= u - 1e-12
             assert k == 1 or cdf(k - 1) < u
+    assert geometric_quantile(0.0, 0.5) == 1
 
 
 def test_standardized_statistics_boundaries():
@@ -193,6 +194,23 @@ def test_cycle_chart_errors():
         cycle_length_chart(series, 3)
     with pytest.raises(ValueError):
         cycle_length_chart(series, 1, alpha=1.2)
+
+
+_SERIES = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cycle_lengths(_SERIES, 4), "category code 4 outside 1..3"),
+    (lambda: cycle_length_chart(_SERIES, 0), "category code 0 outside 1..3"),
+    (lambda: cycle_length_chart(_SERIES, 1, p=1.0), "in-control probability must lie in (0, 1)"),
+    (lambda: geometric_quantile(0.5, 0.0), "success probability must lie in (0, 1)"),
+    (lambda: geometric_quantile(0.5, 1.0), "success probability must lie in (0, 1)"),
+    (lambda: geometric_quantile(1.0, 0.5), "quantile level must be below 1"),
+])
+def test_bad_categories_and_probabilities_are_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_ewma_constant_series_closed_form_and_alarm():

@@ -122,6 +122,8 @@ def test_test_argument_validation():
     constant = CategoricalSeries(np.ones(50, dtype=int), Alphabet.of_size(2))
     with pytest.raises(ValueError, match="one-point"):
         cohens_kappa_test(constant, 5, 0.05)
+    with pytest.raises(ValueError, match="measure undefined for one-point marginal"):
+        kappa_null_variance([1.0, 0.0])
 
 
 def test_holm_worked_example():
@@ -142,6 +144,8 @@ def test_holm_edge_cases():
         holm_adjust([0.5, 1.2])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         holm_adjust([0.01, float("nan"), 0.2])
+    with pytest.raises(ValueError, match="p-values must be a flat vector"):
+        holm_adjust([[0.01, 0.2]])
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=12))

@@ -24,7 +24,6 @@ from catseries.io import (
     _integer_text,
     _jsonify,
     _parse_hex,
-    _parse_number,
     _parse_row,
     _read_canonical,
     format_number,
@@ -82,6 +81,18 @@ def test_fasta_length_contract(tmp_path):
     path.write_text(">rec\n" + "ac" * 10 + "\n")
     corpus = parse_corpus(path, Alphabet(("a", "c")))
     assert len(corpus.series[0]) == 20
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    ("a,c\n", "xml", "unknown corpus format 'xml'"),
+    ("ac\n>x\nac\n", "fasta", "sequence data before any '>' header at line 1"),
+])
+def test_an_unknown_format_or_headless_fasta_is_named(tmp_path, text, fmt, message):
+    path = tmp_path / "corpus.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        parse_corpus(path, Alphabet(("a", "c")), fmt)
+    assert str(err.value) == message
 
 
 def test_unknown_symbol_reports_position(tmp_path):
@@ -488,7 +499,7 @@ def test_empty_columns_give_empty_text():
 
 @pytest.mark.parametrize("cell", ["0X1.8000000000000p+1", "0X1.8p+1", "-0X1p0", "+0x1p0", "+0X1P-2", " -0x1.8p1 "])
 def test_hex_cells_read_with_a_sign_and_either_case_of_x(cell):
-    assert _parse_number(cell) == float.fromhex(cell)
+    assert _parse_row([cell], 2, "f.csv") == [oracles.parse_cell(cell)] == [float.fromhex(cell)]
 
 
 @pytest.mark.parametrize("header, columns, message", [
@@ -697,8 +708,8 @@ def _split_rows(text):
 def test_row_parser_agrees_with_the_cell_parser(cells, ident):
     """A distance row, an id then number cells, is split as csv.reader
     splits it, at its first comma or, for an id csv.writer quotes, by
-    csv.reader; its cells parse as the cell parser parses them one by one,
-    and a bad cell is named by the row's line and its column."""
+    csv.reader; its cells parse as the reference cell parser parses them
+    one by one, and a bad cell is named by the row's line and its column."""
     text = f"{_csv_cell(ident)},{','.join(cells)}\n"
     rows = _split_rows(text)
     assert rows == _csv_reader_rows(text)
@@ -707,7 +718,7 @@ def test_row_parser_agrees_with_the_cell_parser(cells, ident):
     expected, bad = [], None
     for column, cell in enumerate(cells, start=2):
         try:
-            expected.append(_parse_number(cell))
+            expected.append(oracles.parse_cell(cell))
         except ValueError:
             bad = bad or (cell, column)
     if bad is None:
@@ -824,7 +835,7 @@ def test_a_mutated_cell_reads_as_the_cell_by_cell_path_reads_it(dm, data, mutati
     """One cell of a bitexact file and its mirror changed alike: the rows
     split once, parsed in numpy blocks, give the values or the error the
     reference reader gives, reading cell by cell, and the cell's value is
-    the cell parser's (float.fromhex for hex text)."""
+    the reference cell parser's (float.fromhex for hex text)."""
     dm = DistanceMatrix(dm.values, "db", 1, tuple(f"s{i}" for i in range(dm.size)))  # no quote in the file
     row = data.draw(st.integers(0, dm.size - 1), label="row")
     column = data.draw(st.integers(0, dm.size - 1), label="column")
@@ -840,7 +851,7 @@ def test_a_mutated_cell_reads_as_the_cell_by_cell_path_reads_it(dm, data, mutati
         outcome = _read_outcome(lambda p: (lambda back: (back.ids, back.values))(read_distance_csv(p)), path)
         assert outcome == _read_outcome(oracles.read_distance_csv, path)
     try:
-        value = _parse_number(cell)
+        value = oracles.parse_cell(cell)
     except (ValueError, OverflowError):  # a hex cell too large for a float overflows
         first, last = sorted((row, column))  # the first of the two cells in the file
         assert outcome == (ValueError, f"not a number: {cell.strip()!r} at line {first + 2}, column {last + 2} of {path}")

@@ -5,6 +5,7 @@ from catseries import (
     Alphabet,
     CategoricalSeries,
     DistanceMatrix,
+    FeatureVector,
     MarkovChainModel,
     boxplot_outlier_count,
     db_features,
@@ -81,6 +82,20 @@ def test_distance_matrix_rejects_ids_of_the_wrong_length():
         distance_matrix(corpus, "dcc", ids=list("abcd"))
 
 
+_SERIES = CategoricalSeries(np.tile([1, 2, 3], 5), Alphabet.of_size(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: distance_matrix([_SERIES, _SERIES], "nope"), "unknown metric 'nope'; expected one of ['dcc', 'db']"),
+    (lambda: distance_matrix([]), "empty corpus"),  # raised by the lag tables, re-raised by run_corpus
+    (lambda: FeatureVector(np.zeros(3), ("a",)), "schema length must match the number of features"),
+])
+def test_bad_mining_input_is_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_distances_match_double_sum_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -151,6 +166,18 @@ def test_a_distance_matrix_stores_float64_values_and_a_tuple_of_ids():
     dm = DistanceMatrix([[0, 1], [1, 0]], "euclidean-on-features", 0, ["a", "b"])
     assert dm.values.dtype == np.float64 and dm.ids == ("a", "b")
     assert DistanceMatrix(_VALID, "dcc", np.int64(2)).ids == ("series_1", "series_2", "series_3")
+
+
+def test_distance_values_are_a_read_only_copy_of_the_callers_array():
+    """Writing into a matrix's values raises, so no NaN reaches the scores
+    unchecked; the caller's own array stays writeable and apart."""
+    values = _VALID.copy()
+    dm = DistanceMatrix(values, "db", 1)
+    with pytest.raises(ValueError, match="read-only"):
+        dm.values[0, 1] = np.nan
+    values[0, 1] = values[1, 0] = 7.0
+    assert dm.values[0, 1] == 1.0
+    assert outlier_scores(dm)[0].tolist() == [3.0, 4.0, 5.0]
 
 
 def test_db_relaxed_triangle_inequality():

@@ -69,6 +69,29 @@ def test_median_split_quantile_correlation():
     assert abs(psi_wide[0, 1]) < psi_wide[0, 0]
 
 
+_CAT = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(2))
+_NUM = [0.1, 0.9, 0.2, 0.8]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mixed_cross_correlation(_CAT, _NUM[:3]),
+     "numeric series must be one-dimensional and aligned with the categorical series"),
+    (lambda: mixed_cross_correlation(_CAT, [_NUM]),
+     "numeric series must be one-dimensional and aligned with the categorical series"),
+    (lambda: mixed_cross_correlation(_CAT, [0.1, float("inf"), 0.2, 0.8]), "numeric series must be finite"),
+    (lambda: mixed_cross_correlation(_CAT, _NUM, 4), "lag exceeds series length"),
+    (lambda: mixed_quantile_cross_correlation(_CAT, _NUM, -4), "lag exceeds series length"),
+    (lambda: quantile_level_integral([1.0, 2.0], [0.5, 0.2]), "rho grid must be strictly increasing"),
+    (lambda: quantile_level_integral([1.0, 2.0, 3.0], [0.2, 0.5]), "values and rho grid must have matching length"),
+    (lambda: total_mixed_qcor(CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(3)), _NUM),
+     "total mixed q-correlation undefined: a category has degenerate marginal probability"),
+])
+def test_bad_mixed_input_is_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_rho_grid_validation():
     cat = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(2))
     num = [0.1, 0.9, 0.2, 0.8]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from catseries import Alphabet, CategoricalSeries, binarize, conditional_probabilities, lag_tables, marginal_probabilities
-from catseries.series import LagTables
+from catseries.series import LagTables, corpus_lag_tables
 
 import oracles
 from conftest import random_series
@@ -30,6 +30,22 @@ def test_series_validation():
         CategoricalSeries(np.array([0, 1]), alpha)
     with pytest.raises(ValueError):
         CategoricalSeries(np.array([1, 4]), alpha)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Alphabet(("a", "b")).code("z"), "unknown symbol 'z'; not in alphabet ('a', 'b')"),
+    (lambda: Alphabet.of_size(2).label(3), "code 3 outside 1..2"),
+    (lambda: CategoricalSeries(np.ones((2, 2)), Alphabet.of_size(2)), "codes must be one-dimensional"),
+    (lambda: LagTables.from_probabilities([0.5, 0.5], np.full((3, 3), 1 / 9)), "joint table must be r x r"),
+    (lambda: LagTables.from_probabilities([1.5, -0.5], np.full((2, 2), 0.25)), "probabilities must lie in [0, 1]"),
+    (lambda: LagTables(1, 5, np.array([0.6, 0.4]), np.full((2, 2), 0.25), [3, 1], [[1, 1], [1, 1]]),
+     "count tables inconsistent with series length"),
+    (lambda: corpus_lag_tables([], 1), "empty corpus"),
+])
+def test_bad_labels_codes_and_tables_are_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_binarize_unit_vectors():

@@ -234,6 +234,24 @@ def test_non_finite_probabilities_are_rejected_by_law(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MarkovChainModel([[0.5, 0.5], [0.5, 0.5]], [0.2, 0.3, 0.5]),
+     "transition matrix must be square and match the initial distribution"),
+    (lambda: HiddenMarkovModel([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], [1.0]),
+     "hidden transition matrix must be square and match the initial distribution"),
+    (lambda: NdarmaModel(-1, 0, [1.0], [0.5, 0.5]), "orders p and q must be non-negative"),
+    (lambda: NdarmaModel(0, -1, [1.0], [0.5, 0.5]), "orders p and q must be non-negative"),
+    (lambda: NdarmaModel(0, 0, [1.0], [0.5, 0.5], burn_in=-1), "burn-in must be non-negative"),
+    (lambda: generate_mc(MarkovChainModel([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5]), 10, 1, Alphabet.of_size(3)),
+     "alphabet size does not match the model's number of categories"),
+    (lambda: CorpusSpec((), 10, 1), "corpus needs at least one group"),
+])
+def test_model_and_corpus_shapes_are_rejected_by_name(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 ND_GROUP = {"family": "ndarma", "p": 1, "q": 0, "selection": [0.6, 0.4], "innovation": [0.2, 0.3, 0.5]}
 
 
