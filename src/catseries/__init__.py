@@ -25,7 +25,6 @@ from .dispersion import chebycheff_dispersion, entropy, gini_index
 from .graphics import (
     ControlChart,
     CycleRecord,
-    DependenceTable,
     FractalSeries,
     PatternHistogram,
     RateEvolution,

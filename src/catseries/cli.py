@@ -70,7 +70,7 @@ def _cmd_features(args) -> int:
         raise ValueError("no measures selected")
     for name in measures:
         if name not in mining.MEASURES:
-            raise ValueError(f"unknown measure {name!r}; expected one of {sorted(mining.MEASURES)}")
+            raise ValueError(f"unknown measure {name!r}; expected one of {list(mining.MEASURES)}")
     lags = _parse_lags(args.lags)
     columns = _feature_layout(measures, lags)
     schema, matrix = mining.run_corpus(lambda batch: mining.feature_matrix(batch, columns, args.expand),

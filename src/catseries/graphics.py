@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .inference import TEST_FAMILIES
+from .inference import TEST_FAMILIES, TestReport
 from .series import CategoricalSeries, binarize, marginal_probabilities
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "CycleRecord",
     "PatternHistogram",
     "FractalSeries",
-    "DependenceTable",
     "ControlChart",
     "rate_evolution",
     "cycle_lengths",
@@ -75,13 +74,13 @@ class PatternHistogram:
     counts: dict[int, int]  # length -> number of cycles, keys sorted
 
 
-def _resolve_category(series: CategoricalSeries, category) -> int:
-    if isinstance(category, str):
-        return series.alphabet.code(category)
-    code = int(category)
+def _occurrences(series: CategoricalSeries, category) -> tuple[int, np.ndarray]:
+    """The code of ``category`` (a label or a 1-based code) and the 1-based
+    times at which it occurs; each two consecutive times bound one cycle."""
+    code = series.alphabet.code(category) if isinstance(category, str) else int(category)
     if not 1 <= code <= series.alphabet.size:
         raise ValueError(f"category code {code} outside 1..{series.alphabet.size}")
-    return code
+    return code, np.flatnonzero(series.codes == code) + 1
 
 
 def cycle_lengths(series: CategoricalSeries, category) -> tuple[list[CycleRecord], PatternHistogram]:
@@ -90,16 +89,11 @@ def cycle_lengths(series: CategoricalSeries, category) -> tuple[list[CycleRecord
     ``category`` may be a label or a 1-based code.  A category occurring
     fewer than two times closes no cycle; the result is then empty.
     """
-    code = _resolve_category(series, category)
-    positions = np.flatnonzero(series.codes == code) + 1  # 1-based times
-    records = [
-        CycleRecord(code, int(t1), int(t2 - t1)) for t1, t2 in zip(positions[:-1], positions[1:])
-    ]
-    counts: dict[int, int] = {}
-    for rec in records:
-        counts[rec.length] = counts.get(rec.length, 0) + 1
-    hist = PatternHistogram(code, series.alphabet.label(code), dict(sorted(counts.items())))
-    return records, hist
+    code, positions = _occurrences(series, category)
+    lengths = np.diff(positions)
+    records = [CycleRecord(code, *cycle) for cycle in zip(positions[:-1].tolist(), lengths.tolist())]
+    keys, counts = np.unique(lengths, return_counts=True)
+    return records, PatternHistogram(code, series.alphabet.label(code), dict(zip(keys.tolist(), counts.tolist())))
 
 
 def _recursion(inputs: np.ndarray, start: np.ndarray, step) -> np.ndarray:
@@ -150,26 +144,12 @@ def ifs_circle_transform(
     return FractalSeries(points, alpha, beta, (float(f0[0]), float(f0[1])))
 
 
-@dataclass(frozen=True, eq=False)
-class DependenceTable:
-    """Per-lag estimates with their test critical values (one row per lag)."""
-
-    family: str
-    alpha: float
-    lags: np.ndarray
-    estimates: np.ndarray
-    lower: float | None
-    upper: float
-
-
 def dependence_plot_data(
     series: CategoricalSeries, family: str = "cramers_v", max_lag: int = 10, alpha: float = 0.05
-) -> DependenceTable:
-    """Estimates of v or kappa at lags 1..max_lag plus critical limits."""
-    report = TEST_FAMILIES[family](series, max_lag, alpha)
-    return DependenceTable(
-        report.family, alpha, report.lags, report.estimates, report.lower_critical, report.upper_critical
-    )
+) -> TestReport:
+    """The test report of v or kappa at lags 1..max_lag: the estimates the
+    dependence plot draws and the critical limits it draws them against."""
+    return TEST_FAMILIES[family](series, max_lag, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +202,15 @@ def cycle_length_chart(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    code = _resolve_category(series, category)
-    records, _ = cycle_lengths(series, code)
-    if not records:
+    code, positions = _occurrences(series, category)
+    if positions.size < 2:
         raise ValueError("category closes no cycle: needs at least two occurrences")
     if p is None:
         p = float(marginal_probabilities(series)[code - 1])
     if not 0.0 < p < 1.0:
         raise ValueError("in-control probability must lie in (0, 1)")
-    times = np.array([rec.start + rec.length for rec in records])
-    values = np.array([rec.length for rec in records], dtype=float)
+    times = positions[1:]
+    values = np.diff(positions).astype(float)
     mu = 1.0 / p
     lcl = float(geometric_quantile(alpha / 2.0, p))
     ucl = float(geometric_quantile(1.0 - alpha / 2.0, p))

@@ -95,7 +95,9 @@ class TestReport:
     upper_critical: float
 
 
-def _check_test_args(series: CategoricalSeries, max_lag: int, alpha: float) -> None:
+def _lag_estimates(series: CategoricalSeries, max_lag: int, alpha: float, measure) -> tuple[np.ndarray, ...]:
+    """The checked arguments' marginals, lags 1..max_lag and ``measure``'s
+    value at each lag."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if max_lag < 1 or max_lag >= len(series):
@@ -103,16 +105,16 @@ def _check_test_args(series: CategoricalSeries, max_lag: int, alpha: float) -> N
     p = marginal_probabilities(series)
     if np.sum(p * p) >= 1.0:
         raise ValueError("tests undefined for one-point marginal")
+    lags = np.arange(1, max_lag + 1)
+    return p, lags, np.array([measure(lag_tables(series, int(l))).value for l in lags])
 
 
 def cramers_v_test(series: CategoricalSeries, max_lag: int = 10, alpha: float = 0.05) -> TestReport:
     """Chi-square test of serial independence from Cramer's v, per lag."""
-    _check_test_args(series, max_lag, alpha)
+    _, lags, estimates = _lag_estimates(series, max_lag, alpha, cramers_v)
     T = len(series)
     r = series.alphabet.size
     df = (r - 1) ** 2
-    lags = np.arange(1, max_lag + 1)
-    estimates = np.array([cramers_v(lag_tables(series, int(l))).value for l in lags])
     statistics = T * (r - 1) * estimates**2
     p_values = np.array([chi2_upper_tail(s, df) for s in statistics])
     upper = float(np.sqrt(chi2_quantile(1.0 - alpha, df) / (T * (r - 1))))
@@ -121,12 +123,9 @@ def cramers_v_test(series: CategoricalSeries, max_lag: int = 10, alpha: float = 
 
 def cohens_kappa_test(series: CategoricalSeries, max_lag: int = 10, alpha: float = 0.05) -> TestReport:
     """Two-sided normal test of serial independence from Cohen's kappa."""
-    _check_test_args(series, max_lag, alpha)
+    p, lags, estimates = _lag_estimates(series, max_lag, alpha, cohens_kappa)
     T = len(series)
-    v_hat = kappa_null_variance(marginal_probabilities(series))
-    scale = np.sqrt(T / v_hat)
-    lags = np.arange(1, max_lag + 1)
-    estimates = np.array([cohens_kappa(lag_tables(series, int(l))).value for l in lags])
+    scale = np.sqrt(T / kappa_null_variance(p))
     statistics = scale * (estimates + 1.0 / T)
     # lower-tail form keeps precision for large statistics
     p_values = np.array([2.0 * normal_cdf(-abs(z)) for z in statistics])
@@ -140,7 +139,7 @@ class _FamilyTable(dict):
     """Test functions by family name; an unknown name raises ValueError."""
 
     def __missing__(self, family):
-        raise ValueError(f"unknown test family {family!r}; expected one of {sorted(self)}")
+        raise ValueError(f"unknown test family {family!r}; expected one of {list(self)}")
 
 
 TEST_FAMILIES = _FamilyTable(

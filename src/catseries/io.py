@@ -586,13 +586,16 @@ def _parse_row(cells: list[str], line: int, path) -> list[float]:
     hexed = text.startswith(_HEX_PREFIXES) and text.count(",0x") + text.count(",-0x") == len(cells) - 1
     parse = float.fromhex if hexed else float
     try:
-        return list(map(parse, cells))
+        if "_" not in text:  # float alone reads PEP 515 digit grouping: "1_0" as 10.0
+            return list(map(parse, cells))
     except (ValueError, OverflowError):
         pass
     values = []
     for column, cell in enumerate(cells, start=2):
         cell = cell.strip()
         try:  # both parsers reject a second sign; a hex cell too large for a float overflows
+            if "_" in cell:
+                raise ValueError(cell)
             values.append((float.fromhex if cell.lstrip("+-")[:2] in ("0x", "0X") else float)(cell))
         except (ValueError, OverflowError):
             raise ValueError(f"not a number: {cell!r} at line {line}, column {column} of {path}") from None

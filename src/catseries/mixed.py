@@ -37,21 +37,26 @@ def _checked_numeric(cat: CategoricalSeries, num) -> np.ndarray:
     return z
 
 
-def _windows(indicators: np.ndarray, z: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
-    T = z.size
+def _correlations(cat: CategoricalSeries, rows: np.ndarray, lag: int, variance_factors) -> np.ma.MaskedArray:
+    """Entry (i, k): cov(Y_{t,i}, rows[k]_{t-lag}) over the overlapping window,
+    divided by sqrt(p_i (1 - p_i) f_1[k] f_2[k] ...), the rows f_j of
+    ``variance_factors`` multiplied in order; categories with p_i 0 or 1 masked."""
+    T = len(cat)
     if abs(lag) >= T:
         raise ValueError("lag exceeds series length")
-    if lag >= 0:
-        return indicators[lag:], z[: T - lag]
-    return indicators[: T + lag], z[-lag:]
-
-
-def _window_cov(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # columns of y against z, divisor = window length; centered form avoids
-    # cancellation when z has a large offset
-    yc = y - y.mean(axis=0)
-    zc = z - z.mean()
-    return (yc.T @ zc) / z.size
+    y = binarize(cat)
+    y, rows = (y[lag:], rows[:, : T - lag]) if lag >= 0 else (y[: T + lag], rows[:, -lag:])
+    yc = y - y.mean(axis=0)  # centred rows too: no cancellation at a large offset
+    p = marginal_probabilities(cat)
+    var = p * (1.0 - p)
+    scale = var[:, None]
+    for factor in variance_factors:
+        scale = scale * factor
+    values = np.column_stack([(yc.T @ (row - row.mean())) / row.size for row in rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = values / np.sqrt(scale)
+    mask = np.broadcast_to((var == 0.0)[:, None], values.shape)
+    return np.ma.MaskedArray(np.where(mask, 0.0, values), mask=mask)
 
 
 def mixed_cross_correlation(cat: CategoricalSeries, num, lag: int = 0) -> np.ma.MaskedArray:
@@ -66,14 +71,7 @@ def mixed_cross_correlation(cat: CategoricalSeries, num, lag: int = 0) -> np.ma.
     sigma2 = float(np.var(z))
     if sigma2 <= 0.0:
         raise ValueError("degenerate numeric series: zero sample variance")
-    p = marginal_probabilities(cat)
-    var = p * (1.0 - p)
-    y_win, z_win = _windows(binarize(cat), z, lag)
-    cov = _window_cov(y_win, z_win)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = cov / np.sqrt(var * sigma2)
-    mask = var == 0.0
-    return np.ma.MaskedArray(np.where(mask, 0.0, values), mask=mask)
+    return _correlations(cat, z[None, :], lag, [[sigma2]])[:, 0]
 
 
 def mixed_quantile_cross_correlation(
@@ -91,18 +89,8 @@ def mixed_quantile_cross_correlation(
     rho = DEFAULT_RHO_GRID if rho_grid is None else np.asarray(rho_grid, dtype=float)
     if rho.ndim != 1 or rho.size == 0 or np.any(rho <= 0.0) or np.any(rho >= 1.0):
         raise ValueError("rho grid must lie strictly inside (0, 1)")
-    p = marginal_probabilities(cat)
-    var = p * (1.0 - p)
-    thresholds = np.quantile(z, rho)
-    y_win, z_win = _windows(binarize(cat), z, lag)
-    values = np.empty((p.size, rho.size))
-    for k, (level, thr) in enumerate(zip(rho, thresholds)):
-        exceed = (z_win <= thr).astype(float)
-        cov = _window_cov(y_win, exceed)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values[:, k] = cov / np.sqrt(var * level * (1.0 - level))
-    mask = np.broadcast_to((var == 0.0)[:, None], values.shape)
-    return np.ma.MaskedArray(np.where(mask, 0.0, values), mask=mask)
+    exceed = (z <= np.quantile(z, rho)[:, None]).astype(float)
+    return _correlations(cat, exceed, lag, [rho, 1.0 - rho])
 
 
 def total_mixed_cor(cat: CategoricalSeries, num, lag: int = 0) -> float:

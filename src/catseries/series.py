@@ -89,14 +89,6 @@ class CategoricalSeries:
     def __len__(self) -> int:
         return int(self.codes.size)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def n_categories(self) -> int:
-        return self.alphabet.size
-
     @classmethod
     def from_symbols(cls, symbols: Iterable[str], alphabet: Alphabet) -> "CategoricalSeries":
         codes = np.fromiter((alphabet.code(s) for s in symbols), dtype=np.int64)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphics import ControlChart, DependenceTable, FractalSeries, PatternHistogram, RateEvolution
+from .graphics import ControlChart, FractalSeries, PatternHistogram, RateEvolution
+from .inference import TestReport
 from .io import _fixed_text
 from .series import CategoricalSeries
 from .spectral import SpectralEnvelope
@@ -225,16 +226,16 @@ def _ifs_table(data: FractalSeries):
     return ["t", "x", "y"], [np.arange(1, data.points.shape[0] + 1), *data.points.T]
 
 
-def _dependence_plot(data: DependenceTable, title) -> str:
-    lo = data.lower if data.lower is not None else 0.0
+def _dependence_plot(data: TestReport, title) -> str:
+    lo = data.lower_critical if data.lower_critical is not None else 0.0
     ymin = min(0.0, float(data.estimates.min()), lo) - 0.05
-    ymax = max(float(data.estimates.max()), data.upper, 0.0) + 0.05
+    ymax = max(float(data.estimates.max()), data.upper_critical, 0.0) + 0.05
     frame = _Frame(0, int(data.lags.max()) + 1, ymin, ymax)
     body = frame.axes("lag", "estimate", xticks=data.lags)
     body.append(frame.hline(0.0, cls="grid"))
-    body.append(frame.hline(data.upper))
-    if data.lower is not None:
-        body.append(frame.hline(data.lower))
+    body.append(frame.hline(data.upper_critical))
+    if data.lower_critical is not None:
+        body.append(frame.hline(data.lower_critical))
     px, py = frame.x(data.lags), frame.y(data.estimates)
     stem = _el("line", x1="{}", y1="{}", x2="{}", y2="{}", stroke=_PALETTE[0], stroke_width="2")
     dot = _el("circle", cx="{}", cy="{}", r="3", fill=_PALETTE[0])
@@ -242,11 +243,11 @@ def _dependence_plot(data: DependenceTable, title) -> str:
     return _document(body, title or f"serial dependence ({data.family})")
 
 
-def _dependence_table(data: DependenceTable):
+def _dependence_table(data: TestReport):
     n = data.lags.size
-    lower = [""] * n if data.lower is None else np.full(n, data.lower)
+    lower = [""] * n if data.lower_critical is None else np.full(n, data.lower_critical)
     header = ["lag", "estimate", "lower_critical", "upper_critical"]
-    return header, [data.lags.astype(np.int64), data.estimates, lower, np.full(n, data.upper)]
+    return header, [data.lags.astype(np.int64), data.estimates, lower, np.full(n, data.upper_critical)]
 
 
 def _control_plot(chart: ControlChart, title) -> str:
@@ -296,7 +297,7 @@ CHARTS = {  # chart-data type -> (SVG renderer, ``--table`` header and columns)
     RateEvolution: (_rate_plot, _rate_table),
     PatternHistogram: (_pattern_plot, _pattern_table),
     FractalSeries: (_ifs_plot, _ifs_table),
-    DependenceTable: (_dependence_plot, _dependence_table),
+    TestReport: (_dependence_plot, _dependence_table),
     ControlChart: (_control_plot, _control_table),
     SpectralEnvelope: (_envelope_plot, _envelope_table),
 }

@@ -304,6 +304,97 @@ def spectral_envelope(indicators, window):
     return envelope, scalings
 
 
+# -- Per-level and per-cycle references for the merged paths -----------------
+#
+# The mixed cross-correlations as they were computed one window covariance
+# per numeric level, and the cycles of a category as one record per pair of
+# occurrences counted into a dict.  The package now derives both in one pass;
+# its values, masks, record fields and histogram keys must equal these exactly
+# (bit patterns and Python types, not a tolerance).
+
+
+def _window_cov(y, z):
+    """Columns of ``y`` against ``z``, centred, divided by the window length."""
+    yc = y - y.mean(axis=0)
+    zc = z - z.mean()
+    return (yc.T @ zc) / z.size
+
+
+def _mixed_windows(series, z, lag):
+    from catseries.series import binarize
+
+    T = z.size
+    if abs(lag) >= T:
+        raise ValueError("lag exceeds series length")
+    if lag >= 0:
+        return binarize(series)[lag:], z[: T - lag]
+    return binarize(series)[: T + lag], z[-lag:]
+
+
+def mixed_cross_correlation(series, num, lag):
+    """(values, mask) of the linear mixed cross-correlation: one window
+    covariance, over sqrt(p (1 - p) var(Z))."""
+    import numpy as np
+
+    from catseries.series import marginal_probabilities
+
+    z = np.asarray(num, dtype=float)
+    sigma2 = float(np.var(z))
+    p = marginal_probabilities(series)
+    var = p * (1.0 - p)
+    y_win, z_win = _mixed_windows(series, z, lag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _window_cov(y_win, z_win) / np.sqrt(var * sigma2)
+    mask = var == 0.0
+    return np.where(mask, 0.0, values), mask
+
+
+def mixed_quantile_cross_correlation(series, num, lag, rho):
+    """(values, mask) of the quantile mixed cross-correlation: one window
+    covariance per level of ``rho``, over sqrt(p (1 - p) rho (1 - rho))."""
+    import numpy as np
+
+    from catseries.series import marginal_probabilities
+
+    z = np.asarray(num, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    p = marginal_probabilities(series)
+    var = p * (1.0 - p)
+    thresholds = np.quantile(z, rho)
+    y_win, z_win = _mixed_windows(series, z, lag)
+    values = np.empty((p.size, rho.size))
+    for k, (level, thr) in enumerate(zip(rho, thresholds)):
+        exceed = (z_win <= thr).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values[:, k] = _window_cov(y_win, exceed) / np.sqrt(var * level * (1.0 - level))
+    mask = np.broadcast_to((var == 0.0)[:, None], values.shape)
+    return np.where(mask, 0.0, values), mask
+
+
+def cycle_records(codes, code):
+    """((code, start, length) of every cycle, {length: count} in length order)
+    of one category of 1-based ``codes``, one record per pair of consecutive
+    occurrences."""
+    import numpy as np
+
+    positions = np.flatnonzero(np.asarray(codes) == code) + 1
+    records = [(code, int(t1), int(t2 - t1)) for t1, t2 in zip(positions[:-1], positions[1:])]
+    counts = {}
+    for _, _, length in records:
+        counts[length] = counts.get(length, 0) + 1
+    return records, dict(sorted(counts.items()))
+
+
+def cycle_chart_points(records):
+    """(times, values) of a cycle-length chart: each cycle's closing time and
+    its length as a float."""
+    import numpy as np
+
+    times = np.array([start + length for _, start, length in records])
+    values = np.array([length for _, _, length in records], dtype=float)
+    return times, values
+
+
 # -- Per-series numpy references for the corpus kernels -----------------------
 #
 # The one-series-at-a-time numpy forms of the lag tables, the association and
@@ -686,8 +777,11 @@ def fixed_text(template, columns, sep):
 def parse_cell(cell):
     """A distance cell as the package's reader documents it: stripped, then
     read by float.fromhex when it starts, after an optional sign, with 0x or
-    0X, and by float otherwise."""
+    0X, and by float otherwise.  A "_" is no digit, though float reads PEP 515
+    digit grouping ("1_0" as 10.0)."""
     cell = cell.strip()
+    if "_" in cell:
+        raise ValueError(f"not a number: {cell!r}")
     return (float.fromhex if re.match("[+-]?0[xX]", cell) else float)(cell)
 
 

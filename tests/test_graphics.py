@@ -81,6 +81,39 @@ def test_cycle_scan_matches_bruteforce():
             assert [(r.category, r.start, r.length) for r in records] == expected
 
 
+def _assert_cycles_match_the_pairwise_scan(series, code):
+    records, hist = cycle_lengths(series, code)
+    expected, counts = oracles.cycle_records(series.codes, code)
+    assert [tuple(rec) for rec in records] == expected
+    assert all(type(x) is int for rec in records for x in rec)
+    assert list(hist.counts.items()) == list(counts.items())
+    assert all(type(x) is int for item in hist.counts.items() for x in item)
+    if not records:
+        return
+    chart = cycle_length_chart(series, code, 0.05, p=0.5)  # p fixed: a constant series has p = 1
+    times, values = oracles.cycle_chart_points(expected)
+    assert chart.times.dtype == times.dtype and chart.times.tolist() == times.tolist()
+    assert chart.values.dtype == values.dtype and chart.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("code, occurrences", [(1, 0), (5, 1), (3, 2), (4, 2), (2, 5)])
+def test_cycles_match_the_pairwise_scan_exactly(code, occurrences):
+    """Categories that occur 0, 1, 2 (once at the first and last times) and
+    many times: the one-pass cycles are the records and counts of a scan
+    over consecutive pairs, with Python ints."""
+    series = CategoricalSeries(np.array([4, 2, 2, 3, 5, 2, 3, 2, 2, 4]), Alphabet.of_size(5))
+    assert int(np.sum(series.codes == code)) == occurrences
+    _assert_cycles_match_the_pairwise_scan(series, code)
+
+
+def test_random_cycles_match_the_pairwise_scan_exactly():
+    rng = np.random.default_rng(11)
+    constant = CategoricalSeries(np.full(7, 2), Alphabet.of_size(3))
+    for series in [constant, *(random_series(rng, T=int(rng.integers(1, 300))) for _ in range(40))]:
+        for code in range(1, series.alphabet.size + 1):
+            _assert_cycles_match_the_pairwise_scan(series, code)
+
+
 def test_circle_corners_r4():
     corners = circle_corners(4)
     assert np.allclose(corners, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
@@ -132,7 +165,7 @@ def test_dependence_iid_within_limits_probability():
     for _ in range(runs):
         series = CategoricalSeries(rng.integers(1, 4, 400), Alphabet.of_size(3))
         table = dependence_plot_data(series, "cramers_v", L, alpha)
-        all_within += bool((table.estimates <= table.upper).all())
+        all_within += bool((table.estimates <= table.upper_critical).all())
     expected = (1 - alpha) ** L
     assert all_within / runs == pytest.approx(expected, abs=0.08)
 
@@ -140,11 +173,11 @@ def test_dependence_iid_within_limits_probability():
 def test_dependence_table_contract(periodic3):
     table = dependence_plot_data(periodic3, "cramers_v", 10, 0.05)
     assert len(table.lags) == 10
-    assert table.lower is None
+    assert table.lower_critical is None
     assert table.estimates[2] == pytest.approx(1.0, abs=1e-12)  # lag 3 hits the ceiling
-    assert table.estimates[2] > table.upper
+    assert table.estimates[2] > table.upper_critical
     kappa_table = dependence_plot_data(periodic3, "kappa", 5, 0.05)
-    assert kappa_table.lower is not None
+    assert kappa_table.lower_critical is not None
 
 
 def test_geometric_quantile_matches_cdf_inversion():

@@ -191,6 +191,19 @@ def test_a_hex_cell_too_large_for_a_float_is_named(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_digit_grouping_in_a_decimal_cell_is_not_a_number(tmp_path, capsys):
+    """float reads "1_0" as 10.0; the distance reader names it instead."""
+    path = tmp_path / "dist.csv"
+    path.write_text("id,a,b\na,0,1_0\nb,1_0,0\n")
+    message = f"not a number: '1_0' at line 2, column 3 of {path}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_distance_csv(path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracles.read_distance_csv(path)
+    assert main(["mds", "--dist", str(path), "--out", str(tmp_path / "mds.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, message", [
     ('id,a\na,"0', "malformed CSV (unexpected end of data) at line 2"),
     ('id,a\na,"0\n', "malformed CSV (unexpected end of data) at line 2"),
@@ -821,6 +834,7 @@ _MUTATIONS = {
     "decimal": lambda cell: repr(float.fromhex(cell)),
     "not a number": lambda cell: "0x1.000000000000gp+0",
     "+0x": lambda cell: f"+{cell}",
+    "digit grouping": lambda cell: "1_0",
 }
 # edits that read any cell's text, hex or decimal
 _CELL_EDITS = {

@@ -10,7 +10,7 @@ from catseries import (
     total_mixed_cor,
     total_mixed_qcor,
 )
-from catseries.mixed import quantile_level_integral
+from catseries.mixed import DEFAULT_RHO_GRID, quantile_level_integral
 
 import oracles
 from conftest import random_series
@@ -180,3 +180,49 @@ def test_matches_bruteforce_oracle():
         assert total_mixed_qcor(series, z, lag, grid) == pytest.approx(
             oracles.total_mixed_qcor(codes, 3, z.tolist(), lag, grid), abs=1e-10
         )
+
+
+def _mixed_case(seed, r, T, offset=0.0, used=None):
+    rng = np.random.default_rng(seed)
+    series = CategoricalSeries(rng.integers(1, (used or r) + 1, T), Alphabet.of_size(r))
+    return series, offset + rng.normal(size=T)
+
+
+def _assert_same_bits(result, values, mask):
+    data = np.asarray(result)
+    assert data.dtype == values.dtype and data.shape == values.shape
+    assert data.tobytes() == values.tobytes()
+    assert np.array_equal(np.ma.getmaskarray(result), mask)
+
+
+@pytest.mark.parametrize("case, lag, rho", [
+    (lambda: _mixed_case(1, 3, 60), -3, [0.2, 0.5, 0.8]),
+    (lambda: _mixed_case(2, 3, 30), 29, [0.25, 0.75]),
+    (lambda: _mixed_case(3, 3, 30), -29, [0.25, 0.75]),
+    (lambda: _mixed_case(4, 4, 200), 2, [0.5]),
+    (lambda: _mixed_case(5, 3, 500, offset=1e9), 1, None),
+    (lambda: _mixed_case(6, 4, 80, used=3), -1, None),
+], ids=["negative lag", "lag T-1", "lag -(T-1)", "one-level grid", "large offset", "absent category"])
+def test_one_pass_matches_the_per_level_windows_exactly(case, lag, rho):
+    """Both cross-correlations give the bits of one window covariance per
+    numeric level, masks included."""
+    series, z = case()
+    _assert_same_bits(mixed_cross_correlation(series, z, lag), *oracles.mixed_cross_correlation(series, z, lag))
+    grid = DEFAULT_RHO_GRID if rho is None else np.asarray(rho)
+    _assert_same_bits(mixed_quantile_cross_correlation(series, z, lag, rho),
+                      *oracles.mixed_quantile_cross_correlation(series, z, lag, grid))
+
+
+def test_totals_match_the_per_level_windows_exactly():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        T = int(rng.integers(20, 400))
+        lag = int(rng.integers(-5, 6))
+        series = random_series(rng, r=int(rng.integers(2, 6)), T=T, require_all=True)
+        z = rng.normal(size=T) * rng.uniform(0.1, 10.0) + rng.uniform(-1e6, 1e6)
+        grid = np.sort(rng.choice(np.arange(1, 20) / 20, size=int(rng.integers(2, 8)), replace=False))
+        values, _ = oracles.mixed_cross_correlation(series, z, lag)
+        qvalues, _ = oracles.mixed_quantile_cross_correlation(series, z, lag, grid)
+        assert total_mixed_cor(series, z, lag) == float(np.mean(values * values))
+        assert total_mixed_qcor(series, z, lag, grid) == float(np.mean(quantile_level_integral(qvalues**2, grid)))
+        _assert_same_bits(mixed_quantile_cross_correlation(series, z, lag, grid), qvalues, np.zeros(qvalues.shape, bool))
