@@ -17,10 +17,12 @@ spectrum sits near 1: the average of the smoothed spectrum over all
 Fourier ordinates equals the indicator covariance matrix.
 
 Only the real part of the cross-periodogram is smoothed: the envelope is a
-symmetric-definite generalized eigenproblem in the real part alone.  The top
-eigenpair at each frequency comes from one call of LAPACK's ``?sygvx``
-(the routine ``scipy.linalg.eigh`` with ``subset_by_index`` dispatches to),
-with the workspace size ``eigh`` would query, so results match it bit for bit.
+symmetric-definite generalized eigenproblem f(w) gamma = lambda V gamma in
+the real part alone.  The covariance V is the same at every frequency, so it
+is reduced once: with V = L L' (Cholesky) and W = inv(L), the top eigenpair
+(lambda, u) of the symmetric W f(w) W' gives the envelope lambda and the
+scaling gamma = W' u, and gamma' V gamma = u' u = 1 by construction.  One
+batched ``numpy.linalg.eigh`` solves all frequencies at once.
 """
 
 from __future__ import annotations
@@ -87,12 +89,10 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
 
 def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
     """Envelope of an already rank-reduced (T, k) indicator matrix."""
-    import scipy.linalg
-
     y = np.asarray(indicators, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    T, k = y.shape
+    T = len(y)
     if T < 8:
         raise ValueError("series too short for spectral analysis (need T >= 8)")
     if window % 2 == 0 or window < 1:
@@ -122,18 +122,10 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
 
     n_freq = T // 2
     frequencies = np.arange(1, n_freq + 1) / T
-    envelope = np.empty(n_freq)
-    scalings = np.empty((n_freq, k))
-    sygvx, sygvx_lwork = scipy.linalg.get_lapack_funcs(("sygvx", "sygvx_lwork"), (smooth, cov))
-    lwork = int(sygvx_lwork(k)[0])
-    for idx in range(n_freq):
-        vals, vecs, _, _, info = sygvx(smooth[idx], cov, range="I", il=k, iu=k, lwork=lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"generalized eigenproblem failed at frequency {idx + 1}/{T} (LAPACK info {info})"
-            )
-        envelope[idx] = vals[0]
-        scalings[idx] = vecs[:, 0]
+    whiten = np.linalg.inv(np.linalg.cholesky(cov))
+    values, vectors = np.linalg.eigh(whiten @ smooth @ whiten.T)
+    envelope = values[:, -1]
+    scalings = vectors[:, :, -1] @ whiten
     top = np.abs(scalings).argmax(axis=1)
     scalings[scalings[np.arange(n_freq), top] < 0] *= -1.0
     return SpectralEnvelope(frequencies, envelope, scalings, window)

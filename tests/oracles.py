@@ -239,8 +239,10 @@ def db_distance(codes_a, codes_b, r, max_lag):
 # -- Per-step references for the plot kernels --------------------------------
 #
 # These are the step-by-step numpy/scipy forms the plot kernels had before
-# they were rewritten for speed.  The kernels must reproduce them bit for bit
-# (np.array_equal, not a tolerance): the arithmetic and its order are the same.
+# they were rewritten for speed.  The EWMA and IFS kernels must reproduce them
+# bit for bit (np.array_equal, not a tolerance): the arithmetic and its order
+# are the same.  The envelope whitens once for all frequencies instead of once
+# per frequency, so it is held to rounding bounds against its reference.
 
 
 def ewma_path(y, lam, c):

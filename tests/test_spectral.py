@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,27 +162,78 @@ def test_overflowing_indicators_are_rejected_by_name():
         envelope_from_indicators(1e160 * y, 5)
 
 
-@given(series_with_every_category(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_envelope_is_bit_identical_to_the_per_frequency_oracle(series, data):
-    T = len(series)
-    window = 2 * data.draw(st.integers(0, -(-(T - 2) // 4) - 1), label="half_window") + 1
-    y = binarize(series)[:, :-1]
+def _assert_agrees_with_the_per_frequency_oracle(y, window):
+    """The batched envelope against ``oracles.spectral_envelope``, one
+    generalized ``eigh`` per frequency.  Whitening once by the covariance's
+    Cholesky factor reorders the arithmetic, so the bits may differ; the
+    envelope, the eigen-equation, the normalization and the sign convention
+    hold within rounding, and the scaling agrees wherever it is well defined
+    (top eigenvalue separated from the next)."""
+    T = len(y)
     envelope, scalings = oracles.spectral_envelope(y, window)
     env = envelope_from_indicators(y, window)
-    assert np.array_equal(env.envelope, envelope)
-    assert np.array_equal(env.scalings, scalings)
+    np.testing.assert_allclose(env.envelope, envelope, rtol=0, atol=1e-12 * envelope.max())
+
+    yc = y - y.mean(axis=0)
+    cov = yc.T @ yc / T
+    dft = np.fft.fft(yc, axis=0)
+    f = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
+    for _ in range(2):
+        f = scipy.ndimage.uniform_filter1d(f, window, axis=0, mode="wrap")
+    f = f[1 : T // 2 + 1]
+    f = (f + f.transpose(0, 2, 1)) / 2.0
+    gamma = env.scalings
+    residual = np.einsum("nij,nj->ni", f, gamma) - env.envelope[:, None] * (gamma @ cov)
+    scale = np.linalg.norm(f, axis=(1, 2)) * np.linalg.norm(gamma, axis=1)
+    assert (np.linalg.norm(residual, axis=1) <= 1e-10 * scale).all()
+    np.testing.assert_allclose(np.einsum("ni,ij,nj->n", gamma, cov, gamma), 1.0, rtol=0, atol=1e-12)
+    top = np.abs(gamma).argmax(axis=1)
+    assert (gamma[np.arange(len(gamma)), top] > 0).all()
+
+    whiten = np.linalg.inv(np.linalg.cholesky(cov))
+    values = np.column_stack([np.full(len(f), -np.inf), np.linalg.eigvalsh(whiten @ f @ whiten.T)])
+    separated = values[:, -1] - values[:, -2] >= 1e-6 * np.abs(values[:, -1])
+    # where two entries tie for the largest magnitude, as for two categories
+    # that play the same role, the sign convention may pick either sign
+    magnitudes = np.sort(np.column_stack([np.zeros(len(f)), np.abs(gamma)]), axis=1)
+    tied = magnitudes[:, -1] - magnitudes[:, -2] <= 1e-9 * magnitudes[:, -1]
+    flip = tied & (np.einsum("ni,ni->n", gamma, scalings) < 0)
+    expected = np.where(flip[:, None], -scalings, scalings)
+    np.testing.assert_allclose(gamma[separated], expected[separated], rtol=0, atol=1e-9)
+    return separated
 
 
-def test_envelope_is_bit_identical_to_the_oracle_for_a_large_alphabet():
-    # above k = 32 indicators LAPACK's tridiagonal reduction is blocked, and
-    # its blocks depend on the workspace size passed to ?sygvx
+@given(series_with_every_category(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_envelope_agrees_with_the_per_frequency_oracle(series, data):
+    T = len(series)
+    window = 2 * data.draw(st.integers(0, -(-(T - 2) // 4) - 1), label="half_window") + 1
+    _assert_agrees_with_the_per_frequency_oracle(binarize(series)[:, :-1], window)
+
+
+def test_envelope_agrees_with_the_oracle_for_a_large_alphabet():
+    # above k = 32 indicators LAPACK blocks its tridiagonal reduction
     rng = np.random.default_rng(8)
     y = binarize(random_series(rng, r=36, T=200, require_all=True))[:, :-1]
-    envelope, scalings = oracles.spectral_envelope(y, 11)
-    env = envelope_from_indicators(y, 11)
-    assert np.array_equal(env.envelope, envelope)
-    assert np.array_equal(env.scalings, scalings)
+    _assert_agrees_with_the_per_frequency_oracle(y, 11)
+
+
+def test_envelope_agrees_with_the_oracle_for_a_flat_iid_series():
+    # an iid series has a flat envelope: its top two eigenvalues come close at
+    # some frequencies, where the scaling is compared only through the bounds
+    rng = np.random.default_rng(9)
+    y = binarize(random_series(rng, r=4, T=1000, require_all=True))[:, :-1]
+    separated = _assert_agrees_with_the_per_frequency_oracle(y, default_window(1000))
+    assert separated.mean() > 0.9
+
+
+def test_a_one_dimensional_indicator_is_one_column():
+    rng = np.random.default_rng(10)
+    y = binarize(random_series(rng, r=2, T=120, require_all=True))[:, 0]
+    flat, column = envelope_from_indicators(y, 7), envelope_from_indicators(y[:, None], 7)
+    assert np.array_equal(flat.envelope, column.envelope)
+    assert np.array_equal(flat.scalings, column.scalings)
+    assert np.array_equal(flat.frequencies, column.frequencies)
 
 
 def test_default_window_is_odd_and_reasonable():
