@@ -77,7 +77,12 @@ class PatternHistogram:
 def _occurrences(series: CategoricalSeries, category) -> tuple[int, np.ndarray]:
     """The code of ``category`` (a label or a 1-based code) and the 1-based
     times at which it occurs; each two consecutive times bound one cycle."""
-    code = series.alphabet.code(category) if isinstance(category, str) else int(category)
+    if isinstance(category, str):
+        code = series.alphabet.code(category)
+    elif isinstance(category, (int, np.integer)) and not isinstance(category, bool):
+        code = int(category)
+    else:
+        raise ValueError(f"category {category!r} is neither a label nor an integer code")
     if not 1 <= code <= series.alphabet.size:
         raise ValueError(f"category code {code} outside 1..{series.alphabet.size}")
     return code, np.flatnonzero(series.codes == code) + 1

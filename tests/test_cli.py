@@ -448,7 +448,8 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
 def test_commands_load_scipy_only_to_test_or_smooth(corpus_file, tmp_path):
     """The corpus chain and the plots that neither test nor smooth run in one
     fresh interpreter without loading scipy; ``test``, ``plot dependence`` and
-    ``plot envelope`` each import what they need in their own."""
+    ``plot envelope`` each import what they need in their own, and the
+    envelope needs no ``scipy.linalg``."""
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
     dist = str(tmp_path / "dist.csv")
     plots = {"series": [], "rate": [], "pattern": ["--category", "1"], "ifs": ["--alpha", "0.5", "--beta", "0.1"],
@@ -464,6 +465,10 @@ def test_commands_load_scipy_only_to_test_or_smooth(corpus_file, tmp_path):
     run = f"import json, sys; from catseries.cli import main\nfor argv in json.loads(sys.argv[1]): print(main(argv), *{_SCIPY_LOADED})"
     assert _fresh_python(run, json.dumps(lean)).splitlines() == ["0"] * len(lean)
     for argv in (["test", *source, "--out", str(tmp_path / "test.json")],
-                 ["plot", "dependence", *source, "--out", str(tmp_path / "dependence.svg")],
-                 ["plot", "envelope", *source, "--out", str(tmp_path / "envelope.svg")]):
+                 ["plot", "dependence", *source, "--out", str(tmp_path / "dependence.svg")]):
         assert _fresh_python(run, json.dumps([argv])).split()[0] == "0", argv
+    # the envelope smooths with scipy.ndimage and solves with numpy.linalg
+    status, *loaded = _fresh_python(run, json.dumps([["plot", "envelope", *source, "--out",
+                                                       str(tmp_path / "envelope.svg")]])).split()
+    assert status == "0" and "scipy.ndimage" in loaded, loaded
+    assert not [m for m in loaded if m == "scipy.linalg" or m.startswith("scipy.linalg.")], loaded

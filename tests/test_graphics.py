@@ -235,6 +235,10 @@ _SERIES = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(3))
 @pytest.mark.parametrize("build, message", [
     (lambda: cycle_lengths(_SERIES, 4), "category code 4 outside 1..3"),
     (lambda: cycle_length_chart(_SERIES, 0), "category code 0 outside 1..3"),
+    (lambda: cycle_lengths(_SERIES, 1.9), "category 1.9 is neither a label nor an integer code"),
+    (lambda: cycle_length_chart(_SERIES, np.float64(2.5)),
+     "category np.float64(2.5) is neither a label nor an integer code"),
+    (lambda: cycle_lengths(_SERIES, True), "category True is neither a label nor an integer code"),
     (lambda: cycle_length_chart(_SERIES, 1, p=1.0), "in-control probability must lie in (0, 1)"),
     (lambda: geometric_quantile(0.5, 0.0), "success probability must lie in (0, 1)"),
     (lambda: geometric_quantile(0.5, 1.0), "success probability must lie in (0, 1)"),
@@ -244,6 +248,13 @@ def test_bad_categories_and_probabilities_are_named(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_a_numpy_integer_category_is_its_code():
+    records, hist = cycle_lengths(_SERIES, np.int64(2))
+    assert [(r.start, r.length) for r in records] == [(2, 2)]
+    assert type(hist.category) is int and hist.category == 2 and hist.counts == {2: 1}
+    assert cycle_length_chart(_SERIES, np.int64(2), p=0.5).labels == ("2",)
 
 
 def test_ewma_constant_series_closed_form_and_alarm():

@@ -168,3 +168,22 @@ def test_mark_blocks_write_the_bytes_of_one_format_call_per_point():
         assert text == _per_point_svg(data, **kwargs)
         assert "\n\n" not in text
     assert "<circle" not in render_svg(ifs, window=(10.0, 11.0, 10.0, 11.0))
+
+
+def test_a_chart_with_one_time_point_centres_it_on_a_unit_x_range():
+    series = CategoricalSeries(np.array([1, 2, 2, 1, 2]), Alphabet.of_size(2))
+    chart = cycle_length_chart(series, 1, 0.05, p=0.5)  # one cycle, closed at t = 4
+    assert chart.times.tolist() == [4]
+    frame = svg._Frame(4.0, 4.0, -1.3, 1.3)
+    assert (frame.x0, frame.x1) == (3.5, 4.5)
+    assert frame.x(4.0) == (frame.px0 + frame.px1) / 2
+    text = render_svg(chart)
+    assert f'<polyline points="{frame.x(4.0):.2f},' in text
+    assert ">3.5</text>" in text and ">4.5</text>" in text
+
+
+def test_a_zero_height_frame_centres_its_value_on_a_unit_y_range():
+    frame = svg._Frame(0.0, 1.0, 2.0, 2.0)
+    assert (frame.y0, frame.y1) == (1.5, 2.5)
+    assert frame.y(2.0) == (frame.py0 + frame.py1) / 2
+    assert frame.y(1.5) == frame.py0 and frame.y(2.5) == frame.py1
