@@ -67,11 +67,13 @@ class CycleRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PatternHistogram:
-    """Cycle-length counts for one category."""
+    """Cycle-length counts for one category, which occurs ``occurrences``
+    times and so closes ``max(occurrences - 1, 0)`` cycles."""
 
     category: int
     label: str
     counts: dict[int, int]  # length -> number of cycles, keys sorted
+    occurrences: int
 
 
 def _occurrences(series: CategoricalSeries, category) -> tuple[int, np.ndarray]:
@@ -98,7 +100,8 @@ def cycle_lengths(series: CategoricalSeries, category) -> tuple[list[CycleRecord
     lengths = np.diff(positions)
     records = [CycleRecord(code, *cycle) for cycle in zip(positions[:-1].tolist(), lengths.tolist())]
     keys, counts = np.unique(lengths, return_counts=True)
-    return records, PatternHistogram(code, series.alphabet.label(code), dict(zip(keys.tolist(), counts.tolist())))
+    histogram = dict(zip(keys.tolist(), counts.tolist()))
+    return records, PatternHistogram(code, series.alphabet.label(code), histogram, positions.size)
 
 
 def _recursion(inputs: np.ndarray, start: np.ndarray, step) -> np.ndarray:
@@ -209,7 +212,8 @@ def cycle_length_chart(
         raise ValueError("alpha must lie in (0, 1)")
     code, positions = _occurrences(series, category)
     if positions.size < 2:
-        raise ValueError("category closes no cycle: needs at least two occurrences")
+        raise ValueError(f"category {series.alphabet.label(code)!r} closes no cycle: "
+                         f"needs at least two occurrences, has {positions.size}")
     if p is None:
         p = float(marginal_probabilities(series)[code - 1])
     if not 0.0 < p < 1.0:
@@ -279,7 +283,8 @@ def ewma_marginal_chart(
         raise ValueError("every in-control probability must lie strictly inside (0, 1)")
 
     T = len(series)
-    pi = _recursion(binarize(series), c, lambda p, x: lam * p + (1.0 - lam) * x)
+    # (1 - lam) * Y_t is formed once in numpy, with the same rounding as per step
+    pi = _recursion((1.0 - lam) * binarize(series), c, lambda p, u: lam * p + u)
 
     t_idx = np.arange(1, T + 1)[:, None]
     sigma = np.sqrt(c * (1.0 - c) * (1.0 - lam) * (1.0 - lam ** (2 * t_idx)) / (1.0 + lam))

@@ -50,7 +50,8 @@ class SpectralEnvelope:
     ``scalings[k]`` maximizes the smoothed spectrum-to-variance ratio at
     ``frequencies[k]`` and is normalized to unit variance of the scaled
     series (gamma' V gamma = 1), with sign fixed so its largest-magnitude
-    entry is positive.  It has length r - 1; the dropped last category has
+    entry is positive; of entries within 1e-9 relative of the largest
+    magnitude, the first is made positive.  It has length r - 1; the dropped last category has
     implicit scaling 0.
     """
 
@@ -126,7 +127,9 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     values, vectors = np.linalg.eigh(whiten @ smooth @ whiten.T)
     envelope = values[:, -1]
     scalings = vectors[:, :, -1] @ whiten
-    top = np.abs(scalings).argmax(axis=1)
+    magnitudes = np.abs(scalings)
+    largest = magnitudes.max(axis=1, keepdims=True)
+    top = (magnitudes >= largest - 1e-9 * largest).argmax(axis=1)  # the first of entries tied within rounding
     scalings[scalings[np.arange(n_freq), top] < 0] *= -1.0
     return SpectralEnvelope(frequencies, envelope, scalings, window)
 

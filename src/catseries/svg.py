@@ -7,9 +7,13 @@ vertices, circles, bars and stems) become text a whole coordinate array at
 a time: the numpy digit kernel of :mod:`catseries.io` (``_fixed_text``)
 writes the ``{:.2f}`` text of every coordinate into a byte template of the
 mark, and Python's ``format`` takes over only for a non-finite coordinate or
-one of magnitude 2**40 or more.  ``CHARTS`` maps each chart-data type to its
-renderer and to the header and columns of its ``--table`` CSV
-(``plot_table``).
+one of magnitude 2**40 or more.  A polyline keeps only the M4 points of
+its pixel columns (``_pixel_columns``): in each run of consecutive vertices
+that share a column, the first, the last, the lowest and the highest.  The
+line covers the same pixels at the chart's own size, but a reader who zooms
+into a long one sees less detail than the data holds; the ``--table`` CSV
+keeps every point.  ``CHARTS`` maps each chart-data type to its renderer and
+to the header and columns of its ``--table`` CSV (``plot_table``).
 """
 
 from __future__ import annotations
@@ -115,8 +119,28 @@ class _Frame:
         return _el("line", x1=_num(self.px0), y1=_num(self.y(v)), x2=_num(self.px1), y2=_num(self.y(v)), **{"class": cls})
 
     def polyline(self, xs, ys, color) -> str:
-        pts = _fixed_text("{},{}", (self.x(xs), self.y(ys)), " ")
+        pts = _fixed_text("{},{}", _pixel_columns(self.x(xs), self.y(ys)), " ")
         return _el("polyline", points=pts, fill="none", stroke=color, stroke_width="1.5")
+
+
+def _pixel_columns(px, py):
+    """The M4 points of a line (Jugel et al., PVLDB 7(10), 2014): in each run
+    of consecutive points in one pixel column (``floor(px)``), the first and
+    the last point and the first to reach the run's lowest and its highest
+    ``py``, in their order.  The line through them covers the same pixels.
+    A line with a non-finite coordinate keeps every point."""
+    if px.size < 3 or not (np.isfinite(px).all() and np.isfinite(py).all()):
+        return px, py
+    col = np.floor(px)
+    starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+    run = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, px.size]))
+    index = np.arange(px.size)
+    keep = np.zeros(px.size, bool)
+    keep[starts] = keep[np.r_[starts[1:] - 1, px.size - 1]] = True
+    for extreme in (np.minimum, np.maximum):
+        reached = extreme.reduceat(py, starts)[run] == py
+        keep[np.minimum.reduceat(np.where(reached, index, px.size), starts)] = True
+    return px[keep], py[keep]
 
 
 def _document(body: list[str], title: str) -> str:
@@ -177,7 +201,8 @@ def _rate_table(data: RateEvolution):
 
 def _pattern_plot(data: PatternHistogram, title) -> str:
     if not data.counts:
-        raise ValueError("empty data: category closes no cycle")
+        raise ValueError(f"empty data: category {data.label!r} closes no cycle: "
+                         f"needs at least two occurrences, has {data.occurrences}")
     lengths = sorted(data.counts)
     top = max(data.counts.values())
     frame = _Frame(min(lengths) - 0.5, max(lengths) + 0.5, 0, top)

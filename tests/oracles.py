@@ -275,7 +275,9 @@ def spectral_envelope(indicators, window):
     """(envelope, scalings) of a (T, k) indicator matrix: the full complex
     cross-periodogram is smoothed (real and imaginary parts), and every
     frequency gets its own ``scipy.linalg.eigh`` call for the top
-    generalized eigenpair, with the sign of the eigenvector fixed per call."""
+    generalized eigenpair, with the sign of the eigenvector fixed per call:
+    the first entry within 1e-9 relative of the largest magnitude is
+    positive."""
     import numpy as np
     import scipy.linalg
     import scipy.ndimage
@@ -298,7 +300,8 @@ def spectral_envelope(indicators, window):
         f_re = (f_re + f_re.T) / 2.0
         vals, vecs = scipy.linalg.eigh(f_re, cov, subset_by_index=[k - 1, k - 1])
         gamma = vecs[:, 0]
-        top = np.argmax(np.abs(gamma))
+        largest = max(abs(g) for g in gamma)
+        top = next(i for i, g in enumerate(gamma) if abs(g) >= largest - 1e-9 * largest)
         if gamma[top] < 0:
             gamma = -gamma
         envelope[idx] = vals[0]
@@ -767,6 +770,21 @@ def svg_marks(template, pixel_xs, pixel_ys):
     pixel x, then y.  One string per point, so no points give no string."""
     fill = template.replace("{}", "{:.2f}").format
     return [fill(float(x), float(y)) for x, y in zip(pixel_xs, pixel_ys)]
+
+
+def pixel_columns(pixel_xs, pixel_ys):
+    """Indices, in order, of the points a polyline keeps at its pixel columns
+    (M4): for each run of consecutive points whose x has one floor, the first
+    and the last point and the first to reach the run's lowest and its
+    highest y."""
+    xs, ys = list(map(float, pixel_xs)), list(map(float, pixel_ys))
+    keep, start = set(), 0
+    for end in range(1, len(xs) + 1):
+        if end == len(xs) or math.floor(xs[end]) != math.floor(xs[start]):
+            run = range(start, end)
+            keep.update({start, end - 1, min(run, key=ys.__getitem__), max(run, key=ys.__getitem__)})
+            start = end
+    return sorted(keep)
 
 
 def fixed_text(template, columns, sep):

@@ -229,6 +229,18 @@ def test_cycle_chart_errors():
         cycle_length_chart(series, 1, alpha=1.2)
 
 
+@pytest.mark.parametrize("codes, category, label, occurrences", [
+    ([1, 2, 1, 2], 3, "C", 0),
+    ([1, 2, 3, 2], "C", "C", 1),
+])
+def test_a_category_that_closes_no_cycle_is_named_with_its_count(codes, category, label, occurrences):
+    series = CategoricalSeries(np.array(codes), Alphabet(("A", "B", "C")))
+    with pytest.raises(ValueError) as err:
+        cycle_length_chart(series, category)
+    assert str(err.value) == (f"category '{label}' closes no cycle: "
+                              f"needs at least two occurrences, has {occurrences}")
+
+
 _SERIES = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(3))
 
 
@@ -341,4 +353,15 @@ def test_ewma_path_is_bit_identical_to_the_per_step_oracle(series, lam, data):
     weights = data.draw(st.none() | st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r), label="weights")
     c = None if weights is None else np.asarray(weights) / sum(weights)
     chart = ewma_marginal_chart(series, lam, c, 3.0)
+    assert np.array_equal(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-12, 2.0**-30, 0.5, 0.9, 1.0 - 2.0**-30, 1.0 - 2.0**-53])
+def test_ewma_path_equals_the_per_step_form_for_lambda_near_0_and_1(lam):
+    # the constant (1 - lam) * Y_t is formed once for the whole series; each
+    # step still rounds lam * p, that product and their sum as the per-step
+    # form does
+    rng = np.random.default_rng(22)
+    series = random_series(rng, r=4, T=500, require_all=True)
+    chart = ewma_marginal_chart(series, lam, None, 3.0)
     assert np.array_equal(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))

@@ -1,7 +1,11 @@
+import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -101,6 +105,15 @@ def test_empty_histogram_errors():
         render_svg(hist)
 
 
+@pytest.mark.parametrize("codes, occurrences", [([1, 2, 1, 2], 0), ([1, 3, 1, 2], 1)])
+def test_an_empty_histogram_names_its_category_and_count(codes, occurrences):
+    series = CategoricalSeries(np.array(codes), Alphabet(("A", "B", "C")))
+    _, hist = cycle_lengths(series, "C")
+    with pytest.raises(ValueError) as err:
+        render_svg(hist)
+    assert str(err.value) == f"empty data: category 'C' closes no cycle: needs at least two occurrences, has {occurrences}"
+
+
 def test_unknown_type_errors():
     with pytest.raises(ValueError, match="no renderer"):
         render_svg(object())
@@ -187,3 +200,71 @@ def test_a_zero_height_frame_centres_its_value_on_a_unit_y_range():
     assert (frame.y0, frame.y1) == (1.5, 2.5)
     assert frame.y(2.0) == (frame.py0 + frame.py1) / 2
     assert frame.y(1.5) == frame.py0 and frame.y(2.5) == frame.py1
+
+
+# -- Polylines drawn at their pixel columns (M4) ------------------------------
+
+
+def _vertices(element):
+    """The vertex texts of one ``<polyline>`` element, in order."""
+    return re.fullmatch(r'<polyline points="([^"]*)" [^>]*/>', element).group(1).split(" ")
+
+
+def _column_extremes(px, py):
+    """Pixel column -> its first, last, first lowest and first highest point,
+    over every point in the column whether or not its points are adjacent;
+    the columns in the order in which the line first enters them."""
+    columns = {}
+    for point in zip(px.tolist(), py.tolist()):
+        first, _, low, high = columns.get(math.floor(point[0]), (point,) * 4)
+        columns[math.floor(point[0])] = (first, point, min(low, point, key=lambda p: p[1]),
+                                         max(high, point, key=lambda p: p[1]))
+    return list(columns.items())
+
+
+@given(st.lists(st.tuples(st.integers(0, 2000), st.integers(-3, 3) | st.floats(-5.0, 5.0)), min_size=1, max_size=300),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_polyline_keeps_the_first_last_lowest_and_highest_point_of_every_pixel_column(points, ordered):
+    # about three x steps per pixel column: repeated x, unsorted x and tied y occur
+    points = sorted(points) if ordered else points
+    xs = np.array([x for x, _ in points]) / 2000
+    ys = np.array([y for _, y in points], dtype=float)
+    frame = svg._Frame(0.0, 1.0, -5.0, 5.0)
+    px, py = frame.x(xs), frame.y(ys)
+    full = oracles.fixed_text("{},{}", (px, py), " ").split(" ")
+    assert _vertices(frame.polyline(xs, ys, "#000")) == [full[i] for i in oracles.pixel_columns(px, py)]
+    assert _column_extremes(*svg._pixel_columns(px, py)) == _column_extremes(px, py)
+
+
+@given(st.lists(st.integers(0, 715), min_size=1, max_size=716, unique=True), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_polyline_with_at_most_one_point_per_pixel_column_keeps_its_bytes(columns, data):
+    offsets = data.draw(st.lists(st.floats(0.01, 0.98), min_size=len(columns), max_size=len(columns)))
+    ys = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(columns), max_size=len(columns)))
+    xs = np.array(columns) + np.array(offsets)  # one unit of x is one pixel
+    frame = svg._Frame(0.0, 716.0, -1.0, 1.0)
+    with mock.patch.object(svg, "_pixel_columns", lambda px, py: (px, py)):
+        every_point = frame.polyline(xs, ys, "#000")
+    assert frame.polyline(xs, ys, "#000") == every_point
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_polyline_with_a_non_finite_coordinate_keeps_every_point(bad, axis):
+    xs, ys = np.arange(3000.0), np.sin(np.arange(3000.0))
+    frame = svg._Frame(0.0, 3000.0, -1.0, 1.0)
+    assert len(_vertices(frame.polyline(xs, ys, "#000"))) <= 4 * 717
+    (xs, ys)[axis][1234] = bad
+    px, py = frame.x(xs), frame.y(ys)
+    assert _vertices(frame.polyline(xs, ys, "#000")) == oracles.fixed_text("{},{}", (px, py), " ").split(" ")
+
+
+def test_long_charts_draw_at_most_four_points_per_pixel_column():
+    # the plot spans pixels 64..780, so its vertices fall in 717 pixel columns
+    rng = np.random.default_rng(23)
+    series = CategoricalSeries(rng.integers(1, 4, 50_000), Alphabet.of_size(3))
+    for data in (rate_evolution(series), ewma_marginal_chart(series, 0.9, None, 3.0)):
+        lines = re.findall(r"<polyline [^>]*/>", render_svg(data))
+        assert len(lines) == 3
+        assert all(len(_vertices(line)) <= 4 * 717 for line in lines)
