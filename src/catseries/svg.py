@@ -129,7 +129,7 @@ def _pixel_columns(px, py):
     the last point and the first to reach the run's lowest and its highest
     ``py``, in their order.  The line through them covers the same pixels.
     A line with a non-finite coordinate keeps every point."""
-    if px.size < 3 or not (np.isfinite(px).all() and np.isfinite(py).all()):
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
         return px, py
     col = np.floor(px)
     starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
