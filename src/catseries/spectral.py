@@ -51,8 +51,8 @@ class SpectralEnvelope:
     ``frequencies[k]`` and is normalized to unit variance of the scaled
     series (gamma' V gamma = 1), with sign fixed so its largest-magnitude
     entry is positive; of entries within 1e-9 relative of the largest
-    magnitude, the first is made positive.  It has length r - 1; the dropped last category has
-    implicit scaling 0.
+    magnitude, the first is made positive.  It has length r - 1; the
+    dropped last category has implicit scaling 0.
     """
 
     frequencies: np.ndarray

@@ -215,8 +215,8 @@ def test_envelope_agrees_with_the_oracle_for_a_large_alphabet():
 
 def test_scalings_tied_in_magnitude_make_the_first_entry_positive():
     # categories 1 and 2 occur once each and play near-symmetric roles: at
-    # every frequency the two entries of gamma have the same magnitude, and
-    # rounding alone used to decide which of them came out positive
+    # every frequency the two entries of gamma have the same magnitude, so
+    # the larger of them is a matter of rounding and cannot fix the sign
     series = CategoricalSeries(np.r_[1, 2, np.full(14, 3)], Alphabet.of_size(3))
     y = binarize(series)[:, :-1]
     scalings = envelope_from_indicators(y, 3).scalings
