@@ -6,7 +6,12 @@ of one 64-bit output) to a category by inverse CDF over the cumulative row
 probabilities, so the same spec and seed reproduce the same codes on any
 platform.  The draw order is fixed and documented per family.
 Corpus generation derives the seed of series i as ``corpus seed + i``
-(counter mode), so corpora are reproducible and extensible.
+(counter mode), so corpora are reproducible and extensible.  It draws the
+same uniforms in the same order as one :func:`generate_series` per series,
+so the draw order and this contract hold for a corpus as for a series; the
+Markov chains of a group (or its hidden paths) are walked together, one
+numpy step per time step, once the group has :data:`_LOCKSTEP_CHAINS`
+chains, and NDARMA series are made one at a time.
 
 Specs are plain frozen dataclasses with a JSON round-trip
 (:func:`corpus_spec_from_dict` / :meth:`CorpusSpec.to_dict`); coefficients
@@ -80,6 +85,67 @@ def _walk(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.nda
     return np.array(states, dtype=np.int64)
 
 
+def _edge_moves(cum_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(edges, moves)`` with ``moves[b * len(cum_rows) + j]`` equal to
+    ``bisect_right(cum_rows[j], u)`` for every uniform u whose bin
+    ``bisect_right(edges, u)`` is b.  ``edges`` are the distinct entries of
+    the rows but their last (1.0, above every uniform), so no entry lies
+    between u and the edge below it, and each ``cum <= u`` comparison comes
+    out as it does at that edge."""
+    edges = np.unique(cum_rows[:, :-1])
+    moves = np.zeros((edges.size + 1, len(cum_rows)), dtype=np.intp)
+    for j, row in enumerate(cum_rows):
+        moves[1:, j] = np.searchsorted(row, edges, side="right")
+    return edges, moves.ravel()
+
+
+def _lockstep(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """0-based states of one chain per row of ``us``, each equal to
+    :func:`_walk` of that row.  All uniforms are binned at once; then each
+    time step moves every chain with one add and one gather."""
+    r = len(transition)
+    edges, moves = _edge_moves(_cumulative_rows(transition))
+    path = np.searchsorted(edges, us.T, side="right")  # (T, chains): bins, then states
+    path *= r
+    path[0] = _draw(_cumulative_rows(initial)[0], us[:, 0])
+    index = np.empty(len(us), dtype=np.intp)
+    for t in range(1, len(path)):
+        np.take(moves, np.add(path[t], path[t - 1], out=index), out=path[t], mode="clip")
+    return np.ascontiguousarray(path.T)
+
+
+# A group of at least this many chains is walked by _lockstep, a smaller one
+# by one _walk per chain.  At T=1000 and r from 2 to 20 (best of 7, one of 2
+# shared cores, numpy 2.4), 16 chains took 2.9-3.9 ms one by one against
+# 3.7-4.7 ms in lockstep, and 24 chains 4.4-5.8 against 3.7-4.3 ms.  A lone
+# T=50,000 chain takes 5 ms by _walk and 95 ms in lockstep.
+_LOCKSTEP_CHAINS = 24
+
+
+def _walks(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """0-based states of one chain per row of ``us``."""
+    if len(us) >= _LOCKSTEP_CHAINS:
+        return _lockstep(transition, initial, us)
+    return np.array([_walk(transition, initial, row) for row in us])
+
+
+def _uniforms(rngs, n: int) -> np.ndarray:
+    """``n`` uniforms from each generator in turn, one row per generator."""
+    us = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, us):
+        rng.random(out=row)
+    return us
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int; a boolean, a number with a fractional part or
+    anything else is rejected by name rather than truncated."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MarkovChainModel:
     """First-order chain: X_1 ~ initial, X_t | X_{t-1}=j ~ transition row j."""
@@ -101,7 +167,11 @@ class MarkovChainModel:
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: one uniform per time step, t = 1..length."""
-        return _walk(self.transition, self.initial, rng.random(length)) + 1
+        return self.sample_rows(length, [rng])[0]
+
+    def sample_rows(self, length: int, rngs) -> np.ndarray:
+        """What :meth:`sample` draws from each generator, one row each."""
+        return _walks(self.transition, self.initial, _uniforms(rngs, length)) + 1
 
 
 @dataclass(frozen=True)
@@ -131,9 +201,14 @@ class HiddenMarkovModel:
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """Draw order: the full hidden path first (one uniform per step),
         then one emission uniform per step."""
-        hidden = _walk(self.transition, self.initial, rng.random(length))
-        cum_emit = _cumulative_rows(self.emission)[hidden]
-        return np.sum(cum_emit <= rng.random(length)[:, None], axis=1, dtype=np.int64) + 1
+        return self.sample_rows(length, [rng])[0]
+
+    def sample_rows(self, length: int, rngs) -> np.ndarray:
+        """What :meth:`sample` draws from each generator, one row each."""
+        us = _uniforms(rngs, 2 * length)
+        hidden = _walks(self.transition, self.initial, us[:, :length])
+        edges, moves = _edge_moves(_cumulative_rows(self.emission))
+        return moves[np.searchsorted(edges, us[:, length:], side="right") * len(self.emission) + hidden] + 1
 
 
 @dataclass(frozen=True)
@@ -154,6 +229,8 @@ class NdarmaModel:
     burn_in: int = 500
 
     def __post_init__(self) -> None:
+        for name in ("p", "q", "burn_in"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.p < 0 or self.q < 0:
             raise ValueError("orders p and q must be non-negative")
         sel = _check_probability_vector(self.selection, "selection probabilities")
@@ -189,6 +266,12 @@ class NdarmaModel:
             ptr = jumped
         return np.concatenate([presample, fresh])[ptr[self.p + self.burn_in:]] + 1
 
+    def sample_rows(self, length: int, rngs) -> list[np.ndarray]:
+        """What :meth:`sample` draws from each generator, one array each: one
+        series at a time, as batched pointer doubling holds several times
+        the group's codes."""
+        return [self.sample(length, rng) for rng in rngs]
+
 
 Model = MarkovChainModel | HiddenMarkovModel | NdarmaModel
 
@@ -203,8 +286,11 @@ def _alphabet_for(model: Model, alphabet: Alphabet | None) -> Alphabet:
 
 def generate_series(model: Model, length: int, seed: int, alphabet: Alphabet | None = None) -> CategoricalSeries:
     """One seeded series from any model family."""
+    length, seed = _whole(length, "length"), _whole(seed, "seed")
     if length < 1:
         raise ValueError(f"length must be positive, got {length!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return CategoricalSeries(model.sample(length, rng), _alphabet_for(model, alphabet))
 
@@ -228,7 +314,12 @@ class CorpusSpec:
         sizes = {model.n_categories for model, _ in self.groups}
         if len(sizes) != 1:
             raise ValueError("all groups must share the same number of categories")
-        for _, count in self.groups:
+        groups = tuple((model, _whole(count, f"group {number} count"))
+                       for number, (model, count) in enumerate(self.groups, start=1))
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "length", _whole(self.length, "length"))
+        object.__setattr__(self, "seed", _whole(self.seed, "corpus seed"))
+        for _, count in groups:
             if count < 1:
                 raise ValueError(f"group counts must be positive, got {count!r}")
         if self.length < 1:
@@ -263,10 +354,7 @@ def _integer(entry: dict, key: str, where: str, default=MISSING) -> int:
     """``entry[key]`` as an int, or ``default`` when given and the key is
     absent; a boolean or a number with a fractional part is rejected by name
     rather than truncated."""
-    value = entry[key] if default is MISSING else entry.get(key, default)
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"corpus spec {where}key {key!r} must be an integer, got {value!r}")
-    return int(value)
+    return _whole(entry[key] if default is MISSING else entry.get(key, default), f"corpus spec {where}key {key!r}")
 
 
 def _numbers(entry: dict, key: str, where: str) -> np.ndarray:
@@ -333,10 +421,9 @@ def generate_corpus(spec: CorpusSpec) -> tuple[list[CategoricalSeries], list[int
     alphabet = _alphabet_for(spec.groups[0][0], spec.alphabet)
     corpus: list[CategoricalSeries] = []
     labels: list[int] = []
-    index = 0
     for group_number, (model, count) in enumerate(spec.groups, start=1):
-        for _ in range(count):
-            corpus.append(generate_series(model, spec.length, spec.seed + index, alphabet))
-            labels.append(group_number)
-            index += 1
+        seed = spec.seed + len(corpus)
+        rngs = [np.random.Generator(np.random.PCG64(seed + i)) for i in range(count)]
+        corpus += [CategoricalSeries(codes, alphabet) for codes in model.sample_rows(spec.length, rngs)]
+        labels += [group_number] * count
     return corpus, labels

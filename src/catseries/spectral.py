@@ -74,14 +74,24 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
     return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
 
 
+def _check_window(window, T: int) -> None:
+    """The smoothing span must be a positive odd integer below T/2."""
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window % 2 == 0 or window < 1:
+        raise ValueError(f"smoothing window must be a positive odd integer, got {window} with T={T}")
+    if window >= T / 2:
+        raise ValueError(f"smoothing window must be shorter than T/2, got {window} with T={T}")
+
+
 def smoothed_spectrum(values, window: int) -> np.ndarray:
     """Smoothed periodogram of one numeric series at frequencies 1/T..1/2.
 
     Uses the same centering, normalization and iterated Daniell smoothing as
-    the envelope computation, so the spectrum of a scaled series divided by
-    its variance can be compared against the envelope directly.
+    the envelope computation, and rejects the windows it rejects, so the
+    spectrum of a scaled series divided by its variance can be compared
+    against the envelope directly.
     """
     z = np.asarray(values, dtype=float)
+    _check_window(window, z.size)
     zc = z - z.mean()
     dft = np.fft.fft(zc)
     period = (dft * dft.conj()).real / z.size
@@ -96,10 +106,7 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     T = len(y)
     if T < 8:
         raise ValueError("series too short for spectral analysis (need T >= 8)")
-    if window % 2 == 0 or window < 1:
-        raise ValueError(f"smoothing window must be a positive odd integer, got {window} with T={T}")
-    if window >= T / 2:
-        raise ValueError(f"smoothing window must be shorter than T/2, got {window} with T={T}")
+    _check_window(window, T)
     bad = np.argwhere(~np.isfinite(y))
     if bad.size:
         row, col = bad[0]

@@ -729,6 +729,23 @@ def mc_sample(model, length, rng):
     return codes
 
 
+def hmm_sample(model, length, rng):
+    """Codes of a HiddenMarkovModel: the whole hidden path first, one
+    uniform per step by bisect over the hidden initial law and then the
+    previous hidden state's row; then one uniform per step, by bisect over
+    the emission row of that step's hidden state."""
+    import numpy as np
+
+    us = _uniform_list(rng, length)
+    rows = [_cumulative(row) for row in model.transition]
+    hidden = [bisect.bisect_right(_cumulative(model.initial), us[0])]
+    for t in range(1, length):
+        hidden.append(bisect.bisect_right(rows[hidden[-1]], us[t]))
+    emission = [_cumulative(row) for row in model.emission]
+    us = _uniform_list(rng, length)
+    return np.array([bisect.bisect_right(emission[h], u) + 1 for h, u in zip(hidden, us)], dtype=np.int64)
+
+
 def ndarma_sample(model, length, rng):
     """Codes of an NdarmaModel from most-recent-first histories of values
     and innovations: p presample values, q presample innovations, then per

@@ -14,7 +14,17 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from catseries import Alphabet, CategoricalSeries, DistanceMatrix, distance_matrix
+from catseries import (
+    Alphabet,
+    CategoricalSeries,
+    CorpusSpec,
+    DistanceMatrix,
+    HiddenMarkovModel,
+    MarkovChainModel,
+    NdarmaModel,
+    distance_matrix,
+    generate_corpus,
+)
 from catseries.cli import main
 from catseries.io import (
     _csv_cell,
@@ -992,3 +1002,23 @@ def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
         assert np.array_equal(result.values, dm.values)
         assert peaks["write"] <= 4.0, (dm.ids[0], peaks)
         assert peaks["read"] <= 20.0, (dm.ids[0], peaks)
+
+
+def test_corpus_generation_holds_a_bounded_amount_of_memory():
+    """600 series of T=1000 from three families of 200: the Markov and hidden
+    chains of a group are walked together, and their working arrays stay a
+    few times the group's codes (4.6 MiB for the whole corpus)."""
+    groups = (
+        (MarkovChainModel([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]], [0.3, 0.3, 0.4]), 200),
+        (HiddenMarkovModel([[0.8, 0.2], [0.3, 0.7]], [[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]], [0.5, 0.5]), 200),
+        (NdarmaModel(1, 0, [0.4, 0.6], [0.3, 0.3, 0.4], burn_in=200), 200),
+    )
+    spec = CorpusSpec(groups, 1000, 1)
+    tracemalloc.start()
+    try:
+        corpus, labels = generate_corpus(spec)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 600 and {len(series) for series in corpus} == {1000}
+    assert peak <= 16.0, peak

@@ -23,9 +23,9 @@ from catseries import (
 )
 from catseries.inference import chi2_quantile
 from catseries.series import conditional_probabilities
-from catseries.simulate import FAMILIES
+from catseries.simulate import _LOCKSTEP_CHAINS, FAMILIES, _lockstep, _walk, generate_series
 
-from oracles import mc_sample, ndarma_sample
+from oracles import hmm_sample, mc_sample, ndarma_sample
 
 UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
 P3 = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
@@ -245,11 +245,36 @@ def test_non_finite_probabilities_are_rejected_by_law(build, message):
     (lambda: generate_mc(MarkovChainModel([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5]), 10, 1, Alphabet.of_size(3)),
      "alphabet size does not match the model's number of categories"),
     (lambda: CorpusSpec((), 10, 1), "corpus needs at least one group"),
+    (lambda: generate_mc(MarkovChainModel(P3, UNIFORM3), 2.5, 1), "length must be an integer, got 2.5"),
+    (lambda: generate_mc(MarkovChainModel(P3, UNIFORM3), True, 1), "length must be an integer, got True"),
+    (lambda: generate_mc(MarkovChainModel(P3, UNIFORM3), "5", 1), "length must be an integer, got '5'"),
+    (lambda: generate_mc(MarkovChainModel(P3, UNIFORM3), 5, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: generate_mc(MarkovChainModel(P3, UNIFORM3), 5, -1), "seed must be non-negative, got -1"),
+    (lambda: CorpusSpec(((MarkovChainModel(P3, UNIFORM3), 2),), 10, 1.5), "corpus seed must be an integer, got 1.5"),
+    (lambda: CorpusSpec(((MarkovChainModel(P3, UNIFORM3), 2),), 10, -2), "corpus seed must be non-negative, got -2"),
+    (lambda: CorpusSpec(((MarkovChainModel(P3, UNIFORM3), 2),), True, 1), "length must be an integer, got True"),
+    (lambda: CorpusSpec(((MarkovChainModel(P3, UNIFORM3), 1), (MarkovChainModel(P3, UNIFORM3), 2.5)), 10, 1),
+     "group 2 count must be an integer, got 2.5"),
+    (lambda: CorpusSpec(((MarkovChainModel(P3, UNIFORM3), False),), 10, 1), "group 1 count must be an integer, got False"),
+    (lambda: NdarmaModel(1.5, 0, [0.5, 0.5], [0.5, 0.5]), "p must be an integer, got 1.5"),
+    (lambda: NdarmaModel(1, True, [0.5, 0.5], [0.5, 0.5]), "q must be an integer, got True"),
+    (lambda: NdarmaModel(1, 0, [0.5, 0.5], [0.5, 0.5], burn_in=2.5), "burn_in must be an integer, got 2.5"),
 ])
 def test_model_and_corpus_shapes_are_rejected_by_name(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_models_and_specs_take_integral_floats_as_integers():
+    model = NdarmaModel(1.0, np.int64(0), [0.5, 0.5], UNIFORM3, burn_in=np.float64(3.0))
+    assert (model.p, model.q, model.burn_in) == (1, 0, 3) and type(model.burn_in) is int
+    spec = CorpusSpec(((model, 2.0),), 12.0, np.int64(5))
+    assert (spec.groups[0][1], spec.length, spec.seed) == (2, 12, 5)
+    assert spec.to_dict() == CorpusSpec(((model, 2),), 12, 5).to_dict()
+    corpus, labels = generate_corpus(spec)
+    assert labels == [1, 1]
+    assert np.array_equal(corpus[1].codes, generate_series(model, 12.0, 6.0).codes)
 
 
 ND_GROUP = {"family": "ndarma", "p": 1, "q": 0, "selection": [0.6, 0.4], "innovation": [0.2, 0.3, 0.5]}
@@ -364,3 +389,40 @@ def test_ndarma_degenerate_selections_match_sequential_oracle(p, q, selection):
 def test_mc_sample_matches_sequential_oracle(r, length, seed):
     rng = np.random.default_rng(seed)
     _same_draws(MarkovChainModel(_law(rng, r, r), _law(rng, r)), length, seed, mc_sample)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 2999), st.integers(0, 2**63))
+@settings(max_examples=100, deadline=None)
+def test_hmm_sample_matches_sequential_oracle(r, h, length, seed):
+    rng = np.random.default_rng(seed)
+    _same_draws(HiddenMarkovModel(_law(rng, h, h), _law(rng, r, h), _law(rng, h)), length, seed, hmm_sample)
+
+
+@given(st.integers(1, 6), st.lists(st.integers(1, 80), min_size=3, max_size=3), st.integers(1, 300),
+       st.integers(0, 2**63))
+@settings(max_examples=60, deadline=None)
+def test_a_group_walked_together_equals_its_chains_walked_alone(r, counts, length, seed):
+    """Either side of _LOCKSTEP_CHAINS, a corpus holds the series that
+    generate_series makes from each series' own seed, and _lockstep walks any
+    number of chains as _walk walks each, also when a uniform equals an entry
+    of a cumulative row.  An alphabet has two categories or more, so r
+    counts the states of the Markov and hidden chains."""
+    assert 1 < _LOCKSTEP_CHAINS <= 80  # the counts drawn fall on both sides
+    rng = np.random.default_rng(seed)
+    k = max(r, 2)
+    transition, initial = _law(rng, r, r), _law(rng, r)
+    models = (MarkovChainModel(_law(rng, k, k), _law(rng, k)),
+              HiddenMarkovModel(transition, _law(rng, k, r), initial),
+              NdarmaModel(1, 1, _law(rng, 3), _law(rng, k), int(rng.integers(0, 50))))
+    corpus, labels = generate_corpus(CorpusSpec(tuple(zip(models, counts)), length, seed))
+    assert labels == [1] * counts[0] + [2] * counts[1] + [3] * counts[2]
+    for i, (series, label) in enumerate(zip(corpus, labels)):
+        assert np.array_equal(series.codes, generate_series(models[label - 1], length, seed + i).codes)
+
+    us = rng.random((counts[1], length))
+    ties = rng.random(us.shape) < 0.2
+    us[ties] = rng.choice(np.cumsum(transition, axis=1)[:, :-1].ravel(), ties.sum()) if r > 1 else 0.0
+    walked = _lockstep(transition, initial, us)
+    assert walked.shape == us.shape and walked.flags.c_contiguous
+    for row, states in zip(us, walked):
+        assert np.array_equal(states, _walk(transition, initial, row))

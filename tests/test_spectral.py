@@ -126,6 +126,26 @@ def test_errors():
         spectral_envelope(constant_cat)
 
 
+@pytest.mark.parametrize("window, message", [
+    (0, "smoothing window must be a positive odd integer, got 0 with T=40"),
+    (-3, "smoothing window must be a positive odd integer, got -3 with T=40"),
+    (2.5, "smoothing window must be a positive odd integer, got 2.5 with T=40"),
+    (5.0, "smoothing window must be a positive odd integer, got 5.0 with T=40"),
+    (True, "smoothing window must be a positive odd integer, got True with T=40"),
+    (4, "smoothing window must be a positive odd integer, got 4 with T=40"),
+    (21, "smoothing window must be shorter than T/2, got 21 with T=40"),
+    (41, "smoothing window must be shorter than T/2, got 41 with T=40"),
+    (80, "smoothing window must be a positive odd integer, got 80 with T=40"),
+])
+def test_spectrum_and_envelope_reject_the_same_windows(window, message):
+    y = binarize(random_series(np.random.default_rng(8), r=3, T=40, require_all=True))[:, :-1]
+    for smooth in (lambda: smoothed_spectrum(y[:, 0], window), lambda: envelope_from_indicators(y, window)):
+        with pytest.raises(ValueError) as err:
+            smooth()
+        assert str(err.value) == message
+    assert smoothed_spectrum(y[:, 0], 19).shape == (20,)
+
+
 @pytest.mark.parametrize("c", [1e-7, 1e3])
 def test_rescaled_indicators_give_the_same_envelope(c):
     rng = np.random.default_rng(16)
