@@ -405,7 +405,7 @@ def test_a_group_walked_together_equals_its_chains_walked_alone(r, counts, lengt
     """Either side of _LOCKSTEP_CHAINS, a corpus holds the series that
     generate_series makes from each series' own seed, and _lockstep walks any
     number of chains as _walk walks each, also when a uniform equals an entry
-    of a cumulative row.  An alphabet has two categories or more, so r
+    of a cumulative row below 1.  An alphabet has two categories or more, so r
     counts the states of the Markov and hidden chains."""
     assert 1 < _LOCKSTEP_CHAINS <= 80  # the counts drawn fall on both sides
     rng = np.random.default_rng(seed)
@@ -421,7 +421,9 @@ def test_a_group_walked_together_equals_its_chains_walked_alone(r, counts, lengt
 
     us = rng.random((counts[1], length))
     ties = rng.random(us.shape) < 0.2
-    us[ties] = rng.choice(np.cumsum(transition, axis=1)[:, :-1].ravel(), ties.sum()) if r > 1 else 0.0
+    inner = np.cumsum(transition, axis=1)[:, :-1]
+    inner = inner[inner < 1.0]  # a row with a negligible last entry reaches 1.0 early; uniforms stay below
+    us[ties] = rng.choice(inner, ties.sum()) if inner.size else 0.0
     walked = _lockstep(transition, initial, us)
     assert walked.shape == us.shape and walked.flags.c_contiguous
     for row, states in zip(us, walked):
