@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inference import TEST_FAMILIES, TestReport
-from .series import CategoricalSeries, binarize, marginal_probabilities
+from .series import CategoricalSeries, _is_integer, binarize, marginal_probabilities
 
 __all__ = [
     "RateEvolution",
@@ -81,7 +81,7 @@ def _occurrences(series: CategoricalSeries, category) -> tuple[int, np.ndarray]:
     times at which it occurs; each two consecutive times bound one cycle."""
     if isinstance(category, str):
         code = series.alphabet.code(category)
-    elif isinstance(category, (int, np.integer)) and not isinstance(category, bool):
+    elif _is_integer(category):
         code = int(category)
     else:
         raise ValueError(f"category {category!r} is neither a label nor an integer code")

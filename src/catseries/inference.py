@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import cohens_kappa, cramers_v
-from .series import CategoricalSeries, lag_tables, marginal_probabilities
+from .series import CategoricalSeries, _is_integer, lag_tables, marginal_probabilities
 
 __all__ = [
     "TestReport",
@@ -100,6 +100,8 @@ def _lag_estimates(series: CategoricalSeries, max_lag: int, alpha: float, measur
     value at each lag."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not _is_integer(max_lag):
+        raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
     if max_lag < 1 or max_lag >= len(series):
         raise ValueError(f"max_lag must satisfy 1 <= max_lag < T, got {max_lag} with T={len(series)}")
     p = marginal_probabilities(series)

@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .mining import DistanceMatrix
-from .series import Alphabet, CategoricalSeries
+from .series import Alphabet, CategoricalSeries, _is_integer
 
 __all__ = [
     "Corpus",
@@ -244,7 +244,7 @@ def _check_field(kind: str, text: str, separators: str) -> None:
 
 
 def format_number(value, bitexact: bool = False) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if _is_integer(value):
         return str(value)
     x = float(value)
     if bitexact:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .association import MEASURE_FUNCTIONS
 from .dispersion import chebycheff_dispersion, entropy, gini_index
-from .series import CategoricalSeries, corpus_lag_tables
+from .series import CategoricalSeries, _is_integer, corpus_lag_tables
 
 __all__ = [
     "FeatureVector",
@@ -82,7 +82,7 @@ class DistanceMatrix:
         metrics = (*METRICS, "euclidean-on-features")
         if self.metric not in metrics:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")
-        if isinstance(self.max_lag, bool) or not isinstance(self.max_lag, (int, np.integer)) or self.max_lag < 0:
+        if not _is_integer(self.max_lag) or self.max_lag < 0:
             raise ValueError(f"max_lag must be a non-negative integer, got {self.max_lag!r}")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("distances must be finite and non-negative")
@@ -218,7 +218,7 @@ def distance_matrix(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {list(METRICS)}")
-    if isinstance(max_lag, bool) or not isinstance(max_lag, (int, np.integer)) or max_lag < 1:
+    if not _is_integer(max_lag) or max_lag < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
     if ids is not None and len(ids) != len(corpus):
         raise ValueError(f"{len(ids)} ids given for {len(corpus)} series")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .series import CategoricalSeries, binarize, marginal_probabilities
+from .series import CategoricalSeries, _is_integer, binarize, marginal_probabilities
 
 __all__ = [
     "DEFAULT_RHO_GRID",
@@ -37,11 +37,25 @@ def _checked_numeric(cat: CategoricalSeries, num) -> np.ndarray:
     return z
 
 
+def _levels(rho) -> np.ndarray:
+    """``rho`` as a 1-D float array of quantile levels; a level outside
+    (0, 1), NaN included, is rejected by value."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1 or rho.size == 0:
+        raise ValueError(f"rho grid must be a non-empty list of levels, got shape {rho.shape}")
+    outside = rho[~((rho > 0.0) & (rho < 1.0))]
+    if outside.size:
+        raise ValueError(f"rho grid must lie strictly inside (0, 1), got level {outside[0]}")
+    return rho
+
+
 def _correlations(cat: CategoricalSeries, rows: np.ndarray, lag: int, variance_factors) -> np.ma.MaskedArray:
     """Entry (i, k): cov(Y_{t,i}, rows[k]_{t-lag}) over the overlapping window,
     divided by sqrt(p_i (1 - p_i) f_1[k] f_2[k] ...), the rows f_j of
     ``variance_factors`` multiplied in order; categories with p_i 0 or 1 masked."""
     T = len(cat)
+    if not _is_integer(lag):
+        raise ValueError(f"lag must be an integer, got {lag!r}")
     if abs(lag) >= T:
         raise ValueError("lag exceeds series length")
     y = binarize(cat)
@@ -86,9 +100,7 @@ def mixed_quantile_cross_correlation(
     Returns a masked (r, len(rho_grid)) array, masked rows as above.
     """
     z = _checked_numeric(cat, num)
-    rho = DEFAULT_RHO_GRID if rho_grid is None else np.asarray(rho_grid, dtype=float)
-    if rho.ndim != 1 or rho.size == 0 or np.any(rho <= 0.0) or np.any(rho >= 1.0):
-        raise ValueError("rho grid must lie strictly inside (0, 1)")
+    rho = _levels(DEFAULT_RHO_GRID if rho_grid is None else rho_grid)
     exceed = (z <= np.quantile(z, rho)[:, None]).astype(float)
     return _correlations(cat, exceed, lag, [rho, 1.0 - rho])
 
@@ -110,7 +122,7 @@ def quantile_level_integral(values, rho) -> float:
     therefore integrates exactly.
     """
     f = np.asarray(values, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    rho = _levels(rho)
     if rho.size < 2:
         raise ValueError("rho grid needs at least two levels")
     if np.any(np.diff(rho) <= 0):

@@ -25,6 +25,18 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_lag(lag) -> None:
+    if not _is_integer(lag):
+        raise ValueError(f"lag must be an integer, got {lag!r}")
+    if lag < 0:
+        raise ValueError(f"lag must be non-negative, got {lag!r}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered collection of distinct category labels.
@@ -144,8 +156,7 @@ class LagTables:
         joint = np.asarray(self.joint, dtype=float)
         if p.ndim == 0 or joint.shape != p.shape + p.shape[-1:]:
             raise ValueError("joint table must be r x r")
-        if self.lag < 0:
-            raise ValueError(f"lag must be non-negative, got {self.lag!r}")
+        _check_lag(self.lag)
         if np.any(p < 0) or np.any(p > 1) or np.any(joint < 0) or np.any(joint > 1):
             raise ValueError("probabilities must lie in [0, 1]")
         if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(np.abs(joint.sum(axis=(-2, -1)) - 1.0) > 1e-9):
@@ -192,8 +203,7 @@ def corpus_lag_tables(corpus: Sequence[CategoricalSeries], lag: int) -> LagTable
     One ``np.bincount`` over ``series * r * r + current * r + past`` counts
     every pair; the pairs that straddle two series are then taken out again.
     """
-    if lag < 0:
-        raise ValueError(f"lag must be non-negative, got {lag!r}")
+    _check_lag(lag)
     if not corpus:
         raise ValueError("empty corpus")
     alphabet = corpus[0].alphabet

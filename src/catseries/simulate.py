@@ -8,10 +8,11 @@ platform.  The draw order is fixed and documented per family.
 Corpus generation derives the seed of series i as ``corpus seed + i``
 (counter mode), so corpora are reproducible and extensible.  It draws the
 same uniforms in the same order as one :func:`generate_series` per series,
-so the draw order and this contract hold for a corpus as for a series; the
-Markov chains of a group (or its hidden paths) are walked together, one
-numpy step per time step, once the group has :data:`_LOCKSTEP_CHAINS`
-chains, and NDARMA series are made one at a time.
+so the draw order and this contract hold for a corpus as for a series.
+Markov chains, hidden paths and emissions all look up the next state by a
+uniform's bin and the current state (:func:`_edge_moves`); a group of
+:data:`_LOCKSTEP_CHAINS` chains or more takes one numpy step per time
+step, and NDARMA series are made one at a time.
 
 Specs are plain frozen dataclasses with a JSON round-trip
 (:func:`corpus_spec_from_dict` / :meth:`CorpusSpec.to_dict`); coefficients
@@ -20,7 +21,6 @@ are always user-supplied.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -71,20 +71,6 @@ def _draw(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, us, side="right")
 
 
-def _walk(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """0-based states of a first-order chain, one uniform per step: the
-    first through ``initial``, then through the previous state's row.  Each
-    step needs the one before, so this is one ``bisect_right`` per step."""
-    us = us.tolist()
-    cum_rows = _cumulative_rows(transition).tolist()
-    state = bisect_right(_cumulative_rows(initial)[0].tolist(), us[0])
-    states = [state]
-    for u in us[1:]:
-        state = bisect_right(cum_rows[state], u)
-        states.append(state)
-    return np.array(states, dtype=np.int64)
-
-
 def _edge_moves(cum_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(edges, moves)`` with ``moves[b * len(cum_rows) + j]`` equal to
     ``bisect_right(cum_rows[j], u)`` for every uniform u whose bin
@@ -99,34 +85,38 @@ def _edge_moves(cum_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, moves.ravel()
 
 
-def _lockstep(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """0-based states of one chain per row of ``us``, each equal to
-    :func:`_walk` of that row.  All uniforms are binned at once; then each
-    time step moves every chain with one add and one gather."""
+# A group of at least this many chains takes one add and one gather per time
+# step, a smaller one a Python loop per chain.  At T=1000 and r from 2 to 20
+# (best of 15, 1 of 2 shared cores, numpy 2.4) the loop against lockstep took
+# 1.1-2.3 against 2.0-3.0 ms for 16 chains, 1.7-3.4 against 2.1-3.4 for 24 and
+# 2.2-4.8 against 2.2-4.3 for 32.  A lone T=50,000 chain: 4-8 ms against 90.
+_LOCKSTEP_CHAINS = 24
+
+
+def _walks(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """0-based states of one first-order chain per row of ``us``, one
+    uniform per step: the first through ``initial``, then through the
+    previous state's row.  All uniforms are binned at once, so a step is
+    one lookup ``moves[bin * r + state]``."""
     r = len(transition)
     edges, moves = _edge_moves(_cumulative_rows(transition))
     path = np.searchsorted(edges, us.T, side="right")  # (T, chains): bins, then states
     path *= r
     path[0] = _draw(_cumulative_rows(initial)[0], us[:, 0])
-    index = np.empty(len(us), dtype=np.intp)
-    for t in range(1, len(path)):
-        np.take(moves, np.add(path[t], path[t - 1], out=index), out=path[t], mode="clip")
-    return np.ascontiguousarray(path.T)
-
-
-# A group of at least this many chains is walked by _lockstep, a smaller one
-# by one _walk per chain.  At T=1000 and r from 2 to 20 (best of 7, one of 2
-# shared cores, numpy 2.4), 16 chains took 2.9-3.9 ms one by one against
-# 3.7-4.7 ms in lockstep, and 24 chains 4.4-5.8 against 3.7-4.3 ms.  A lone
-# T=50,000 chain takes 5 ms by _walk and 95 ms in lockstep.
-_LOCKSTEP_CHAINS = 24
-
-
-def _walks(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """0-based states of one chain per row of ``us``."""
     if len(us) >= _LOCKSTEP_CHAINS:
-        return _lockstep(transition, initial, us)
-    return np.array([_walk(transition, initial, row) for row in us])
+        index = np.empty(len(us), dtype=np.intp)
+        for t in range(1, len(path)):
+            np.take(moves, np.add(path[t], path[t - 1], out=index), out=path[t], mode="clip")
+    else:
+        moves = moves.tolist()
+        for chain in path.T:
+            state, *bins = chain.tolist()
+            states = [state]
+            for b in bins:
+                state = moves[b + state]
+                states.append(state)
+            chain[:] = states
+    return np.ascontiguousarray(path.T)
 
 
 def _uniforms(rngs, n: int) -> np.ndarray:

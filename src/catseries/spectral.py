@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CategoricalSeries, binarize
+from .series import CategoricalSeries, _is_integer, binarize
 
 __all__ = [
     "SpectralEnvelope",
@@ -76,7 +76,7 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
 
 def _check_window(window, T: int) -> None:
     """The smoothing span must be a positive odd integer below T/2."""
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window % 2 == 0 or window < 1:
+    if not _is_integer(window) or window % 2 == 0 or window < 1:
         raise ValueError(f"smoothing window must be a positive odd integer, got {window} with T={T}")
     if window >= T / 2:
         raise ValueError(f"smoothing window must be shorter than T/2, got {window} with T={T}")

@@ -713,34 +713,31 @@ def _uniform_list(rng, n):
     return (rng.integers(0, 1 << 53, size=n, dtype=np.int64) / float(1 << 53)).tolist()
 
 
+def walk(transition, initial, us):
+    """0-based states of a first-order chain, one uniform of the list ``us``
+    per step: inverse CDF by bisect over the initial law, then over the
+    previous state's row."""
+    rows = [_cumulative(row) for row in transition]
+    states = [bisect.bisect_right(_cumulative(initial), us[0])]
+    for u in us[1:]:
+        states.append(bisect.bisect_right(rows[states[-1]], u))
+    return states
+
+
 def mc_sample(model, length, rng):
-    """Codes of a MarkovChainModel: one uniform per step, inverse CDF by
-    bisect over the initial law, then over the previous state's row."""
+    """Codes of a MarkovChainModel: the :func:`walk` of one uniform per step."""
     import numpy as np
 
-    us = _uniform_list(rng, length)
-    rows = [_cumulative(row) for row in model.transition]
-    codes = np.empty(length, dtype=np.int64)
-    state = bisect.bisect_right(_cumulative(model.initial), us[0])
-    codes[0] = state + 1
-    for t in range(1, length):
-        state = bisect.bisect_right(rows[state], us[t])
-        codes[t] = state + 1
-    return codes
+    return np.array(walk(model.transition, model.initial, _uniform_list(rng, length)), dtype=np.int64) + 1
 
 
 def hmm_sample(model, length, rng):
-    """Codes of a HiddenMarkovModel: the whole hidden path first, one
-    uniform per step by bisect over the hidden initial law and then the
-    previous hidden state's row; then one uniform per step, by bisect over
-    the emission row of that step's hidden state."""
+    """Codes of a HiddenMarkovModel: the whole hidden path first, the
+    :func:`walk` of one uniform per step; then one uniform per step, by
+    bisect over the emission row of that step's hidden state."""
     import numpy as np
 
-    us = _uniform_list(rng, length)
-    rows = [_cumulative(row) for row in model.transition]
-    hidden = [bisect.bisect_right(_cumulative(model.initial), us[0])]
-    for t in range(1, length):
-        hidden.append(bisect.bisect_right(rows[hidden[-1]], us[t]))
+    hidden = walk(model.transition, model.initial, _uniform_list(rng, length))
     emission = [_cumulative(row) for row in model.emission]
     us = _uniform_list(rng, length)
     return np.array([bisect.bisect_right(emission[h], u) + 1 for h, u in zip(hidden, us)], dtype=np.int64)

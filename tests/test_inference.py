@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catseries import Alphabet, CategoricalSeries, cohens_kappa_test, cramers_v_test, holm_adjust
+from catseries import Alphabet, CategoricalSeries, cohens_kappa_test, cramers_v_test, dependence_plot_data, holm_adjust
 from catseries.inference import (
     chi2_quantile,
     chi2_upper_tail,
@@ -124,6 +124,19 @@ def test_test_argument_validation():
         cohens_kappa_test(constant, 5, 0.05)
     with pytest.raises(ValueError, match="measure undefined for one-point marginal"):
         kappa_null_variance([1.0, 0.0])
+
+
+@pytest.mark.parametrize("max_lag", [2.5, True, np.float64(3.0), 3.0, "3"])
+@pytest.mark.parametrize("run", [
+    cramers_v_test,
+    cohens_kappa_test,
+    lambda series, max_lag: dependence_plot_data(series, "cohens_kappa", max_lag),
+], ids=["cramers_v_test", "cohens_kappa_test", "dependence_plot_data"])
+def test_max_lag_must_be_an_integer(run, max_lag):
+    """A fraction used to test the lags up to its ceiling, and True lag 1."""
+    with pytest.raises(ValueError) as err:
+        run(balanced_series(), max_lag)
+    assert str(err.value) == f"max_lag must be a positive integer, got {max_lag!r}"
 
 
 def test_holm_worked_example():

@@ -92,6 +92,32 @@ def test_bad_mixed_input_is_named(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("lag", [1.5, np.float64(1.0), True])
+def test_mixed_lags_must_be_integers(lag):
+    for build in (mixed_cross_correlation, mixed_quantile_cross_correlation, total_mixed_cor, total_mixed_qcor):
+        with pytest.raises(ValueError) as err:
+            build(_CAT, _NUM, lag)
+        assert str(err.value) == f"lag must be an integer, got {lag!r}"
+
+
+@pytest.mark.parametrize("grid, level", [
+    ([0.1, 1.5], "1.5"), ([0.1, float("nan")], "nan"), ([-0.2, 0.5], "-0.2"),
+    ([0.2, float("inf")], "inf"), ([0.0, 0.5], "0.0"), ([0.5, 1.0], "1.0"),
+])
+def test_quantile_levels_lie_inside_the_unit_interval(grid, level):
+    """[0.1, 1.5] used to integrate with a negative end weight and a NaN
+    level to give NaN or numpy's own quantile error."""
+    message = f"rho grid must lie strictly inside (0, 1), got level {level}"
+    for build in (lambda: quantile_level_integral([1.0, 2.0], grid),
+                  lambda: mixed_quantile_cross_correlation(_CAT, _NUM, 0, grid),
+                  lambda: total_mixed_qcor(_CAT, _NUM, 0, grid)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match=r"rho grid must be a non-empty list of levels, got shape \(0,\)"):
+        mixed_quantile_cross_correlation(_CAT, _NUM, 0, [])
+
+
 def test_rho_grid_validation():
     cat = CategoricalSeries(np.array([1, 2, 1, 2]), Alphabet.of_size(2))
     num = [0.1, 0.9, 0.2, 0.8]

@@ -89,6 +89,18 @@ def test_lag_zero_is_diagonal():
     assert np.allclose(t.joint, np.diag(marginal_probabilities(series)))
 
 
+@pytest.mark.parametrize("lag", [1.5, np.float64(1.0), True, 1.0])
+def test_lags_must_be_integers(s1, lag):
+    """A fraction used to fail as a slice TypeError, True to count lag 1
+    and from_probabilities to build tables with T = lag + 1 = 2.5."""
+    for build in (lambda: lag_tables(s1, lag), lambda: corpus_lag_tables([s1, s1], lag),
+                  lambda: LagTables.from_probabilities([0.5, 0.5], np.full((2, 2), 0.25), lag=lag),
+                  lambda: LagTables(lag, 6, [0.5, 0.5], np.full((2, 2), 0.25))):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"lag must be an integer, got {lag!r}"
+
+
 def test_lag_table_errors(s1):
     with pytest.raises(ValueError, match="lag exceeds series length"):
         lag_tables(s1, 5)

@@ -23,9 +23,9 @@ from catseries import (
 )
 from catseries.inference import chi2_quantile
 from catseries.series import conditional_probabilities
-from catseries.simulate import _LOCKSTEP_CHAINS, FAMILIES, _lockstep, _walk, generate_series
+from catseries.simulate import _LOCKSTEP_CHAINS, FAMILIES, _walks, generate_series
 
-from oracles import hmm_sample, mc_sample, ndarma_sample
+from oracles import hmm_sample, mc_sample, ndarma_sample, walk
 
 UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
 P3 = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
@@ -403,10 +403,11 @@ def test_hmm_sample_matches_sequential_oracle(r, h, length, seed):
 @settings(max_examples=60, deadline=None)
 def test_a_group_walked_together_equals_its_chains_walked_alone(r, counts, length, seed):
     """Either side of _LOCKSTEP_CHAINS, a corpus holds the series that
-    generate_series makes from each series' own seed, and _lockstep walks any
-    number of chains as _walk walks each, also when a uniform equals an entry
-    of a cumulative row below 1.  An alphabet has two categories or more, so r
-    counts the states of the Markov and hidden chains."""
+    generate_series makes from each series' own seed, and _walks walks each
+    row of uniforms as the oracle's bisect walk does, also when a uniform
+    equals an entry of a cumulative row below 1.  An alphabet has two
+    categories or more, so r counts the states of the Markov and hidden
+    chains."""
     assert 1 < _LOCKSTEP_CHAINS <= 80  # the counts drawn fall on both sides
     rng = np.random.default_rng(seed)
     k = max(r, 2)
@@ -424,7 +425,7 @@ def test_a_group_walked_together_equals_its_chains_walked_alone(r, counts, lengt
     inner = np.cumsum(transition, axis=1)[:, :-1]
     inner = inner[inner < 1.0]  # a row with a negligible last entry reaches 1.0 early; uniforms stay below
     us[ties] = rng.choice(inner, ties.sum()) if inner.size else 0.0
-    walked = _lockstep(transition, initial, us)
+    walked = _walks(transition, initial, us)
     assert walked.shape == us.shape and walked.flags.c_contiguous
     for row, states in zip(us, walked):
-        assert np.array_equal(states, _walk(transition, initial, row))
+        assert states.tolist() == walk(transition, initial, row.tolist())
