@@ -104,13 +104,62 @@ def cycle_lengths(series: CategoricalSeries, category) -> tuple[list[CycleRecord
     return records, PatternHistogram(code, series.alphabet.label(code), histogram, positions.size)
 
 
-def _recursion(inputs: np.ndarray, start: np.ndarray, step) -> np.ndarray:
-    """Path of ``prev = step(prev, x)`` down each column of ``inputs`` from
-    ``start[j]``, same shape as ``inputs``.  One C-driven
-    :func:`itertools.accumulate` per column over Python floats does the same
-    IEEE operations in the same order as a per-step numpy loop."""
+def _warm_steps(scale: float) -> int:
+    """Steps a span of :func:`_recursion` walks from its guessed start before
+    its first row: twice the steps after which ``scale ** n`` falls below
+    2**-64, plus 32."""
+    return 2 * math.ceil(64 * math.log(2) / -math.log(scale)) + 32
+
+
+def _walk(inputs: np.ndarray, start: np.ndarray, scale: float) -> np.ndarray:
+    """Path of ``prev = scale * prev + x`` down each column, one C-driven
+    :func:`itertools.accumulate` per column over Python floats."""
     columns = zip(inputs.T.tolist(), start.tolist())
-    return np.column_stack([list(accumulate(col, step, initial=s))[1:] for col, s in columns])
+    return np.column_stack([list(accumulate(col, lambda p, x: scale * p + x, initial=s))[1:] for col, s in columns])
+
+
+def _recursion(inputs: np.ndarray, start: np.ndarray, scale: float) -> np.ndarray:
+    """Path of ``prev = scale * prev + x`` down each column of ``inputs``
+    (T, m) from ``start[j]``, as a fresh (T, m) array with the same bits as
+    the per-step loop.
+
+    A long path is cut into spans of ``span`` rows.  Every span but the
+    first starts from the guess ``start`` ``warm`` rows before its first
+    row; the first starts at row 0 from the true ``start``.  All spans walk
+    together, one multiply and one add per step over a (spans, m) array.
+    Then, in order, each span's guessed state at its entry is compared, bit
+    for bit, with the state the span before it ends on; a span whose bits
+    differ is walked again from that state, one step at a time.  Each step
+    is the same IEEE multiply and add as in the per-step loop, so a span
+    that enters on the true bits yields the true bits, and by induction
+    over the spans the whole path is exact.  The warm-up only makes a
+    mismatch rare.  A short path, or a ``scale`` so close to 1 that the
+    warm-up is long, is walked one step at a time throughout.
+    """
+    T = inputs.shape[0]
+    warm = _warm_steps(scale)
+    span = max(warm, 512)
+    if T < 4 * (warm + span):
+        return _walk(inputs, start, scale)
+    spans = -(-T // span)
+    # the warm-up of spans 1.. ends on their guessed entries: span i reads
+    # row (i - 1) * span + j at step j
+    guessed = np.tile(start, (spans - 1, 1))
+    for j in range(span - warm, span):
+        np.multiply(guessed, scale, out=guessed)
+        np.add(guessed, inputs[j:(spans - 1) * span:span], out=guessed)
+    path = np.empty(inputs.shape)
+    prev = np.vstack([start, guessed])
+    for j in range(span):
+        row = path[j::span]  # step j of every span that reaches it
+        np.multiply(prev[:row.shape[0]], scale, out=row)
+        np.add(row, inputs[j::span], out=row)
+        prev = row
+    for i in range(1, spans):
+        entry = path[i * span - 1]
+        if not np.array_equal(guessed[i - 1].view(np.uint64), entry.view(np.uint64)):
+            path[i * span:(i + 1) * span] = _walk(inputs[i * span:(i + 1) * span], entry, scale)
+    return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +193,15 @@ def ifs_circle_transform(
         raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not math.isfinite(2.0 * beta / (1.0 - alpha)):
+        raise ValueError(f"alpha={alpha} and beta={beta} give the points' bound beta / (1 - alpha) "
+                         f"= {beta / (1.0 - alpha)}, whose span 2 beta / (1 - alpha) is not finite")
     start = np.asarray(f0, dtype=float)
     if start.shape != (2,) or not np.all(np.isfinite(start)):
         raise ValueError("f0 must be a finite 2-D point")
     targets = circle_corners(series.alphabet.size)[series.codes - 1]
-    points = _recursion(targets, start, lambda p, x: alpha * p + beta * x)
+    # beta * x is formed once in numpy, with the same rounding as per step
+    points = _recursion(beta * targets, start, alpha)
     return FractalSeries(points, alpha, beta, (float(f0[0]), float(f0[1])))
 
 
@@ -284,11 +337,14 @@ def ewma_marginal_chart(
 
     T = len(series)
     # (1 - lam) * Y_t is formed once in numpy, with the same rounding as per step
-    pi = _recursion((1.0 - lam) * binarize(series), c, lambda p, u: lam * p + u)
+    pi = _recursion((1.0 - lam) * binarize(series), c, lam)
 
     t_idx = np.arange(1, T + 1)[:, None]
     sigma = np.sqrt(c * (1.0 - c) * (1.0 - lam) * (1.0 - lam ** (2 * t_idx)) / (1.0 + lam))
-    stats = (pi - c) / (k * sigma)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        stats = (pi - c) / (k * sigma)
+    if not np.all(np.isfinite(stats)):
+        raise ValueError(f"k={k} makes the standardized statistics (pi - c) / (k * sigma) non-finite")
 
     labels = series.alphabet.symbols
     if collapse:

@@ -240,8 +240,11 @@ def _ifs_plot(data: FractalSeries, title, window=None) -> str:
         x0, x1, y0, y1 = -lim, lim, -lim, lim
     frame = _Frame(x0, x1, y0, y1)
     body = frame.axes("x", "y")
-    circle = _el("circle", cx="{}", cy="{}", r="1.6", fill=_PALETTE[0], fill_opacity="0.7")
+    # the marks inherit their fill from one group; each is still painted on its own
+    circle = _el("circle", cx="{}", cy="{}", r="1.6")
+    body.append(f'<g fill="{_PALETTE[0]}" fill-opacity="0.7">')
     body.extend(frame.marks(circle, pts[:, 0], pts[:, 1]))
+    body.append("</g>")
     note = f"alpha={_label(data.alpha)} beta={_label(data.beta)} points={pts.shape[0]}"
     body.append(_el("text", _esc(note), x=_num(frame.px0), y=_num(HEIGHT - 26), text_anchor="start"))
     return _document(body, title or "IFS circle transformation")

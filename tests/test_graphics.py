@@ -1,6 +1,9 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,12 +17,18 @@ from catseries import (
     ifs_circle_transform,
     rate_evolution,
 )
+from catseries import graphics
 from catseries.graphics import circle_corners, geometric_quantile, standardized_statistics
 from catseries.series import binarize
 
 from conftest import random_series, series_with_every_category
 
 unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bits (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_rate_evolution_s1(s1):
@@ -333,7 +342,7 @@ def test_ewma_validation():
 def test_ifs_is_bit_identical_to_the_per_step_oracle(series, alpha, beta, f0):
     targets = circle_corners(series.alphabet.size)[series.codes - 1]
     out = ifs_circle_transform(series, alpha, beta, f0)
-    assert np.array_equal(out.points, oracles.ifs_points(targets, alpha, beta, f0))
+    assert same_bits(out.points, oracles.ifs_points(targets, alpha, beta, f0))
 
 
 @given(series_with_every_category(), unit_open, st.data())
@@ -343,7 +352,7 @@ def test_ewma_path_is_bit_identical_to_the_per_step_oracle(series, lam, data):
     weights = data.draw(st.none() | st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r), label="weights")
     c = None if weights is None else np.asarray(weights) / sum(weights)
     chart = ewma_marginal_chart(series, lam, c, 3.0)
-    assert np.array_equal(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))
+    assert same_bits(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))
 
 
 @pytest.mark.parametrize("lam", [5e-324, 1e-12, 2.0**-30, 0.5, 0.9, 1.0 - 2.0**-30, 1.0 - 2.0**-53])
@@ -354,4 +363,63 @@ def test_ewma_path_equals_the_per_step_form_for_lambda_near_0_and_1(lam):
     rng = np.random.default_rng(22)
     series = random_series(rng, r=4, T=500, require_all=True)
     chart = ewma_marginal_chart(series, lam, None, 3.0)
-    assert np.array_equal(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))
+    assert same_bits(chart.ewma_path, oracles.ewma_path(binarize(series), lam, chart.in_control))
+
+
+def _long_paths(seed, r, T, scale, f0):
+    """EWMA and IFS paths of a random series against the per-step oracles."""
+    series = random_series(np.random.default_rng(seed), r=r, T=T, require_all=True)
+    chart = ewma_marginal_chart(series, scale, None, 3.0)
+    targets = circle_corners(r)[series.codes - 1]
+    fractal = ifs_circle_transform(series, scale, 0.7, f0)
+    return [(chart.ewma_path, oracles.ewma_path(binarize(series), scale, chart.in_control)),
+            (fractal.points, oracles.ifs_points(targets, scale, 0.7, f0))]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(3_000, 20_000), st.floats(0.05, 0.97),
+       st.tuples(st.floats(-10, 10), st.floats(-10, 10)))
+@example(7, 4, 20_000, 0.05, (-0.0, 0.0))
+@example(8, 3, 12_000, 0.9, (10.0, -10.0))
+@settings(max_examples=20, deadline=None)
+def test_span_walk_is_bit_identical_to_the_per_step_oracles(seed, r, T, scale, f0):
+    # lengths and scales on both sides of the span rule: short paths or
+    # scales near 1 take the step-by-step walk, the rest walk in spans
+    for path, expected in _long_paths(seed, r, T, scale, f0):
+        assert path.flags.owndata and same_bits(path, expected)
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.5, 0.9])
+def test_spans_walked_again_keep_the_bits(scale):
+    # a one-step warm-up leaves most spans' guessed entries off the true
+    # state, so they are walked again from it
+    with mock.patch("catseries.graphics._warm_steps", lambda scale: 1), \
+            mock.patch("catseries.graphics._walk", wraps=graphics._walk) as walk:
+        pairs = _long_paths(23, 4, 5_000, scale, (3.0, -2.0))
+    assert walk.call_count > 2
+    for path, expected in pairs:
+        assert same_bits(path, expected)
+
+
+def test_warm_up_rule():
+    assert graphics._warm_steps(0.5) == 2 * 64 + 32
+    assert graphics._warm_steps(0.9) == 2 * 422 + 32
+    assert graphics._warm_steps(1.0 - 2.0**-53) > 10**17  # walked step by step at any length
+
+
+def test_parameters_that_overflow_the_chart_data_are_rejected():
+    series = CategoricalSeries(np.array([1, 2, 3, 1, 2]), Alphabet.of_size(3))
+    for alpha, beta in ((0.5, 1e308), (0.1, 1.5e308)):
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha} and beta={beta} give the points' bound "
+                                                       "beta / (1 - alpha)")):
+            ifs_circle_transform(series, alpha, beta)
+    assert np.isfinite(ifs_circle_transform(series, 0.1, 8e307).points).all()
+    with pytest.raises(ValueError, match=r"k=5e-324 makes the standardized statistics .* non-finite"):
+        ewma_marginal_chart(series, 0.9, None, 5e-324)
+
+
+def test_span_entries_are_compared_by_bits():
+    # only the first input is +0.0, so the true path is +0.0 throughout, while
+    # every span's guessed entry stays -0.0, which == cannot tell from +0.0
+    inputs = np.full((5_000, 1), -0.0)
+    inputs[0] = 0.0
+    assert same_bits(graphics._recursion(inputs, np.array([-0.0]), 0.5), np.zeros((5_000, 1)))
