@@ -277,9 +277,6 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "ewma-chart"], ["--k", "nan"], "k must be positive and finite, got nan"),
     (["plot", "ifs"], ["--alpha", "0.5", "--beta", "nan"], "beta must be positive and finite, got nan"),
     (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--f0", "nan", "0"], "f0 must be a finite 2-D point"),
-    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "1e308"],
-     "alpha=0.5 and beta=1e+308 give the points' bound beta / (1 - alpha) = inf"),
-    (["plot", "ewma-chart"], ["--k", "5e-324"], "k=5e-324 makes the standardized statistics"),
     (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", "nan,1,0,1"],
      "--window expects finite x0,x1,y0,y1, got 'nan,1,0,1'"),
     (["features"], ["--measures", "gini", "--lags", "1,,2"],
@@ -303,6 +300,9 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["features"], ["--measures", " , "], "no measures selected"),
     (["plot", "cycle-chart"], ["--category", "9"], "unknown symbol '9'; not in alphabet ('1', '2', '3')"),
     (["plot", "cycle-chart"], ["--category", "1", "--p", "1"], "in-control probability must lie in (0, 1)"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "1e308"],
+     "alpha=0.5 and beta=1e+308 give the points' bound beta / (1 - alpha) = inf"),
+    (["plot", "ewma-chart"], ["--k", "5e-324"], "k=5e-324 makes the standardized statistics"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
