@@ -339,10 +339,14 @@ def ewma_marginal_chart(
     # (1 - lam) * Y_t is formed once in numpy, with the same rounding as per step
     pi = _recursion((1.0 - lam) * binarize(series), c, lam)
 
-    t_idx = np.arange(1, T + 1)[:, None]
-    sigma = np.sqrt(c * (1.0 - c) * (1.0 - lam) * (1.0 - lam ** (2 * t_idx)) / (1.0 + lam))
+    # lam ** (2t) is exactly 0 for every t > cut (below 2**-1076): those rows share the factor 1.0 = 1 - 0
+    cut = min(T, math.ceil(1076 / (-2 * math.log2(lam))))
+    factor = np.append(1.0 - lam ** (2 * np.arange(1, cut + 1)), 1.0)[:, None]
+    scale = k * np.sqrt(c * (1.0 - c) * (1.0 - lam) * factor / (1.0 + lam))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stats = (pi - c) / (k * sigma)
+        stats = pi - c
+        stats[:cut] /= scale[:cut]
+        stats[cut:] /= scale[cut]
     if not np.all(np.isfinite(stats)):
         raise ValueError(f"k={k} makes the standardized statistics (pi - c) / (k * sigma) non-finite")
 

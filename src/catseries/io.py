@@ -22,32 +22,27 @@ between being ``,``.  Any other body or file, FASTA and an inferred alphabet
 go through :func:`_read_text`, which splits text lines as
 ``str.splitlines`` does and names the line and position of a bad symbol.
 
-Numbers become text in numpy kernels.  :func:`_digit_text` writes a call's
-integers from one row template, which gives every number a sign byte and
-one width of 4-digit groups, the widest the call needs: every row's copy
-is filled from a table of "0000" to "9999" and the unused bytes dropped.
-It also writes the ``"{:.2f}"`` text of SVG coordinates (:func:`_fixed_text`)
-once :func:`_hundredths` has rounded each float to hundredths exactly in
-uint64; a call holding a non-finite value or one of magnitude 2**40 or
-more is formatted by Python instead.  :func:`write_table_csv` writes every
-CSV table (features, distances, coordinates and plot tables),
-``_BLOCK_CELLS`` cells at a time: a 2-D array is a block of adjacent number
-columns, cut by rows only, and each run of adjacent integer or float
-columns becomes text with one kernel call.  Decimal floats map
-``"{:.10g}".format`` over a row; ``bitexact`` text comes from
-:func:`_hex_text`, which builds each cell in four uint64 lanes (sign,
-``0x`` and lead digit; two lanes of mantissa nibbles made ASCII several
-bytes at once; ``p±exp`` and the separator, from a table indexed by sign,
-biased exponent and a zero mantissa) and keeps the bytes ``float.hex``
-writes.  Only text fields (ids, class labels and headers) go through
-:mod:`csv` quoting.  :func:`read_distance_csv` splits a line without a
-quote and within csv's field limit once, at the id's comma, and reads any
-other row with strict :mod:`csv`.  A block of quote-free rows whose cells
-are all canonical hex (``0x1.`` with 13 lowercase digits and a normal
-exponent, or ``0x0.0p+0``, either signed) is parsed in numpy, any other
-block row by row by ``float``/``float.fromhex``, which read the same values
-and name a bad cell; :class:`~catseries.mining.DistanceMatrix` checks
-the values (and names ids ``series_1`` .. ``series_n`` when none are given).
+Numbers and text cells become CSV bytes a block of rows at a time.  Every
+kernel gives a NUL-padded (rows, bytes) uint8 matrix and a bool mask of the
+bytes each row keeps.  :func:`_digit_text` writes integers, and the
+``"{:.2f}"`` SVG coordinates of :func:`_fixed_text`, from one row template
+filled from a table of "0000" to "9999"; :func:`_hex_text` builds each
+``bitexact`` cell in four uint64 lanes; decimal (``"%.10g"``) and text
+cells (ids and class labels, quoted as :mod:`csv` quotes them) are joined
+and encoded once and scattered into the matrix by their byte lengths.
+:func:`write_table_csv` writes every CSV table (features, distances,
+coordinates and plot tables) ``_BLOCK_CELLS`` cells at a time: a 2-D array
+is a block of adjacent number columns, cut by rows only; each run of
+adjacent integer, float or text columns becomes one matrix, and the runs'
+matrices and masks are set side by side and compressed into the file once
+per block.  :func:`read_distance_csv` splits a line without a quote and
+within csv's field limit once, at the id's comma, and reads any other row
+with strict :mod:`csv`.  A block of quote-free rows whose cells are all
+canonical hex (``0x1.`` with 13 lowercase digits and a normal exponent, or
+``0x0.0p+0``, either signed) is parsed in numpy, any other block row by row
+by ``float``/``float.fromhex``, which read the same values and name a bad
+cell; :class:`~catseries.mining.DistanceMatrix` checks the values (and
+names ids ``series_1`` .. ``series_n`` when none are given).
 Every value is written with the same text as :func:`format_number` gives.
 """
 
@@ -255,21 +250,36 @@ def format_number(value, bitexact: bool = False) -> str:
 def format_numbers(values, bitexact: bool = False) -> list[str]:
     """The text of every value of a 1-D array-like, as :func:`format_number`
     writes it; the array's dtype, not each value, picks integer or float."""
-    return _number_text([np.asarray(values)], bitexact).splitlines()
+    values = np.asarray(values)
+    text, keep = _run_text(values.dtype.kind in "iu", [values], bitexact, b"\n")
+    return text[keep].tobytes().decode().splitlines()
 
 
-def _number_text(columns, bitexact: bool) -> str:
-    """``",".join(format_numbers(row, bitexact)) + "\n"`` for every row of
-    numeric columns, 1-D or 2-D blocks of adjacent columns, that are all of
-    integer dtype or all not.  Integers and ``bitexact`` floats come from
-    the numpy kernels :func:`_integer_text` and :func:`_hex_text`."""
-    if columns[0].dtype.kind in "iu":
-        return _integer_text(columns)
-    block = np.column_stack(columns)
-    if bitexact:
-        return _hex_text(block)
-    row = ",".join(["{:.10g}"] * block.shape[1]) + "\n"
-    return "".join(map(row.format, *block.T.tolist()))
+def _run_text(kind, columns, bitexact: bool, end: bytes, alone: bool = False):
+    """The matrix and mask of ``",".join(cells) + end`` for every row of a
+    run of columns of one ``kind`` (:func:`_column_kind`): numbers, 1-D or
+    2-D, as :func:`format_number` writes them, or text, as :func:`_csv_cell`
+    quotes it (``""`` if empty and ``alone`` in its row).  Text and decimal
+    cells are joined, encoded and cut into rows by their byte lengths."""
+    if kind:
+        return _integer_text(columns, end)
+    if kind is None:
+        quote = functools.cache(lambda text: (_csv_cell(text) or ('""' if alone else "")).encode())
+        cells = list(chain.from_iterable(zip(*(map(quote, column) for column in columns))))
+        data = b",".join(cells + [b""])  # every cell followed by ","
+        sizes = (np.fromiter(map(len, cells), np.intp) + 1).reshape(-1, len(columns)).sum(axis=1)
+    else:
+        block = np.column_stack(columns)
+        if bitexact:
+            return _hex_text(block, end)
+        # "%.10g" % x is "{:.10g}".format(x), which never holds the "\n" that ends a row
+        data = (b",".join([b"%.10g"] * block.shape[1]) + b"\n") * len(block) % tuple(block.ravel().tolist())
+        sizes = np.diff(np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")), prepend=-1)
+    keep = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    text = np.zeros(keep.shape, np.uint8)
+    text[keep] = np.frombuffer(data, np.uint8)
+    text[np.arange(len(sizes)), sizes - 1] = ord(end)
+    return text, keep
 
 
 _BLOCK_CELLS = 8192  # cells made into text or parsed at a time; bounds the memory held
@@ -284,16 +294,16 @@ def _digit_lanes():
     return digits.astype(np.uint8).view("<u4").ravel()
 
 
-def _digit_text(parts: list[bytes], magnitudes, negatives, point: bool) -> bytes:
-    """For every row of the (rows, numbers) arrays: ``parts[0]``, number 0,
-    ``parts[1]``, ..., ``parts[-1]``, where number k is "-" if
-    ``negatives[:, k]`` is set, then the digits of the uint64
+def _digit_text(parts: list[bytes], magnitudes, negatives, point: bool):
+    """The matrix and mask of, for every row of the (rows, numbers) arrays:
+    ``parts[0]``, number 0, ``parts[1]``, ..., ``parts[-1]``, where number k
+    is "-" if ``negatives[:, k]`` is set, then the digits of the uint64
     ``magnitudes[:, k]`` without leading zeros, the last two after a "."
     (and at least "0.dd") when ``point``.  A row's byte template gives each
     number a slot: the part before it, NUL-padded to the longest part, a
     sign byte and as many groups of four digits as the largest magnitude
-    needs.  Every row's copy is filled from :func:`_digit_lanes` at once,
-    unused bytes are zeroed and every NUL is dropped: no part may hold one."""
+    needs.  Every row's copy is filled from :func:`_digit_lanes` at once and
+    unused bytes are zeroed; the mask drops every NUL: no part may hold one."""
     rows = len(magnitudes)
     width = -(-len(str(int(magnitudes.max(initial=0)))) // 4) * 4
     lengths = np.array(list(map(len, parts[:-1])))
@@ -315,17 +325,16 @@ def _digit_text(parts: list[bytes], magnitudes, negatives, point: bool) -> bytes
     split = width - 2 * point  # digits before the "."
     numbers[..., 1:split + 1] = digits[..., :split]
     numbers[..., split + 1 + point:] = digits[..., split:]
-    return text[text != 0].tobytes()
+    return text, text != 0
 
 
-def _integer_text(columns) -> str:
-    """``",".join(map(str, row)) + "\n"`` for every row of integer columns,
-    1-D or 2-D blocks of adjacent columns, each of its own dtype."""
+def _integer_text(columns, end: bytes):
+    """The matrix and mask of ``",".join(map(str, row)) + end`` for every row
+    of integer columns, 1-D or 2-D blocks, each of its own dtype."""
     values = np.column_stack([column.astype(np.uint64) for column in columns])
     negatives = np.column_stack([column < 0 for column in columns])
     magnitudes = np.where(negatives, -values, values)  # negated in uint64: right for -2**63 too
-    parts = [b""] + [b","] * (values.shape[1] - 1) + [b"\n"]
-    return _digit_text(parts, magnitudes, negatives, point=False).decode("ascii")
+    return _digit_text([b""] + [b","] * (values.shape[1] - 1) + [end], magnitudes, negatives, point=False)
 
 
 def _hundredths(bits):
@@ -356,8 +365,8 @@ def _fixed_text(template: str, columns, sep: str) -> str:
     if not np.all(bits >> 52 & 0x7FF < 1023 + 40):
         fill = template.replace("{}", "{:.2f}").format
         return sep.join(map(fill, *bits.view(np.float64).T.tolist()))
-    text = _digit_text((template + sep).encode().split(b"{}"), *_hundredths(bits), point=True)
-    return text.decode().removesuffix(sep)  # every row ends in ``sep``
+    text, keep = _digit_text((template + sep).encode().split(b"{}"), *_hundredths(bits), point=True)
+    return text[keep].tobytes().decode().removesuffix(sep)  # every row ends in ``sep``
 
 
 _KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1
@@ -387,13 +396,11 @@ def _hex_lanes():
     return head, tail | ord(",") << shift, tail | ord("\n") << shift, keep
 
 
-def _hex_text(block) -> str:
-    """``",".join(map(float.hex, row)) + "\n"`` for every row of a 2-D
-    block, each cell built in four uint64 lanes whose kept bytes are its
-    text."""
+def _hex_text(block, end: bytes):
+    """The matrix and mask of ``",".join(map(float.hex, row)) + end``, end
+    "," or "\n", for every row of a 2-D block of at least one column: each
+    cell is built in four uint64 lanes whose kept bytes are its text."""
     bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
-    if bits.shape[1] == 0:
-        return "\n" * len(bits)
     head, comma, newline, keep = _hex_lanes()
     mantissa = bits & 0xFFFFFFFFFFFFF
     index = bits >> 52 << 1 | (mantissa != 0)
@@ -407,8 +414,9 @@ def _hex_text(block) -> str:
     lanes[..., 0] = head.take(index)
     lanes[..., 1:3] = _hex_ascii(digits).byteswap(inplace=True)
     lanes[..., 3] = comma.take(index)
-    lanes[:, -1, 3] = newline.take(index[:, -1])
-    return lanes.view(np.uint8)[keep.take(index, axis=0).view(bool)].tobytes().decode("ascii")
+    lanes[:, -1, 3] = (comma if end == b"," else newline).take(index[:, -1])
+    shape = (len(bits), 32 * bits.shape[1])
+    return lanes.view(np.uint8).reshape(shape), keep.take(index, axis=0).view(bool).reshape(shape)
 
 
 class _Echo:
@@ -623,19 +631,16 @@ def write_table_csv(path, header, columns, bitexact: bool = False) -> None:
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns {_first(header)} have different lengths {_first(lengths)}")
     runs = [(kind, list(run)) for kind, run in groupby(compress(columns, widths), _column_kind)]
+    ends = [b","] * (len(runs) - 1) + [b"\n"]
     step = max(1, _BLOCK_CELLS // max(1, len(header)))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_csv_row(header))
+    with open(path, "wb") as handle:
+        handle.write(_csv_row(header).encode())
         for start in range(0, lengths[0] if runs else 0, step):
-            blocks = [(kind, [column[start:start + step] for column in run]) for kind, run in runs]
-            if len(blocks) == 1 and blocks[0][0] is not None:
-                handle.write(_number_text(blocks[0][1], bitexact))
-                continue
-            rows = [list(map(",".join, zip(*map(_csv_cells, block)))) if kind is None
-                    else _number_text(block, bitexact).splitlines() for kind, block in blocks]
-            if len(header) == 1:  # an empty cell alone in its row is '""', as csv.writer writes it
-                rows = [[cell or '""' for cell in rows[0]]]  # an empty line would read as no row
-            handle.write("\n".join(map(",".join, zip(*rows))) + "\n")
+            # an empty cell alone in its row is '""', as csv.writer writes it: an empty line would read as no row
+            blocks = [_run_text(kind, [column[start:start + step] for column in run], bitexact, end, len(header) == 1)
+                      for (kind, run), end in zip(runs, ends)]
+            text, keep = blocks[0] if len(blocks) == 1 else (np.concatenate(parts, axis=1) for parts in zip(*blocks))
+            handle.write(text[keep].tobytes())
 
 
 def _first(items, shown: int = 4) -> str:
@@ -649,11 +654,6 @@ def _column_kind(column):
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         return column.dtype.kind in "iu"
     return None
-
-
-def _csv_cells(texts) -> list[str]:
-    quoted = {text: _csv_cell(text) for text in set(texts)}
-    return list(map(quoted.__getitem__, texts))
 
 
 def _jsonify(value, bitexact: bool):

@@ -219,14 +219,17 @@ def _pattern_table(data: PatternHistogram):
 
 
 def _window(window) -> list[float]:
-    """``window`` as four finite numbers with x0 < x1 and y0 < y1."""
+    """``window`` as four finite numbers, x0 < x1 and y0 < y1, with a finite width and height."""
     try:
         bounds = np.asarray(window, dtype=float)
     except (TypeError, ValueError):
         bounds = np.empty(0)
     if bounds.shape != (4,) or not np.all(np.isfinite(bounds)) or not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
         raise ValueError(f"window must be four finite numbers with x0 < x1 and y0 < y1, got {window!r}")
-    return bounds.tolist()
+    x0, x1, y0, y1 = bounds.tolist()
+    if not np.isfinite([x1 - x0, y1 - y0]).all():  # the frame divides by both
+        raise ValueError(f"window {window!r} must have a finite width x1 - x0 and height y1 - y0")
+    return [x0, x1, y0, y1]
 
 
 def _ifs_plot(data: FractalSeries, title, window=None) -> str:

@@ -303,6 +303,8 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "ifs"], ["--alpha", "0.5", "--beta", "1e308"],
      "alpha=0.5 and beta=1e+308 give the points' bound beta / (1 - alpha) = inf"),
     (["plot", "ewma-chart"], ["--k", "5e-324"], "k=5e-324 makes the standardized statistics"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.5", "--window=-1e308,1e308,-1e308,1e308"],
+     "window (-1e+308, 1e+308, -1e+308, 1e+308) must have a finite width x1 - x0 and height y1 - y0"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]

@@ -494,7 +494,13 @@ def test_two_decimal_text_is_python_format(values):
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
 @settings(max_examples=300, deadline=None)
 def test_integer_text_is_str(values):
-    assert _integer_text([np.array(values, dtype=np.int64)]) == "".join(f"{v}\n" for v in values)
+    assert _kept(_integer_text([np.array(values, dtype=np.int64)], b"\n")) == "".join(f"{v}\n" for v in values)
+
+
+def _kept(kernel_output) -> str:
+    """The text of a kernel's matrix and keep mask."""
+    matrix, keep = kernel_output
+    return matrix[keep].tobytes().decode()
 
 
 # one call whose columns need 1, 19 and 20 digits; more rows than a digit
@@ -508,14 +514,15 @@ def test_integer_text_is_str(values):
 @settings(max_examples=200, deadline=None)
 def test_integer_text_writes_rows_of_columns_of_any_integer_dtype(columns):
     expected = "".join(",".join(map(str, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
-    assert _integer_text(columns) == expected
+    assert _kept(_integer_text(columns, b"\n")) == expected
+    assert _kept(_integer_text(columns, b",")) == expected.replace("\n", ",")
 
 
 def test_empty_columns_give_empty_text():
     empty = np.empty(0)
     assert _fixed_text("{},{}", [empty, empty], " ") == ""
     assert _fixed_text('<circle cx="{}" cy="{}"/>', [empty, empty], "\n") == ""
-    assert _integer_text([np.empty(0, np.int64), np.empty(0, np.uint8)]) == ""
+    assert _kept(_integer_text([np.empty(0, np.int64), np.empty(0, np.uint8)], b"\n")) == ""
     for dtype in (np.int64, np.int32, np.uint8, float):
         assert format_numbers(np.empty(0, dtype)) == format_numbers(np.empty(0, dtype), bitexact=True) == []
 
@@ -557,30 +564,47 @@ _TABLE_COLUMNS = {
 }
 
 
-@given(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), max_size=6), st.integers(0, 7), st.booleans(),
-       st.integers(1, 20), st.data())
-@settings(max_examples=300, deadline=None)
-def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(kinds, rows, bitexact, block_cells, data):
-    """Any order of text, float and integer columns of several dtypes,
-    numbers given as 1-D columns or as 2-D blocks of 0 to 3 columns, text
-    as lists or numpy string arrays: adjacent columns of one kind become
-    text together, and the file is the one csv.writer writes from the
-    cells' format_number text, whatever the number of cells made into text
-    at a time."""
-    columns, cells = [], []  # cells: the values of every column of the file
-    for kind in kinds:
-        width = data.draw(st.none() | st.integers(0, 3), label="width")  # None: a 1-D column or a list
+@st.composite
+def _tables(draw):
+    """Columns of 0 to 7 rows in any order of kinds: numbers as 1-D columns
+    or as 2-D blocks of 0 to 3 columns, text as lists or numpy string arrays."""
+    rows, columns = draw(st.integers(0, 7)), []
+    for kind in draw(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), max_size=6)):
+        width = draw(st.none() | st.integers(0, 3), label="width")  # None: a 1-D column or a list
         if kind == "text":
-            texts = data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows))
+            texts = draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows, max_size=rows))
             columns.append(texts if width is None else np.array(texts, dtype=str))
-            cells.append(texts if width is None else columns[-1].tolist())  # numpy drops trailing NULs
             continue
         shape = (rows, 1 if width is None else width)
-        values = data.draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows * shape[1], max_size=rows * shape[1]))
-        columns.append(np.array(values, dtype=float if kind == "float" else kind).reshape(shape))
-        cells += [[format_number(x, bitexact) for x in column] for column in columns[-1].T.tolist()]
-        if width is None:
-            columns[-1] = columns[-1][:, 0]
+        values = draw(st.lists(_TABLE_COLUMNS[kind], min_size=rows * shape[1], max_size=rows * shape[1]))
+        block = np.array(values, dtype=float if kind == "float" else kind).reshape(shape)
+        columns.append(block[:, 0] if width is None else block)
+    return columns
+
+
+_SPECIAL_FLOATS = np.array([[0.1, -0.0, 1e300], [np.inf, np.nan, 5e-324]])
+
+
+@example([["a\x00b", "\x00"], np.array([7, -8])], False, 1)  # a NUL in a text cell next to an integer run
+@example([np.array([1.5, -2.0]), ["line\nfeed", 'a "quote"'], np.array([3, 4])], True, 20)  # a quoted "\n"
+@example([np.array(["é→中", "b"]), np.array([[0.5, 1.0], [2.0, 3.0]])], False, 3)  # multi-byte UTF-8 ids
+@example([["", "a", ""]], False, 2)  # the empty cell alone in its row
+@example([np.arange(2), _SPECIAL_FLOATS, np.arange(2, dtype=np.uint8)], False, 4)  # decimal floats between integers
+@example([np.arange(2), _SPECIAL_FLOATS, np.arange(2, dtype=np.uint8)], True, 4)  # hex floats between integers
+@given(_tables(), st.booleans(), st.integers(1, 20))
+@settings(max_examples=300, deadline=None)
+def test_table_csv_writes_runs_of_columns_of_one_kind_as_csv_writer_would(columns, bitexact, block_cells):
+    """Any order of text, float and integer columns of several dtypes:
+    adjacent columns of one kind become text together, and the file is the
+    one csv.writer writes from the cells' format_number text, whatever the
+    number of cells made into text at a time."""
+    cells = []  # the values of every column of the file
+    for column in columns:
+        if isinstance(column, list) or column.dtype.kind == "U":
+            cells.append(column if isinstance(column, list) else column.tolist())  # numpy drops trailing NULs
+        else:
+            block = column if column.ndim == 2 else column[:, None]
+            cells += [[format_number(x, bitexact) for x in values] for values in block.T.tolist()]
     header = [f"c{i}" for i in range(len(cells))]
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\r\n")  # quotes a "\r" or "\n" as the table writer does
@@ -781,9 +805,9 @@ def test_json_writes_numpy_integers_and_bools_as_format_number_does(tmp_path):
 _SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
                  0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,
                  0x3FF0000000000000, 0xBFF8000000000000]
-_block_shapes = st.one_of(
+_block_shapes = st.one_of(  # a run of columns holds at least one: the table writer drops a 2-D block of none
     st.just((1, 1)), st.tuples(st.integers(1, 9), st.just(1)), st.tuples(st.just(1), st.integers(1, 9)),
-    st.tuples(st.just(0), st.integers(0, 4)), st.tuples(st.integers(1, 6), st.integers(0, 6)),
+    st.tuples(st.just(0), st.integers(1, 4)), st.tuples(st.integers(1, 6), st.integers(1, 6)),
 )
 
 
@@ -793,7 +817,9 @@ _block_shapes = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_hex_kernel_writes_what_float_hex_writes(bits):
     block = bits.view(np.float64)
-    assert _hex_text(block) == "".join(",".join(map(float.hex, row)) + "\n" for row in block.tolist())
+    expected = "".join(",".join(map(float.hex, row)) + "\n" for row in block.tolist())
+    assert _kept(_hex_text(block, b"\n")) == expected
+    assert _kept(_hex_text(block, b",")) == expected.replace("\n", ",")
 
 
 def _canonical(cell):
@@ -1002,6 +1028,24 @@ def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
         assert np.array_equal(result.values, dm.values)
         assert peaks["write"] <= 4.0, (dm.ids[0], peaks)
         assert peaks["read"] <= 20.0, (dm.ids[0], peaks)
+
+
+def test_table_write_holds_a_bounded_amount_of_memory(tmp_path):
+    """A 50,000-row table of one int64 and four float columns is made into
+    bytes a block of rows at a time: the write holds a few blocks' matrices
+    and masks (about 1.6 MiB), not the 4.4 MiB of the table's hex text."""
+    rng = np.random.default_rng(11)
+    header, columns = ["t", "a", "b", "c", "d"], [np.arange(1, 50_001), *rng.normal(size=(4, 50_000))]
+    path = tmp_path / "table.csv"
+    write_table_csv(path, header, columns, bitexact=True)  # builds the kernels' tables outside the measurement
+    tracemalloc.start()
+    try:
+        write_table_csv(path, header, columns, bitexact=True)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4 * 2**20
+    assert peak <= 4.0, peak
 
 
 def test_corpus_generation_holds_a_bounded_amount_of_memory():

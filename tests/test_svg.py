@@ -129,6 +129,17 @@ def test_ifs_window_must_bound_a_finite_window(window):
     assert repr(window) in str(err.value)
 
 
+@pytest.mark.parametrize("window", [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308), (-1e308, 1e308) * 2])
+def test_ifs_window_must_have_a_finite_width_and_height(window):
+    """Bounds that are each finite but whose difference overflows would put
+    every mark and tick at nan or inf."""
+    series = CategoricalSeries(np.ones(50, dtype=int), Alphabet.of_size(2))
+    data = ifs_circle_transform(series, 0.5, 0.5)
+    with pytest.raises(ValueError, match="must have a finite width x1 - x0 and height y1 - y0") as err:
+        render_svg(data, window=window)
+    assert repr(window) in str(err.value)
+
+
 def test_window_is_rejected_for_charts_other_than_the_ifs_scatter(demo_series):
     for name, data in all_chart_data(demo_series).items():
         if name == "ifs":
