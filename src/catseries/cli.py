@@ -33,8 +33,16 @@ def _input_args(parser: argparse.ArgumentParser) -> None:
     _alphabet_args(parser)
 
 
+def _alphabet(text: str) -> Alphabet:
+    """``--alphabet`` as an Alphabet of its stripped labels; an empty label is rejected by position."""
+    labels = tuple(label.strip() for label in text.split(","))
+    if "" in labels:
+        raise ValueError(f"--alphabet has an empty label at position {labels.index('') + 1}, got {text!r}")
+    return Alphabet(labels)
+
+
 def _load_corpus(args) -> io.Corpus:
-    alphabet = Alphabet(tuple(s.strip() for s in args.alphabet.split(","))) if args.alphabet else None
+    alphabet = _alphabet(args.alphabet) if args.alphabet else None
     return io.parse_corpus(args.input, alphabet, args.format, args.infer_alphabet)
 
 
@@ -68,9 +76,11 @@ def _cmd_features(args) -> int:
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not measures:
         raise ValueError("no measures selected")
-    for name in measures:
+    for i, name in enumerate(measures):
         if name not in mining.MEASURES:
             raise ValueError(f"unknown measure {name!r}; expected one of {list(mining.MEASURES)}")
+        if name in measures[:i]:
+            raise ValueError(f"--measures names {name!r} twice, got {args.measures!r}")
     lags = _parse_lags(args.lags)
     columns = _feature_layout(measures, lags)
     schema, matrix = mining.run_corpus(lambda batch: mining.feature_matrix(batch, columns, args.expand),
@@ -189,15 +199,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="catseries",
-        description="Statistical feature extraction, dependence tests, charts, distances "
-        "and simulators for nominal categorical time series.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("features", help="per-series feature matrix as CSV")
+def _features_args(p: argparse.ArgumentParser) -> None:
     _input_args(p)
     p.add_argument("--measures", required=True,
                    help=f"comma list: {', '.join(mining.MEASURES)}")
@@ -205,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", action="store_true", help="emit per-component columns where defined")
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
-    p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("test", help="serial-independence tests as JSON")
+
+def _test_args(p: argparse.ArgumentParser) -> None:
     _input_args(p)
     p.add_argument("--index", type=int, default=1, help="1-based series index in the corpus")
     p.add_argument("--family", default="cramers_v", help=f"one of {', '.join(TEST_FAMILIES)}")
@@ -216,86 +218,160 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holm", action="store_true", help="also report Holm-adjusted p-values")
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
-    p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("dist", help="pairwise dissimilarity matrix as CSV")
+
+def _dist_args(p: argparse.ArgumentParser) -> None:
     _input_args(p)
     p.add_argument("--metric", choices=tuple(mining.METRICS), default="db")
     p.add_argument("--max-lag", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
-    p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("mds", help="2-D scaling coordinates from a distance CSV")
+
+def _mds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", required=True, help="distance CSV produced by the dist command")
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
-    p.set_defaults(func=_cmd_mds)
 
-    p = sub.add_parser("outliers", help="distance-sum outlier scores as JSON")
+
+def _outliers_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", required=True, help="distance CSV produced by the dist command")
     p.add_argument("--range-factor", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.add_argument("--bitexact", action="store_true")
-    p.set_defaults(func=_cmd_outliers)
 
-    p = sub.add_parser("simulate", help="generate a corpus from a JSON spec")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="corpus spec JSON file")
     p.add_argument("--out", required=True, help="output symbol-csv corpus")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("plot", help="render a chart to SVG")
-    plot_sub = p.add_subparsers(dest="kind", required=True)
 
-    def plot_parser(kind, help_text, build):
-        """``plot <kind>``; ``build(series, args)`` returns its chart data, looking functions up when called."""
-        q = plot_sub.add_parser(kind, help=help_text)
-        _input_args(q)
-        q.add_argument("--index", type=int, default=1)
-        q.add_argument("--title")
-        q.add_argument("--out", required=True)
-        q.add_argument("--table", help="also write the plotted data as CSV")
-        q.add_argument("--bitexact", action="store_true")
-        q.set_defaults(func=_cmd_plot, build=build, window=None)
-        return q
+def _plot_args(q: argparse.ArgumentParser) -> None:
+    """The options every plot kind takes, before its own."""
+    _input_args(q)
+    q.add_argument("--index", type=int, default=1)
+    q.add_argument("--title")
+    q.add_argument("--out", required=True)
+    q.add_argument("--table", help="also write the plotted data as CSV")
+    q.add_argument("--bitexact", action="store_true")
+    q.set_defaults(window=None)
 
-    q = plot_parser("series", "step plot of the coded series", lambda s, a: _head(s, a.limit))
+
+def _series_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--limit", type=int, help="plot only the first N observations (N >= 1)")
-    plot_parser("rate", "rate evolution graph", lambda s, a: graphics.rate_evolution(s))
-    q = plot_parser("pattern", "cycle-length histogram of one category",
-                    lambda s, a: graphics.cycle_lengths(s, a.category)[1])
+
+
+def _pattern_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--category", required=True)
-    q = plot_parser("ifs", "IFS circle transformation scatter",
-                    lambda s, a: graphics.ifs_circle_transform(s, a.alpha, a.beta, tuple(a.f0)))
+
+
+def _ifs_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--beta", type=float, required=True)
     q.add_argument("--f0", type=float, nargs=2, default=(0.0, 0.0))
     q.add_argument("--window", help="x0,x1,y0,y1 zoom window")
-    q = plot_parser("dependence", "serial dependence plot with critical values",
-                    lambda s, a: graphics.dependence_plot_data(s, a.family, a.max_lag, a.alpha))
+
+
+def _dependence_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--family", default="cramers_v", help=f"one of {', '.join(TEST_FAMILIES)}")
     q.add_argument("--max-lag", type=int, default=10)
     q.add_argument("--alpha", type=float, default=0.05)
-    q = plot_parser("cycle-chart", "cycle-length control chart",
-                    lambda s, a: graphics.cycle_length_chart(s, a.category, a.alpha, a.p))
+
+
+def _cycle_chart_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--category", required=True)
     q.add_argument("--alpha", type=float, default=0.01)
     q.add_argument("--p", type=float, help="hypothesized in-control probability (default: estimated)")
-    q = plot_parser("ewma-chart", "EWMA chart of the marginal distribution",
-                    lambda s, a: graphics.ewma_marginal_chart(s, a.lam, _marginal(a.c), a.k, a.collapse))
+
+
+def _ewma_chart_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--lambda", dest="lam", type=float, default=0.9)
     q.add_argument("--k", type=float, default=3.0)
     q.add_argument("--c", help="comma list: hypothesized in-control marginal (default: estimated)")
     q.add_argument("--collapse", action="store_true", help="plot only min/max statistics")
-    q = plot_parser("envelope", "spectral envelope over frequency", lambda s, a: spectral_envelope(s, a.window_length))
+
+
+def _envelope_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--window-length", type=int, help="odd smoothing span (default about sqrt(T))")
 
+
+# name -> (help, argument builder or None, handler); the order is the order of ``--help``
+COMMANDS = {
+    "features": ("per-series feature matrix as CSV", _features_args, _cmd_features),
+    "test": ("serial-independence tests as JSON", _test_args, _cmd_test),
+    "dist": ("pairwise dissimilarity matrix as CSV", _dist_args, _cmd_dist),
+    "mds": ("2-D scaling coordinates from a distance CSV", _mds_args, _cmd_mds),
+    "outliers": ("distance-sum outlier scores as JSON", _outliers_args, _cmd_outliers),
+    "simulate": ("generate a corpus from a JSON spec", _simulate_args, _cmd_simulate),
+    "plot": ("render a chart to SVG", None, _cmd_plot),  # its arguments are the PLOT_KINDS
+}
+
+# kind -> (help, argument builder or None, chart); ``chart(series, args)`` returns the chart
+# data, looking functions up when called
+PLOT_KINDS = {
+    "series": ("step plot of the coded series", _series_args, lambda s, a: _head(s, a.limit)),
+    "rate": ("rate evolution graph", None, lambda s, a: graphics.rate_evolution(s)),
+    "pattern": ("cycle-length histogram of one category", _pattern_args,
+                lambda s, a: graphics.cycle_lengths(s, a.category)[1]),
+    "ifs": ("IFS circle transformation scatter", _ifs_args,
+            lambda s, a: graphics.ifs_circle_transform(s, a.alpha, a.beta, tuple(a.f0))),
+    "dependence": ("serial dependence plot with critical values", _dependence_args,
+                   lambda s, a: graphics.dependence_plot_data(s, a.family, a.max_lag, a.alpha)),
+    "cycle-chart": ("cycle-length control chart", _cycle_chart_args,
+                    lambda s, a: graphics.cycle_length_chart(s, a.category, a.alpha, a.p)),
+    "ewma-chart": ("EWMA chart of the marginal distribution", _ewma_chart_args,
+                   lambda s, a: graphics.ewma_marginal_chart(s, a.lam, _marginal(a.c), a.k, a.collapse)),
+    "envelope": ("spectral envelope over frequency", _envelope_args,
+                 lambda s, a: spectral_envelope(s, a.window_length)),
+}
+
+
+def _add_choices(parser: argparse.ArgumentParser, dest: str, table: dict, only: str | None):
+    """Add a required subparser under ``dest`` for every entry of ``table``, or for ``only``;
+    yield each new parser with its argument builder and handler.  A parser pruned to ``only``
+    names the whole table in its usage line, as the full parser does."""
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar=None if only is None else "{" + ",".join(table) + "}")
+    for name in table if only is None else (only,):
+        help_text, add_arguments, handler = table[name]
+        yield sub.add_parser(name, help=help_text), add_arguments, handler
+
+
+def build_parser(command: str | None = None, kind: str | None = None) -> argparse.ArgumentParser:
+    """The ``catseries`` parser: every subcommand and plot kind, or only ``command`` and, for
+    ``plot``, only ``kind``.  A pruned parser parses a line that names its subcommand (and
+    kind) as the full parser does, with the same help, errors and exit codes."""
+    parser = argparse.ArgumentParser(
+        prog="catseries",
+        description="Statistical feature extraction, dependence tests, charts, distances "
+        "and simulators for nominal categorical time series.",
+    )
+    for p, add_arguments, handler in _add_choices(parser, "command", COMMANDS, command):
+        p.set_defaults(func=handler)
+        if add_arguments is not None:
+            add_arguments(p)
+        else:
+            for q, add_kind_arguments, chart in _add_choices(p, "kind", PLOT_KINDS, kind):
+                _plot_args(q)
+                q.set_defaults(build=chart)
+                if add_kind_arguments is not None:
+                    add_kind_arguments(q)
     return parser
 
 
+def _named(argv: list[str]) -> tuple[str | None, str | None]:
+    """The subcommand and plot kind that ``argv`` names exactly, as ``build_parser`` takes
+    them; (None, None) leaves every other line (none or an unknown subcommand, ``-h``, ``plot``
+    without a known kind) to the full parser, whose help and errors list every choice."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command != "plot":
+        return command, None
+    return (command, argv[1]) if len(argv) > 1 and argv[1] in PLOT_KINDS else (None, None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(*_named(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

@@ -53,9 +53,13 @@ class Alphabet:
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) < 2:
             raise ValueError("need at least two categories")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("duplicate category labels in alphabet")
-        object.__setattr__(self, "_lookup", {s: i + 1 for i, s in enumerate(symbols)})
+        lookup: dict[str, int] = {}
+        for code, symbol in enumerate(symbols, start=1):
+            if symbol in lookup:
+                raise ValueError(f"duplicate category labels in alphabet: {symbol!r} at positions "
+                                 f"{lookup[symbol]} and {code}")
+            lookup[symbol] = code
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def size(self) -> int:

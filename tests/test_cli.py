@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import catseries
-from catseries.cli import main
+from catseries import cli
+from catseries.cli import COMMANDS, PLOT_KINDS, build_parser, main
 from catseries.inference import TEST_FAMILIES
 from catseries.io import parse_corpus
 from catseries.mining import MEASURES, METRICS
@@ -305,6 +307,12 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "ewma-chart"], ["--k", "5e-324"], "k=5e-324 makes the standardized statistics"),
     (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.5", "--window=-1e308,1e308,-1e308,1e308"],
      "window (-1e+308, 1e+308, -1e+308, 1e+308) must have a finite width x1 - x0 and height y1 - y0"),
+    (["test"], ["--alphabet", "1,2,3,"], "--alphabet has an empty label at position 4, got '1,2,3,'"),
+    (["features"], ["--measures", "gini", "--alphabet", "1,,2,3"],
+     "--alphabet has an empty label at position 2, got '1,,2,3'"),
+    (["plot", "rate"], ["--alphabet", " ,1,2,3"], "--alphabet has an empty label at position 1, got ' ,1,2,3'"),
+    (["features"], ["--measures", "gini,cramers_v, gini"], "--measures names 'gini' twice, got 'gini,cramers_v, gini'"),
+    (["test"], ["--alphabet", "1,2,3,2"], "duplicate category labels in alphabet: '2' at positions 2 and 4"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
@@ -344,6 +352,69 @@ def test_dist_rejects_a_non_positive_max_lag(corpus_file, tmp_path, capsys, max_
                  "--out", str(tmp_path / "d.csv")]) == 2
     assert f"max_lag must be a positive integer, got {max_lag}" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+# every option each subcommand or plot kind requires, with a value that parses
+_REQUIRED = {
+    "features": ["--input", "c", "--measures", "gini"], "test": ["--input", "c"], "dist": ["--input", "c"],
+    "mds": ["--dist", "d"], "outliers": ["--dist", "d"], "simulate": ["--spec", "s"],
+    **{kind: ["--input", "c"] for kind in PLOT_KINDS},
+    "pattern": ["--input", "c", "--category", "1"], "cycle-chart": ["--input", "c", "--category", "1"],
+    "ifs": ["--input", "c", "--alpha", "0.5", "--beta", "0.1"],
+}
+_NAMED = [[name] for name in COMMANDS if name != "plot"] + [["plot", kind] for kind in PLOT_KINDS]
+_UNKNOWN_FLAG = [[*named, *_REQUIRED[named[-1]], "--out", "o", "--frobnicate"] for named in _NAMED]
+_PRUNED_ARGV = [
+    *([*named, "--help"] for named in _NAMED),
+    *_NAMED,
+    *_UNKNOWN_FLAG,
+    *([*named, *_REQUIRED[named[-1]], "--ou", "o", "--bit"] for named in _NAMED),
+    ["dist", "--metric", "bogus"],
+    ["test", "--al", "1"],
+]
+_FULL_ARGV = [[], ["-h"], ["bogus"], ["plot"], ["plot", "-h"], ["plot", "bogus"], ["-h", "mds"]]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace or exit code of ``parser.parse_args(argv)``, with what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [*_PRUNED_ARGV, *_FULL_ARGV], ids=lambda argv: " ".join(argv) or "(empty)")
+def test_the_parser_main_builds_parses_as_the_full_parser(argv, capsys):
+    """``main`` builds only the subcommand (and plot kind) that the line names; its namespace,
+    help, errors and usage lines must be the full parser's, byte for byte."""
+    named = cli._named(argv)
+    assert (named == (None, None)) == (argv in _FULL_ARGV)
+    result = _parse(build_parser(*named), argv, capsys)
+    assert result == _parse(build_parser(), argv, capsys)
+    if argv in _UNKNOWN_FLAG:
+        assert result[2].endswith("catseries: error: unrecognized arguments: --frobnicate\n")
+
+
+def test_a_valid_line_builds_only_the_parsers_it_names(corpus_file, tmp_path, monkeypatch):
+    dist = tmp_path / "dist.csv"
+    assert main(["dist", "--input", str(corpus_file), "--alphabet", "1,2,3", "--out", str(dist)]) == 0
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs))
+    assert main(["mds", "--dist", str(dist), "--out", str(tmp_path / "mds.csv")]) == 0
+    assert built == ["mds"]
+    built.clear()
+    assert main(["plot", "rate", "--input", str(corpus_file), "--alphabet", "1,2,3",
+                 "--out", str(tmp_path / "rate.svg")]) == 0
+    assert built == ["plot", "rate"]
+
+
+def test_main_reads_the_command_line_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["catseries", "mds", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert (exc.value.code, *capsys.readouterr()) == _parse(build_parser(), ["mds", "--help"], capsys)
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -15,6 +15,11 @@ def test_alphabet_rejects_duplicates_and_singletons():
         Alphabet(("a",))
 
 
+def test_alphabet_names_the_repeated_label():
+    with pytest.raises(ValueError, match="^duplicate category labels in alphabet: 'a' at positions 1 and 3$"):
+        Alphabet(("a", "b", "a", "b"))
+
+
 def test_alphabet_order_defines_codes():
     alpha = Alphabet(("a", "c", "g", "t"))
     series = CategoricalSeries.from_symbols(list("atggc"), alpha)
