@@ -9,15 +9,12 @@ from conftest import random_series
 
 
 def test_alphabet_rejects_duplicates_and_singletons():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate category labels in alphabet: 'a' at positions 1 and 2$"):
         Alphabet(("a", "a"))
-    with pytest.raises(ValueError):
-        Alphabet(("a",))
-
-
-def test_alphabet_names_the_repeated_label():
     with pytest.raises(ValueError, match="^duplicate category labels in alphabet: 'a' at positions 1 and 3$"):
         Alphabet(("a", "b", "a", "b"))
+    with pytest.raises(ValueError):
+        Alphabet(("a",))
 
 
 def test_alphabet_order_defines_codes():
