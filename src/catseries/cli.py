@@ -33,16 +33,33 @@ def _input_args(parser: argparse.ArgumentParser) -> None:
     _alphabet_args(parser)
 
 
-def _alphabet(text: str) -> Alphabet:
-    """``--alphabet`` as an Alphabet of its stripped labels; an empty label is rejected by position."""
-    labels = tuple(label.strip() for label in text.split(","))
-    if "" in labels:
-        raise ValueError(f"--alphabet has an empty label at position {labels.index('') + 1}, got {text!r}")
-    return Alphabet(labels)
+def _comma_list(text: str | None, flag: str, convert=None, expects: str = "") -> tuple | None:
+    """The stripped parts of ``flag``'s comma-separated ``text`` as a tuple, or None when the flag
+    is not given.  Without ``convert`` the parts are names, and an empty one is rejected by its
+    1-based position; with it each part is converted, and a part that ``convert`` rejects (an
+    empty one too) is rejected as not what the flag ``expects``."""
+    if text is None:
+        return None
+    parts = tuple(part.strip() for part in text.split(","))
+    if convert is None:
+        if "" in parts:
+            raise ValueError(f"{flag} has an empty label at position {parts.index('') + 1}, got {text!r}")
+        return parts
+    try:
+        return tuple(map(convert, parts))
+    except ValueError:
+        raise ValueError(f"{flag} expects {expects}, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 def _load_corpus(args) -> io.Corpus:
-    alphabet = _alphabet(args.alphabet) if args.alphabet else None
+    labels = _comma_list(args.alphabet, "--alphabet")
+    alphabet = None if labels is None else Alphabet(labels)
     return io.parse_corpus(args.input, alphabet, args.format, args.infer_alphabet)
 
 
@@ -50,13 +67,6 @@ def _pick_series(corpus: io.Corpus, index: int) -> CategoricalSeries:
     if not 1 <= index <= len(corpus.series):
         raise ValueError(f"series index {index} outside 1..{len(corpus.series)}")
     return corpus.series[index - 1]
-
-
-def _parse_lags(text: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",")]
-    if not all(part.isdecimal() and int(part) > 0 for part in parts):
-        raise ValueError(f"--lags expects a comma list of positive integers, got {text!r}")
-    return sorted({int(part) for part in parts})
 
 
 def _feature_layout(measures: list[str], lags: list[int]) -> list[tuple[str, int, str]]:
@@ -73,15 +83,15 @@ def _feature_layout(measures: list[str], lags: list[int]) -> list[tuple[str, int
 
 def _cmd_features(args) -> int:
     corpus = _load_corpus(args)
-    measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    if not measures:
+    if not args.measures.replace(",", "").strip():
         raise ValueError("no measures selected")
+    measures = _comma_list(args.measures, "--measures")
     for i, name in enumerate(measures):
         if name not in mining.MEASURES:
             raise ValueError(f"unknown measure {name!r}; expected one of {list(mining.MEASURES)}")
         if name in measures[:i]:
             raise ValueError(f"--measures names {name!r} twice, got {args.measures!r}")
-    lags = _parse_lags(args.lags)
+    lags = sorted(set(_comma_list(args.lags, "--lags", _positive_int, "a comma list of positive integers")))
     columns = _feature_layout(measures, lags)
     schema, matrix = mining.run_corpus(lambda batch: mining.feature_matrix(batch, columns, args.expand),
                                        corpus.series, corpus.ids)
@@ -168,30 +178,12 @@ def _head(series: CategoricalSeries, limit: int | None) -> CategoricalSeries:
     return CategoricalSeries(series.codes[:limit], series.alphabet)
 
 
-def _marginal(text: str | None) -> np.ndarray | None:
-    """``--c`` as an array, or None (estimate the marginal) when it is not given."""
-    if not text:
-        return None
-    try:
-        return np.asarray([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ValueError(f"--c expects a comma list of numbers, got {text!r}") from None
-
-
-def _window(text: str) -> tuple[float, ...]:
-    """``--window`` as four finite numbers; the renderer checks that they bound a window."""
-    try:
-        window = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        window = ()
-    if len(window) != 4 or not np.all(np.isfinite(window)):
-        raise ValueError(f"--window expects finite x0,x1,y0,y1, got {text!r}")
-    return window
-
-
 def _cmd_plot(args) -> int:
     data = args.build(_pick_series(_load_corpus(args), args.index), args)
-    document = svg.render_svg(data, title=args.title, window=_window(args.window) if args.window else None)
+    window = _comma_list(args.window, "--window", float, "finite x0,x1,y0,y1")
+    if window is not None and (len(window) != 4 or not np.isfinite(window).all()):  # the renderer checks the order
+        raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
+    document = svg.render_svg(data, title=args.title, window=window)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     if args.table:
@@ -320,7 +312,8 @@ PLOT_KINDS = {
     "cycle-chart": ("cycle-length control chart", _cycle_chart_args,
                     lambda s, a: graphics.cycle_length_chart(s, a.category, a.alpha, a.p)),
     "ewma-chart": ("EWMA chart of the marginal distribution", _ewma_chart_args,
-                   lambda s, a: graphics.ewma_marginal_chart(s, a.lam, _marginal(a.c), a.k, a.collapse)),
+                   lambda s, a: graphics.ewma_marginal_chart(
+                       s, a.lam, _comma_list(a.c, "--c", float, "a comma list of numbers"), a.k, a.collapse)),
     "envelope": ("spectral envelope over frequency", _envelope_args,
                  lambda s, a: spectral_envelope(s, a.window_length)),
 }

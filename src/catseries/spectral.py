@@ -66,12 +66,27 @@ def default_window(T: int) -> int:
     return 2 * int(np.sqrt(T) / 2) + 1
 
 
-def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
-    """Two circular flat-window passes along axis 0 (iterated Daniell)."""
-    import scipy.ndimage
+def _circular_mean(x: np.ndarray, window: int, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of the circular moving average of ``x`` along axis 0 over an odd ``window``
+    below len(x)/2, with the bits of ``scipy.ndimage.uniform_filter1d(x, window, axis=0,
+    mode="wrap")``: a running sum that starts at the sum of the first ``window`` wrapped rows and
+    adds ``new - old`` per row (a sequential ``np.cumsum``), each row divided by ``window``."""
+    n, h = len(x), window // 2
+    out = np.empty((rows, *x.shape[1:]))
+    out[0] = np.cumsum(np.concatenate([x[n - h :], x[: h + 1]]), axis=0)[-1]
+    cuts = [1, *(cut for cut in (h + 1, n - h) if cut < rows), rows]  # where new or old wraps around
+    for lo, hi in zip(cuts, cuts[1:]):
+        new, old = (lo + h) % n, (lo - 1 - h) % n
+        np.subtract(x[new : new + hi - lo], x[old : old + hi - lo], out=out[lo:hi])
+    np.cumsum(out, axis=0, out=out)
+    return np.divide(out, window, out=out)
 
-    once = scipy.ndimage.uniform_filter1d(values, window, axis=0, mode="wrap")
-    return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
+
+def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
+    """Rows 1..T//2 of two circular flat-window passes along axis 0 (iterated Daniell); the
+    second pass runs only as far as the rows it returns."""
+    once = _circular_mean(values, window, len(values))
+    return _circular_mean(once, window, len(values) // 2 + 1)[1:]
 
 
 def _check_window(window, T: int) -> None:
@@ -95,7 +110,7 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
     zc = z - z.mean()
     dft = np.fft.fft(zc)
     period = (dft * dft.conj()).real / z.size
-    return _daniell2(period, window)[1 : z.size // 2 + 1]
+    return _daniell2(period, window)
 
 
 def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
@@ -123,7 +138,7 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
 
     dft = np.fft.fft(yc, axis=0)
     period = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
-    smooth = _daniell2(period, window)[1 : T // 2 + 1]
+    smooth = _daniell2(period, window)
     smooth = (smooth + smooth.transpose(0, 2, 1)) / 2.0
     if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
         raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")

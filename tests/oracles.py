@@ -271,6 +271,15 @@ def ifs_points(targets, alpha, beta, f0):
     return points
 
 
+def daniell2(values, window):
+    """Two circular flat-window passes of ``scipy.ndimage.uniform_filter1d``
+    along axis 0, over every row."""
+    import scipy.ndimage
+
+    once = scipy.ndimage.uniform_filter1d(values, window, axis=0, mode="wrap")
+    return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
+
+
 def spectral_envelope(indicators, window):
     """(envelope, scalings) of a (T, k) indicator matrix: the full complex
     cross-periodogram is smoothed (real and imaginary parts), and every
@@ -280,11 +289,6 @@ def spectral_envelope(indicators, window):
     positive."""
     import numpy as np
     import scipy.linalg
-    import scipy.ndimage
-
-    def daniell2(values):
-        once = scipy.ndimage.uniform_filter1d(values, window, axis=0, mode="wrap")
-        return scipy.ndimage.uniform_filter1d(once, window, axis=0, mode="wrap")
 
     y = np.asarray(indicators, dtype=float)
     T, k = y.shape
@@ -292,7 +296,7 @@ def spectral_envelope(indicators, window):
     cov = (yc.T @ yc) / T
     dft = np.fft.fft(yc, axis=0)
     period = dft[:, :, None] * dft.conj()[:, None, :] / T
-    smooth = daniell2(period.real) + 1j * daniell2(period.imag)
+    smooth = daniell2(period.real, window) + 1j * daniell2(period.imag, window)
     envelope = np.empty(T // 2)
     scalings = np.empty((T // 2, k))
     for idx in range(T // 2):

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catseries
 from catseries import cli
@@ -313,6 +318,10 @@ def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
     (["plot", "rate"], ["--alphabet", " ,1,2,3"], "--alphabet has an empty label at position 1, got ' ,1,2,3'"),
     (["features"], ["--measures", "gini,cramers_v, gini"], "--measures names 'gini' twice, got 'gini,cramers_v, gini'"),
     (["test"], ["--alphabet", "1,2,3,2"], "duplicate category labels in alphabet: '2' at positions 2 and 4"),
+    (["features"], ["--measures", "gini,,cramers_v"], "--measures has an empty label at position 2, got 'gini,,cramers_v'"),
+    (["plot", "ewma-chart"], ["--c", ""], "--c expects a comma list of numbers, got ''"),
+    (["plot", "ifs"], ["--alpha", "0.5", "--beta", "0.1", "--window", ""], "--window expects finite x0,x1,y0,y1, got ''"),
+    (["test"], ["--alphabet", ""], "--alphabet has an empty label at position 1, got ''"),
 ])
 def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, options, message):
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
@@ -325,6 +334,70 @@ def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, o
     assert main([*command, *source, *options, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() and not table.exists()
+
+
+@pytest.fixture(scope="module")
+def shared_corpus(tmp_path_factory):
+    """The SPEC corpus, made once for the tests that draw many command lines."""
+    folder = tmp_path_factory.mktemp("lists")
+    (folder / "spec.json").write_text(json.dumps(SPEC))
+    assert main(["simulate", "--spec", str(folder / "spec.json"), "--out", str(folder / "corpus.csv")]) == 0
+    return folder / "corpus.csv"
+
+
+_LABELS = st.lists(st.text(st.characters(blacklist_characters=",", blacklist_categories=("Cs",)), min_size=1)
+                   .map(str.strip).filter(bool), min_size=1, max_size=8)
+_SPACES = st.text(" \t", max_size=2)
+
+
+def _spaced(parts, data):
+    """``parts`` joined by commas, each part with spaces drawn around it."""
+    return ",".join(data.draw(_SPACES) + part + data.draw(_SPACES) for part in parts)
+
+
+@given(labels=_LABELS, data=st.data())
+def test_a_list_of_names_parses_to_its_stripped_names(labels, data):
+    text = _spaced(labels, data)
+    assert cli._comma_list(text, "--alphabet") == cli._comma_list(text, "--measures") == tuple(labels)
+
+
+@given(measures=st.lists(st.sampled_from(list(MEASURES)), min_size=1, max_size=3, unique=True), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_spaces_around_the_parts_of_a_list_change_no_output(shared_corpus, measures, data):
+    outputs = []
+    for alphabet, chosen in (("1,2,3", ",".join(measures)), (_spaced("123", data), _spaced(measures, data))):
+        out = shared_corpus.parent / "features.csv"
+        assert main(["features", "--input", str(shared_corpus), "--alphabet", alphabet, "--measures", chosen,
+                     "--lags", _spaced(["2", "1"], data), "--bitexact", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        out.unlink()
+    assert outputs[0] == outputs[1]
+
+
+# each list flag: the command line it goes on, and the parts of a value it accepts
+_LIST_FLAGS = {
+    "--alphabet": (["test"], ["1", "2", "3"]),
+    "--measures": (["features"], ["gini", "cramers_v"]),
+    "--lags": (["features", "--measures", "cramers_v"], ["1", "2"]),
+    "--c": (["plot", "ewma-chart"], ["0.3", "0.3", "0.4"]),
+    "--window": (["plot", "ifs", "--alpha", "0.5", "--beta", "0.1"], ["-1", "1", "-1", "1"]),
+}
+
+
+@pytest.mark.parametrize("flag", _LIST_FLAGS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_an_empty_part_in_a_list_flag_exits_2_by_name(shared_corpus, flag, data):
+    command, parts = _LIST_FLAGS[flag]
+    position = data.draw(st.integers(0, len(parts)), label="position")
+    text = _spaced([*parts[:position], "", *parts[position:]], data)
+    out, err = shared_corpus.parent / "out", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*command, "--input", str(shared_corpus), "--alphabet", "1,2,3", f"{flag}={text}",
+                     "--out", str(out)]) == 2
+    named = f"has an empty label at position {position + 1}" if flag in ("--alphabet", "--measures") else "expects"
+    assert err.getvalue().startswith(f"error: {flag} {named}") and f"got {text!r}" in err.getvalue()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mds", "outliers"])
@@ -415,6 +488,19 @@ def test_main_reads_the_command_line_when_given_none(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main()
     assert (exc.value.code, *capsys.readouterr()) == _parse(build_parser(), ["mds", "--help"], capsys)
+
+
+def test_the_console_entry_and_the_module_guard_exit_with_the_status_of_main(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["catseries", "features", "--input", str(tmp_path / "missing.csv"),
+                                      "--alphabet", "1,2", "--measures", "gini", "--out", str(tmp_path / "f.csv")])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_entry()
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("error: ")
+    # running the imported module again as a script warns that it is already imported
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("catseries.cli", run_name="__main__")
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_unknown_flags_exit_2(capsys):
@@ -521,15 +607,14 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
         assert _fresh_python(f"import sys, {module}; print(*{_SCIPY_LOADED})").split() == [], module
 
 
-def test_commands_load_scipy_only_to_test_or_smooth(corpus_file, tmp_path):
-    """The corpus chain and the plots that neither test nor smooth run in one
-    fresh interpreter without loading scipy; ``test``, ``plot dependence`` and
-    ``plot envelope`` each import what they need in their own, and the
-    envelope needs no ``scipy.linalg``."""
+def test_commands_load_scipy_only_to_test(corpus_file, tmp_path):
+    """The corpus chain and the plots that do not test run in one fresh
+    interpreter without loading scipy; ``test`` and ``plot dependence`` each
+    import what they need in their own."""
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
     dist = str(tmp_path / "dist.csv")
     plots = {"series": [], "rate": [], "pattern": ["--category", "1"], "ifs": ["--alpha", "0.5", "--beta", "0.1"],
-             "cycle-chart": ["--category", "1"], "ewma-chart": []}
+             "cycle-chart": ["--category", "1"], "ewma-chart": [], "envelope": []}
     lean = [
         ["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again.csv")],
         ["features", *source, "--measures", ",".join(MEASURES), "--out", str(tmp_path / "features.csv")],
@@ -543,8 +628,3 @@ def test_commands_load_scipy_only_to_test_or_smooth(corpus_file, tmp_path):
     for argv in (["test", *source, "--out", str(tmp_path / "test.json")],
                  ["plot", "dependence", *source, "--out", str(tmp_path / "dependence.svg")]):
         assert _fresh_python(run, json.dumps([argv])).split()[0] == "0", argv
-    # the envelope smooths with scipy.ndimage and solves with numpy.linalg
-    status, *loaded = _fresh_python(run, json.dumps([["plot", "envelope", *source, "--out",
-                                                       str(tmp_path / "envelope.svg")]])).split()
-    assert status == "0" and "scipy.ndimage" in loaded, loaded
-    assert not [m for m in loaded if m == "scipy.linalg" or m.startswith("scipy.linalg.")], loaded
