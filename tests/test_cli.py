@@ -338,7 +338,7 @@ def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, o
 
 @pytest.fixture(scope="module")
 def shared_corpus(tmp_path_factory):
-    """The SPEC corpus, made once for the tests that draw many command lines."""
+    """The SPEC corpus, made once for a test that draws many command lines."""
     folder = tmp_path_factory.mktemp("lists")
     (folder / "spec.json").write_text(json.dumps(SPEC))
     assert main(["simulate", "--spec", str(folder / "spec.json"), "--out", str(folder / "corpus.csv")]) == 0
@@ -359,19 +359,6 @@ def _spaced(parts, data):
 def test_a_list_of_names_parses_to_its_stripped_names(labels, data):
     text = _spaced(labels, data)
     assert cli._comma_list(text, "--alphabet") == cli._comma_list(text, "--measures") == tuple(labels)
-
-
-@given(measures=st.lists(st.sampled_from(list(MEASURES)), min_size=1, max_size=3, unique=True), data=st.data())
-@settings(max_examples=15, deadline=None)
-def test_spaces_around_the_parts_of_a_list_change_no_output(shared_corpus, measures, data):
-    outputs = []
-    for alphabet, chosen in (("1,2,3", ",".join(measures)), (_spaced("123", data), _spaced(measures, data))):
-        out = shared_corpus.parent / "features.csv"
-        assert main(["features", "--input", str(shared_corpus), "--alphabet", alphabet, "--measures", chosen,
-                     "--lags", _spaced(["2", "1"], data), "--bitexact", "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-        out.unlink()
-    assert outputs[0] == outputs[1]
 
 
 # each list flag: the command line it goes on, and the parts of a value it accepts

@@ -214,7 +214,8 @@ def _assert_agrees_with_the_per_frequency_oracle(y, window):
     # where g <= 1 is the top eigenvalue's gap relative to it (1 for a lone eigenvalue: the
     # vector still carries its own rounding), and gamma = W'u stretches the turn by
     # ||W|| <= sqrt(cond(V)) ||gamma||.  So two solvers differ by c eps ||gamma|| / g with
-    # c = 2 k cond(V)^1.5; measured differences reach 1.3 k cond(V) eps ||gamma|| / g.
+    # c = 2 k cond(V)^1.5.  Over 600 random series (r 2..6, T up to 400, mostly one category)
+    # the differences stayed below 1.3 cond(V) eps ||gamma|| / g.
     whiten = np.linalg.inv(np.linalg.cholesky(cov))
     values = np.column_stack([np.full(len(f), -np.inf), np.linalg.eigvalsh(whiten @ f @ whiten.T)])
     gap = np.minimum((values[:, -1] - values[:, -2]) / np.abs(values[:, -1]), 1.0)
@@ -234,8 +235,8 @@ def test_envelope_agrees_with_the_per_frequency_oracle(series, data):
 
 
 def test_envelope_agrees_with_the_oracle_for_three_lone_categories():
-    # near frequency index 65 the top two whitened eigenvalues lie 7.8e-6 apart relative; the
-    # scalings there differ by 1.8e-9 in one entry, which is rounding at that gap
+    # at frequency index 65 (0-based) the top two whitened eigenvalues lie 7.8e-6 apart relative;
+    # the scalings there differ by 1.8e-9 in one entry, which is rounding at that gap
     codes = np.ones(353, dtype=np.int64)
     codes[[100, 200, 300]] = [2, 3, 4]
     _assert_agrees_with_the_per_frequency_oracle(binarize(CategoricalSeries(codes, Alphabet.of_size(4)))[:, :-1], 161)
