@@ -179,10 +179,11 @@ def _head(series: CategoricalSeries, limit: int | None) -> CategoricalSeries:
 
 
 def _cmd_plot(args) -> int:
-    data = args.build(_pick_series(_load_corpus(args), args.index), args)
     window = _comma_list(args.window, "--window", float, "finite x0,x1,y0,y1")
     if window is not None and (len(window) != 4 or not np.isfinite(window).all()):  # the renderer checks the order
         raise ValueError(f"--window expects finite x0,x1,y0,y1, got {args.window!r}")
+    args.c = _comma_list(args.c, "--c", float, "a comma list of numbers")
+    data = args.build(_pick_series(_load_corpus(args), args.index), args)
     document = svg.render_svg(data, title=args.title, window=window)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
@@ -246,7 +247,7 @@ def _plot_args(q: argparse.ArgumentParser) -> None:
     q.add_argument("--out", required=True)
     q.add_argument("--table", help="also write the plotted data as CSV")
     q.add_argument("--bitexact", action="store_true")
-    q.set_defaults(window=None)
+    q.set_defaults(window=None, c=None)  # the list flags that ``_cmd_plot`` parses before reading the corpus
 
 
 def _series_args(q: argparse.ArgumentParser) -> None:
@@ -312,8 +313,7 @@ PLOT_KINDS = {
     "cycle-chart": ("cycle-length control chart", _cycle_chart_args,
                     lambda s, a: graphics.cycle_length_chart(s, a.category, a.alpha, a.p)),
     "ewma-chart": ("EWMA chart of the marginal distribution", _ewma_chart_args,
-                   lambda s, a: graphics.ewma_marginal_chart(
-                       s, a.lam, _comma_list(a.c, "--c", float, "a comma list of numbers"), a.k, a.collapse)),
+                   lambda s, a: graphics.ewma_marginal_chart(s, a.lam, a.c, a.k, a.collapse)),
     "envelope": ("spectral envelope over frequency", _envelope_args,
                  lambda s, a: spectral_envelope(s, a.window_length)),
 }

@@ -35,12 +35,23 @@ coordinates and plot tables) ``_BLOCK_CELLS`` cells at a time: a 2-D array
 is a block of adjacent number columns, cut by rows only; each run of
 adjacent integer, float or text columns becomes one matrix, and the runs'
 matrices and masks are set side by side and compressed into the file once
-per block.  :func:`read_distance_csv` splits a line without a quote and
-within csv's field limit once, at the id's comma, and reads any other row
-with strict :mod:`csv`.  A block of quote-free rows whose cells are all
-canonical hex (``0x1.`` with 13 lowercase digits and a normal exponent, or
-``0x0.0p+0``, either signed) is parsed in numpy, any other block row by row
-by ``float``/``float.fromhex``, which read the same values and name a bad
+per block.  :func:`write_corpus` writes a series of one-byte symbols from
+its alphabet's byte table, a symbol at every other byte between ``,``.
+
+A hex cell is canonical when it is ``0x1.`` with 13 lowercase digits and
+a normal exponent, or ``0x0.0p+0``, either signed, as ``float.hex`` writes
+it.  A distance file is canonical when its first line is ``id,`` and ids in
+UTF-8 without a quote or ``\r``, every line ends in ``\n`` and none is
+longer than csv's field limit, and every row is its header id, ``,`` and
+one canonical cell per id, split by ``,``: as ``--bitexact`` writes it
+unless an id needs a quote.  :func:`read_distance_csv` reads such a file
+as bytes, parsing each block of rows in place with the hex kernel
+:func:`_hex_values`, if :class:`~catseries.mining.DistanceMatrix` accepts
+its values.  It reads any other file as text: a line without a quote and
+within csv's field limit is split once, at the id's comma, and any other
+row by strict :mod:`csv`.  A block of quote-free rows of canonical cells
+is parsed by the same kernel, any other block row by row by
+``float``/``float.fromhex``, which read the same values and name a bad
 cell; :class:`~catseries.mining.DistanceMatrix` checks the values (and
 names ids ``series_1`` .. ``series_n`` when none are given).
 Every value is written with the same text as :func:`format_number` gives.
@@ -51,6 +62,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from typing import Sequence
@@ -207,13 +219,18 @@ def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | N
     """Write series as symbol-csv, one per line, with optional labels.
 
     Raises before writing for a symbol or class label that would not read
-    back as written.
+    back as written.  A series whose symbols are one byte each is written
+    from its alphabet's byte table, a symbol at every other byte between
+    ","; any other as its joined symbols.
     """
+    tables = {}  # alphabet -> its byte table, or None when a symbol takes more than one byte
     for alphabet in dict.fromkeys(series.alphabet for series in corpus):
         for symbol in alphabet.symbols:
             _check_field("symbol", symbol, ",|")
             if not symbol or symbol != symbol.strip() or symbol.startswith(">"):
                 raise ValueError(f"symbol {symbol!r} is empty or has leading or trailing whitespace or a leading '>'")
+        table = np.frombuffer("".join(alphabet.symbols).encode(), np.uint8)
+        tables[alphabet] = table if len(table) == alphabet.size else None
     if labels is not None:
         labels = [str(label) for label in labels]
         if len(labels) != len(corpus):
@@ -222,12 +239,16 @@ def write_corpus(path, corpus: Sequence[CategoricalSeries], labels: Sequence | N
             _check_field("class label", label, "|")
             if label != label.strip():
                 raise ValueError(f"class label {label!r} has leading or trailing whitespace")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open(path, "wb") as handle:
         for idx, series in enumerate(corpus):
-            line = ",".join(series.to_symbols())
-            if labels is not None:
-                line += f"|{labels[idx]}"
-            handle.write(line + "\n")
+            table = tables[series.alphabet]
+            if table is None:
+                handle.write(",".join(series.to_symbols()).encode())
+            else:
+                row = np.full(2 * len(series) - 1, ord(","), np.uint8)
+                row[::2] = table[series.codes - 1]
+                handle.write(row)
+            handle.write(b"\n" if labels is None else f"|{labels[idx]}\n".encode())
 
 
 def _check_field(kind: str, text: str, separators: str) -> None:
@@ -465,6 +486,63 @@ def read_distance_csv(path) -> DistanceMatrix:
     order; a cell that is not a number is named by file, line and column.
     :class:`DistanceMatrix` checks the values, and its error gains the path.
     """
+    return _read_canonical_distances(path) or _read_distance_text(path)
+
+
+def _read_canonical_distances(path) -> DistanceMatrix | None:
+    """What :func:`_read_distance_text` reads from a canonical distance file
+    (see the module docstring), or None for it to read the file and name
+    what is wrong with it.  The file is read into one buffer, padded for
+    the hex kernel's reads past a cell; its line ends are found one by one,
+    and the cells of each block of rows are cut at the block's commas."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        data = bytearray(size + 32)  # a short read leaves NULs, so no "\n" ends the file
+        handle.readinto(memoryview(data)[:size])
+    end = data.find(b"\n", 0, size)
+    header = bytes(data[:max(end, 0)])
+    if not header.startswith(b"id,") or b'"' in header or b"\r" in header:
+        return None
+    try:
+        ids = tuple(header[3:].decode("utf-8").split(","))
+    except UnicodeDecodeError:
+        return None
+    raw = header[3:].split(b",")
+    n = len(ids)
+    ends = np.empty(n + 1, np.intp)  # the header's line end, then each row's
+    ends[0] = end
+    for row, ident in enumerate(raw, start=1):
+        if end < 0 or not data.startswith(ident + b",", end + 1):
+            return None
+        ends[row] = end = data.find(b"\n", end + 1, size)
+    # every canonical cell takes 8 bytes or more and its ","
+    if end != size - 1 or np.diff(ends, prepend=-1).max() > csv.field_size_limit() or size < 9 * n * n:
+        return None
+    buffer = np.frombuffer(data, np.uint8)
+    id_commas = ends[:-1] + 1 + np.fromiter(map(len, raw), np.intp, n)
+    values = np.empty((n, n))
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        commas = np.flatnonzero(buffer[id_commas[start]:ends[stop]] == ord(",")) + id_commas[start]
+        # n commas a row, the first after its id: each row's cells end at its next comma or its line end
+        if len(commas) != (stop - start) * n or not np.array_equal(commas[::n], id_commas[start:stop]):
+            return None
+        commas = commas.reshape(-1, n)
+        parsed = _hex_values(buffer, commas + 1, np.column_stack((commas[:, 1:], ends[start + 1:stop + 1])))
+        if parsed is None:
+            return None
+        values[start:stop] = parsed
+    del buffer, data  # the file's bytes, before DistanceMatrix copies the values
+    try:
+        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+    except ValueError:
+        return None
+
+
+def _read_distance_text(path) -> DistanceMatrix:
+    """The matrix of any distance file, read as text, row by row (see
+    :func:`_distance_rows`), or the error that names what is wrong with it."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = _distance_rows(handle, path)
     if len(rows) < 2 or rows[0][1] != "id":
@@ -529,31 +607,40 @@ _HEX_ZERO = int.from_bytes(b"0x0.0p+0", "little")
 def _parse_hex(text: str) -> np.ndarray | None:
     """The values of comma-separated cells that are each a normal number or
     zero exactly as ``float.hex`` writes it; None when any cell is not.
-    Cells are read through an unaligned little-endian uint64 view at every
-    byte offset, and every byte of a cell is checked.  Text that does not
-    start as hex, such as a decimal file's, is not looked at further."""
+    Text that does not start as hex, such as a decimal file's, is not
+    looked at further."""
     if not text.startswith(_HEX_PREFIXES):
         return None
     data = np.frombuffer((text + ",").encode() + bytes(32), np.uint8)
-    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
     ends = np.flatnonzero(data == ord(","))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    return _hex_values(data, np.concatenate(([0], ends[:-1] + 1)), ends)
+
+
+def _hex_values(data, starts, ends) -> np.ndarray | None:
+    """The values of the cells ``data[starts:ends]``, arrays of one shape, of
+    a uint8 array with at least 32 bytes after the last cell, when every
+    cell is a normal number or zero exactly as ``float.hex`` writes it; None
+    when any cell is not.  Cells are read through an unaligned little-endian
+    uint64 view at every byte offset, and every byte of a cell is checked."""
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
     negative = data[starts] == ord("-")
     starts += negative
     length = ends - starts
     # "0x1." at 0, 13 digits at 4 (read as 4..11 and 9..16), then from 17
-    # "p", the exponent's sign and 1-4 digits: with the "," that follows,
-    # they must be the writer's tail lane for the exponent they spell
+    # "p", the exponent's sign and 1-4 digits: they must be the writer's
+    # tail lane for the exponent they spell, up to the lane's "," (which no
+    # cell holds, so a shorter lane differs at it)
     high, high_ok = _hex_nibbles(words[starts + 4])
     low, low_ok = _hex_nibbles(words[starts + 9])
-    power = words[starts + 17] & _KEEP[np.clip(length - 16, 0, 8)] * 255
+    tail = _KEEP[np.clip(length - 17, 0, 8)] * 255
+    power = words[starts + 17] & tail
     places = np.clip(length - 19, 1, 4).astype(np.uint64) * 8
     digits = (power >> 16 << 32 - places & 0xFFFFFFFF | 0x30303030 >> places) & 0x0F0F0F0F  # "0"-padded
     pairs = (digits * 10 + (digits >> 8)) & 0x00FF00FF
     magnitude = ((pairs & 0xFF) * 100 + (pairs >> 16)).astype(np.int64)
     biased = np.clip(np.where(power >> 8 & 0xFF == ord("-"), -magnitude, magnitude) + 1023, 0, 2047)
     normal = ((length >= 20) & (length <= 23) & (words[starts] & 0xFFFFFFFF == _HEX_HEAD) & high_ok & low_ok
-              & (power == _hex_lanes()[1].take(biased << 1)))
+              & (power == _hex_lanes()[1].take(biased << 1) & tail))
     zero = (length == 8) & (words[starts] == _HEX_ZERO)
     if not np.all(normal | zero):
         return None

@@ -58,7 +58,7 @@ class DistanceMatrix:
 
     The constructor is the one place that decides what a distance matrix
     is, and checks in this order: ``values`` is a square 2-D matrix with one
-    id per row; ``metric`` is a key of :data:`METRICS` or
+    id per row, no id given twice; ``metric`` is a key of :data:`METRICS` or
     ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
     a bool; every value is finite and non-negative; the matrix is exactly
     symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
@@ -79,6 +79,10 @@ class DistanceMatrix:
         ids = tuple(f"series_{i}" for i in range(1, n + 1)) if self.ids is None else tuple(self.ids)
         if len(ids) != n:
             raise ValueError(f"distance matrix has {len(ids)} ids for {n} rows")
+        if len(set(ids)) != n:
+            seen: dict[str, int] = {}
+            position, ident = next((k, i) for k, i in enumerate(ids, start=1) if seen.setdefault(i, k) != k)
+            raise ValueError(f"distance matrix id {ident!r} is repeated at positions {seen[ident]} and {position}")
         metrics = (*METRICS, "euclidean-on-features")
         if self.metric not in metrics:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")

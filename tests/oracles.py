@@ -828,7 +828,7 @@ def read_distance_csv(path):
     reader documents it: every row by a strict csv.reader, then every cell
     by :func:`parse_cell`.  Raises the package's ValueError messages, in
     the package's order: the file's shape, then the first bad cell, then
-    the values."""
+    the first id given twice, then the values."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, strict=True)
         try:
@@ -851,6 +851,10 @@ def read_distance_csv(path):
                 values[-1].append(parse_cell(cell))
             except (ValueError, OverflowError):
                 raise ValueError(f"not a number: {cell.strip()!r} at line {line}, column {column} of {path}") from None
+    for second, ident in enumerate(ids, start=1):
+        if ident in ids[:second - 1]:
+            first = ids.index(ident) + 1
+            raise ValueError(f"distance matrix id {ident!r} is repeated at positions {first} and {second}: {path}")
     cells = [x for row in values for x in row]
     if not all(map(math.isfinite, cells)) or any(x < 0.0 for x in cells):
         raise ValueError(f"distances must be finite and non-negative: {path}")
@@ -858,3 +862,15 @@ def read_distance_csv(path):
     if not symmetric or any(values[i][i] != 0.0 for i in range(len(ids))):
         raise ValueError(f"distance matrix must be symmetric with a zero diagonal: {path}")
     return ids, values
+
+
+def write_corpus(path, corpus, labels=None):
+    """Write series as symbol-csv as the package's writer wrote them, one
+    text line per series: its symbols joined by ",", then ``|label`` when
+    labels are given, then "\\n", encoded as UTF-8.  No checks."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for idx, series in enumerate(corpus):
+            line = ",".join(series.alphabet.symbols[code - 1] for code in series.codes.tolist())
+            if labels is not None:
+                line += f"|{labels[idx]}"
+            handle.write(line + "\n")

@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -336,6 +337,22 @@ def test_bad_parameters_exit_2_by_name(corpus_file, tmp_path, capsys, command, o
     assert not out.exists() and not table.exists()
 
 
+@pytest.mark.parametrize("kind, options, chart, message", [
+    ("ifs", ["--alpha", "0.5", "--beta", "0.1", "--window", "0,1,x,1"], "ifs_circle_transform",
+     "--window expects finite x0,x1,y0,y1, got '0,1,x,1'"),
+    ("ewma-chart", ["--c", "0.5,,0.5"], "ewma_marginal_chart", "--c expects a comma list of numbers, got '0.5,,0.5'"),
+])
+def test_a_bad_plot_list_flag_exits_2_before_the_corpus_is_read(corpus_file, tmp_path, capsys, kind, options, chart,
+                                                                 message):
+    out = tmp_path / "out.svg"
+    with mock.patch("catseries.io.parse_corpus", wraps=parse_corpus) as read, \
+            mock.patch(f"catseries.graphics.{chart}") as build:
+        assert main(["plot", kind, "--input", str(corpus_file), "--alphabet", "1,2,3", *options,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not read.called and not build.called and not out.exists()
+
+
 @pytest.fixture(scope="module")
 def shared_corpus(tmp_path_factory):
     """The SPEC corpus, made once for a test that draws many command lines."""
@@ -403,6 +420,18 @@ def test_mds_and_outliers_exit_2_on_bad_distances_naming_the_file(corpus_file, t
     capsys.readouterr()
     assert main([command, "--dist", str(dist), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}: {dist}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mds", "outliers"])
+@pytest.mark.parametrize("zero, one", [("0", "1"), ("0x0.0p+0", "0x1.0000000000000p+0")])
+def test_mds_and_outliers_exit_2_on_a_repeated_id_naming_the_file(tmp_path, capsys, command, zero, one):
+    """A header naming an id twice was read, and ``outliers`` dropped one of its scores."""
+    dist, out = tmp_path / "dist.csv", tmp_path / "out"
+    rows = [[ident, *(zero if i == j else one for j in range(4))] for i, ident in enumerate("aabc")]
+    dist.write_text("".join(",".join(row) + "\n" for row in [["id", *"aabc"], *rows]))
+    assert main([command, "--dist", str(dist), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: distance matrix id 'a' is repeated at positions 1 and 2: {dist}\n"
     assert not out.exists()
 
 

@@ -326,6 +326,45 @@ def test_corpus_round_trips(corpus):
     assert back.labels == (labels if labels and any(labels) else None)
 
 
+@st.composite
+def writable_corpora(draw):
+    """Series over one or two alphabets that write_corpus accepts: of
+    one-byte symbols, or of symbols that may take more bytes; of unequal
+    lengths; with class labels or without."""
+    one_byte = st.sampled_from("!#09AZaz~")
+    longer = st.text(st.sampled_from("a\u00e9\u4e2d"), min_size=1, max_size=3)
+    alphabets = [Alphabet(tuple(draw(st.lists(symbol, min_size=2, max_size=5, unique=True))))
+                 for symbol in draw(st.lists(st.sampled_from([one_byte, longer]), min_size=1, max_size=2))]
+    series = []
+    for _ in range(draw(st.integers(1, 5))):
+        alphabet = draw(st.sampled_from(alphabets))
+        series.append(CategoricalSeries(np.array(draw(st.lists(st.integers(1, alphabet.size), min_size=1,
+                                                               max_size=9))), alphabet))
+    labels = draw(st.none() | st.lists(st.text(st.sampled_from("g1-\u00e9"), max_size=3),
+                                       min_size=len(series), max_size=len(series)))
+    return series, labels
+
+
+@example(([CategoricalSeries(np.array([2, 1, 2]), Alphabet(("a", "\u00e9")))], ["x"]))
+@given(writable_corpora())
+@settings(max_examples=200, deadline=None)
+def test_corpus_writer_writes_the_reference_writers_bytes(corpus):
+    """One-byte series are written from a byte table and others as joined
+    text, with the bytes of a writer that joins every series' symbols; a
+    corpus over one alphabet reads back as written."""
+    series, labels = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "corpus.csv", Path(tmp) / "reference.csv"
+        write_corpus(path, series, labels)
+        oracles.write_corpus(reference, series, labels)
+        assert path.read_bytes() == reference.read_bytes()
+        alphabets = {s.alphabet for s in series}
+        if len(alphabets) == 1:
+            back = parse_corpus(path, alphabets.pop())
+            assert [s.codes.tolist() for s in back.series] == [s.codes.tolist() for s in series]
+            assert back.labels == (labels if labels and any(labels) else None)
+
+
 def test_a_fasta_id_given_twice_is_named_with_both_header_lines(tmp_path, capsys):
     path = tmp_path / "seqs.fa"
     path.write_text(">x\nac\n>y\nca\n\n>x\naa\n")
@@ -687,7 +726,7 @@ def distance_matrices(draw):
     values = values + values.T
     # plain ids half the time, so that files without a quote are common
     text = st.text(st.sampled_from('ab1,"\' _\r\n'), max_size=5) | st.sampled_from(["s1", "s2"])
-    ids = draw(st.lists(text, min_size=n, max_size=n))
+    ids = draw(st.lists(text, min_size=n, max_size=n, unique=True))
     return DistanceMatrix(values, "db", 1, tuple(ids))
 
 
@@ -952,6 +991,10 @@ def distance_files(draw):
     return _distance_text(dm.ids, grid, draw(st.sampled_from(["\n", "\r\n"])))
 
 
+# a --bitexact file as the writer writes it
+_HEX_FILE = "id,a,bc\na,0x0.0p+0,0x1.8000000000000p+1\nbc,0x1.8000000000000p+1,0x0.0p+0\n"
+
+
 def _read_outcome(read, path):
     """The ids and value bits ``read`` gives, or the type and text of its error."""
     try:
@@ -970,6 +1013,15 @@ def _read_outcome(read, path):
 @example('"unterminated\n,x', 8192)
 @example('x\r\ny\rz\n\r\n,\n', 8192)
 @example('id,a,b\r\na,"0",0x1p0\r\nb,1,0\r\n', 1)
+# a canonical hex file with one flaw, which the bytes reader leaves to the text reader
+@example(_HEX_FILE[:-1], 8192)  # no final "\n"
+@example(_HEX_FILE + "\n", 8192)  # a trailing blank line
+@example(_HEX_FILE.replace("\n", "\r", 1), 8192)  # a lone "\r", which ends a line
+@example("\ufeff" + _HEX_FILE, 8192)  # a UTF-8 byte order mark
+@example(_HEX_FILE.encode().replace(b",b", b",b\xff", 1), 8192)  # a byte that is not UTF-8 in the header
+@example(_HEX_FILE.replace("\nbc,", "\nb,"), 8192)  # a row id that is a prefix of its header id
+@example(_HEX_FILE.replace("p+0,0x1", "p+0,,0x1", 1), 1)  # one extra comma
+@example(_HEX_FILE.replace("a", "a" * 2**17), 8192)  # a line over csv's field limit
 @given(distance_files(), st.integers(1, 20))
 @settings(max_examples=500, deadline=None)
 def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
@@ -979,7 +1031,7 @@ def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells
     block of rows parsed at a time."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
         path = Path(tmp) / "dist.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         expected = _read_outcome(oracles.read_distance_csv, path)
         assert _read_outcome(lambda p: (lambda dm: (dm.ids, dm.values))(read_distance_csv(p)), path) == expected
 
@@ -1003,6 +1055,38 @@ def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parse
     assert back.ids == ("a", "b,c", "d")
     assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
     assert [call.args[1] for call in rows.call_args_list] == [3]
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 8192])
+def test_a_canonical_bitexact_file_is_read_as_bytes(tmp_path, block_cells):
+    """A file as ``--bitexact`` writes it, ids unquoted, is read as bytes:
+    the text reader's row splitter is never called."""
+    upper = np.triu(np.random.default_rng(3).uniform(0.0, 40.0, (9, 9)), 1)
+    dm = DistanceMatrix(upper + upper.T, "db", 1, ("a", "", "\u00e9\u4e2d", *map(str, range(6))))
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, dm, bitexact=True)
+    with mock.patch("catseries.io._BLOCK_CELLS", block_cells), \
+            mock.patch("catseries.io._distance_rows", side_effect=AssertionError("read as text")):
+        back = read_distance_csv(path)
+    assert back.ids == dm.ids
+    assert back.values.view(np.uint64).tolist() == dm.values.view(np.uint64).tolist()
+
+
+def test_a_header_of_many_ids_over_short_rows_is_not_square(tmp_path):
+    """20,000 ids, each with a row of no cells: no matrix of 20,000 rows is
+    made before the shape is checked."""
+    ids = list(map(str, range(20_000)))  # a header within csv's field limit
+    path = tmp_path / "dist.csv"
+    path.write_text("".join(line + "\n" for line in [",".join(["id", *ids]), *(f"{i}," for i in ids)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_distance_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"distance matrix is not square: {path}"
+    assert peak <= 32.0, peak
 
 
 def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):

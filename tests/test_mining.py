@@ -139,6 +139,9 @@ def _with(cells):
     (np.zeros(3), "db", 1, None, "distance matrix must be square, got shape (3,)"),
     (np.zeros((2, 2)), "db", 1, ("a",), "distance matrix has 1 ids for 2 rows"),
     (np.zeros((600, 600)), "db", 1, tuple(map(str, range(601))), "distance matrix has 601 ids for 600 rows"),
+    (np.zeros((2, 2)), "db", 1, ("x", "x"), "distance matrix id 'x' is repeated at positions 1 and 2"),
+    (np.zeros((4, 4)), "db", 1, ("a", "b", "c", "b"), "distance matrix id 'b' is repeated at positions 2 and 4"),
+    (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, ("a", "a", "b"), "distance matrix id 'a' is repeated at positions 1 and 2"),
     (_VALID, "nope", 1, None, "unknown metric 'nope'; expected one of ['dcc', 'db', 'euclidean-on-features']"),
     (_VALID, "db", -1, None, "max_lag must be a non-negative integer, got -1"),
     (_VALID, "db", True, None, "max_lag must be a non-negative integer, got True"),
