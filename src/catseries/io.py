@@ -1,4 +1,4 @@
-"""Corpus file ingestion and deterministic CSV/JSON writers.
+r"""Corpus file ingestion and deterministic CSV/JSON writers.
 
 Two corpus formats are read and written:
 

@@ -79,10 +79,10 @@ class DistanceMatrix:
         ids = tuple(f"series_{i}" for i in range(1, n + 1)) if self.ids is None else tuple(self.ids)
         if len(ids) != n:
             raise ValueError(f"distance matrix has {len(ids)} ids for {n} rows")
-        if len(set(ids)) != n:
-            seen: dict[str, int] = {}
-            position, ident = next((k, i) for k, i in enumerate(ids, start=1) if seen.setdefault(i, k) != k)
-            raise ValueError(f"distance matrix id {ident!r} is repeated at positions {seen[ident]} and {position}")
+        first: dict[str, int] = {}
+        for position, ident in enumerate(ids, start=1):
+            if first.setdefault(ident, position) != position:
+                raise ValueError(f"distance matrix id {ident!r} is repeated at positions {first[ident]} and {position}")
         metrics = (*METRICS, "euclidean-on-features")
         if self.metric not in metrics:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")

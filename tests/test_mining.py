@@ -139,9 +139,6 @@ def _with(cells):
     (np.zeros(3), "db", 1, None, "distance matrix must be square, got shape (3,)"),
     (np.zeros((2, 2)), "db", 1, ("a",), "distance matrix has 1 ids for 2 rows"),
     (np.zeros((600, 600)), "db", 1, tuple(map(str, range(601))), "distance matrix has 601 ids for 600 rows"),
-    (np.zeros((2, 2)), "db", 1, ("x", "x"), "distance matrix id 'x' is repeated at positions 1 and 2"),
-    (np.zeros((4, 4)), "db", 1, ("a", "b", "c", "b"), "distance matrix id 'b' is repeated at positions 2 and 4"),
-    (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, ("a", "a", "b"), "distance matrix id 'a' is repeated at positions 1 and 2"),
     (_VALID, "nope", 1, None, "unknown metric 'nope'; expected one of ['dcc', 'db', 'euclidean-on-features']"),
     (_VALID, "db", -1, None, "max_lag must be a non-negative integer, got -1"),
     (_VALID, "db", True, None, "max_lag must be a non-negative integer, got True"),
@@ -150,6 +147,10 @@ def _with(cells):
     (_with({(0, 1): -0.5, (1, 0): -0.5}), "db", 1, None, "distances must be finite and non-negative"),
     (_with({(1, 2): np.nextafter(3.0, 4.0)}), "db", 1, None, "distance matrix must be symmetric with a zero diagonal"),
     (_with({(2, 2): 0.5}), "db", 1, None, "distance matrix must be symmetric with a zero diagonal"),
+    (np.zeros((2, 2)), "db", 1, ("x", "x"), "distance matrix id 'x' is repeated at positions 1 and 2"),
+    (np.zeros((4, 4)), "db", 1, ("a", "b", "c", "b"), "distance matrix id 'b' is repeated at positions 2 and 4"),
+    (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, ("a", "a", "b"),
+     "distance matrix id 'a' is repeated at positions 1 and 2"),
 ])
 def test_a_distance_matrix_checks_itself_and_so_do_its_consumers(values, metric, max_lag, ids, message):
     """The constructor raises the message; scaling and outlier scoring,
