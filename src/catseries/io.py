@@ -47,9 +47,11 @@ one canonical cell per id, split by ``,``: as ``--bitexact`` writes it
 unless an id needs a quote.  :func:`read_distance_csv` reads such a file
 as bytes, parsing each block of rows in place with the hex kernel
 :func:`_hex_values`, if :class:`~catseries.mining.DistanceMatrix` accepts
-its values.  It reads any other file as text: a line without a quote and
-within csv's field limit is split once, at the id's comma, and any other
-row by strict :mod:`csv`.  A block of quote-free rows of canonical cells
+its values; a file whose first cell does not start ``0x`` or ``-0x``,
+such as a decimal one, is left after its header and first id.  It reads
+any other file as text: a line without a quote and within csv's field
+limit is split once, at the id's comma, and any other row by strict
+:mod:`csv`.  A block of quote-free rows of canonical cells
 is parsed by the same kernel, any other block row by row by
 ``float``/``float.fromhex``, which read the same values and name a bad
 cell; :class:`~catseries.mining.DistanceMatrix` checks the values (and
@@ -508,6 +510,8 @@ def _read_canonical_distances(path) -> DistanceMatrix | None:
     except UnicodeDecodeError:
         return None
     raw = header[3:].split(b",")
+    if not data.startswith((b"0x", b"-0x"), end + len(raw[0]) + 2):  # the first cell: a decimal file is not read
+        return None
     n = len(ids)
     ends = np.empty(n + 1, np.intp)  # the header's line end, then each row's
     ends[0] = end

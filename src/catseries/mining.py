@@ -79,10 +79,7 @@ class DistanceMatrix:
         ids = tuple(f"series_{i}" for i in range(1, n + 1)) if self.ids is None else tuple(self.ids)
         if len(ids) != n:
             raise ValueError(f"distance matrix has {len(ids)} ids for {n} rows")
-        first: dict[str, int] = {}
-        for position, ident in enumerate(ids, start=1):
-            if first.setdefault(ident, position) != position:
-                raise ValueError(f"distance matrix id {ident!r} is repeated at positions {first[ident]} and {position}")
+        _check_unique_ids(ids)
         metrics = (*METRICS, "euclidean-on-features")
         if self.metric not in metrics:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")
@@ -99,6 +96,14 @@ class DistanceMatrix:
     @property
     def size(self) -> int:
         return int(self.values.shape[0])
+
+
+def _check_unique_ids(ids: Sequence[str]) -> None:
+    """Raise naming the first id given twice and the 1-based positions of both."""
+    first: dict[str, int] = {}
+    for position, ident in enumerate(ids, start=1):
+        if first.setdefault(ident, position) != position:
+            raise ValueError(f"distance matrix id {ident!r} is repeated at positions {first[ident]} and {position}")
 
 
 def _marginals(p: np.ndarray) -> np.ndarray:
@@ -218,14 +223,17 @@ def distance_matrix(
     Each unordered pair is evaluated once; the result has an exactly zero
     diagonal and exact symmetry.  A series whose features are undefined, or
     whose alphabet differs from the first series', is named in the error by
-    its id (when given) and 1-based index.
+    its id (when given) and 1-based index.  Ids of the wrong count, or one
+    given twice, are rejected before any feature is computed.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {list(METRICS)}")
     if not _is_integer(max_lag) or max_lag < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
-    if ids is not None and len(ids) != len(corpus):
-        raise ValueError(f"{len(ids)} ids given for {len(corpus)} series")
+    if ids is not None:
+        if len(ids) != len(corpus):
+            raise ValueError(f"{len(ids)} ids given for {len(corpus)} series")
+        _check_unique_ids(ids)
     features = run_corpus(lambda batch: _metric_features(batch, metric, max_lag)[1], corpus, ids)
     n = len(corpus)
     values = np.zeros((n, n))

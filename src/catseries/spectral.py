@@ -21,8 +21,18 @@ symmetric-definite generalized eigenproblem f(w) gamma = lambda V gamma in
 the real part alone.  The covariance V is the same at every frequency, so it
 is reduced once: with V = L L' (Cholesky) and W = inv(L), the top eigenpair
 (lambda, u) of the symmetric W f(w) W' gives the envelope lambda and the
-scaling gamma = W' u, and gamma' V gamma = u' u = 1 by construction.  One
-batched ``numpy.linalg.eigh`` solves all frequencies at once.
+scaling gamma = W' u, and gamma' V gamma = u' u = 1 by construction.
+
+With k = 3 indicators (r = 4, the DNA case) every frequency's 3x3 top
+eigenpair is found in closed form, in numpy arithmetic over all frequencies
+at once (see :func:`_top_eigenpairs3`): Smith's trigonometric eigenvalues,
+an eigenvector from cross products of rows, and the Rayleigh quotient.  One
+batched ``numpy.linalg.eigh`` makes one LAPACK call per frequency and took
+three times as long; it stays the solver for every other k.  A batched
+Jacobi sweep (slower than ``eigh``) and ``eigvalsh`` followed by inverse
+iteration (no clear gain) were tried and dropped.  The periodograms are
+deleted before the solve, so its arrays do not raise the peak memory above
+theirs.
 """
 
 from __future__ import annotations
@@ -113,6 +123,71 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
     return _daniell2(period, window)
 
 
+def _top_eigenpairs3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue (n,) and unit eigenvector (n, 3) of each symmetric 3x3 matrix A of ``a``
+    (n, 3, 3), read from its lower triangle, in numpy arithmetic over all n at once.
+
+    B = A - q I, with q = tr A / 3, is scaled by a power of two to a largest entry in [1/2, 1), so
+    no square under- or overflows, and C = B / p with p = ||B||_F / sqrt(6) has the eigenvalues
+    2 cos(phi + 2 pi j / 3), phi = acos(det C / 2) / 3 (Smith 1961).  Of the top and bottom ones,
+    the one farther from the middle one is well conditioned, and its vector s is the largest cross
+    product of two rows of C - mu I.  When that is the bottom one, the top vector is the top
+    eigenvector of C's 2x2 block in an orthonormal basis (u, w) of s's complement, reached by the
+    angle atan2(2 u'Cw, u'Cu - w'Cw) / 2.  The eigenvalue is the Rayleigh quotient
+    q + p v'Cv, which holds to rounding near a tie where the trigonometric one does not.  Where
+    every cross product vanishes, as where A = q I exactly, s is e3, never a zero vector."""
+    diagonal = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
+    q = sum(diagonal) / 3
+    b = np.array([diagonal[0] - q, diagonal[1] - q, diagonal[2] - q, a[:, 1, 0], a[:, 2, 0], a[:, 2, 1]])
+    exponent = np.frexp(np.abs(b).max(axis=0))[1]
+    b = np.ldexp(b, -exponent)
+    p = np.sqrt((_dot(b[:3], b[:3]) + 2 * _dot(b[3:], b[3:])) / 6)
+    c00, c11, c22, c10, c20, c21 = b / np.where(p > 0, p, 1.0)
+    c = (c00, c10, c20), (c10, c11, c21), (c20, c21, c22)  # rows of C
+    phi = np.arccos(np.clip(_dot(c[0], _cross(c[1], c[2])) / 2, -1.0, 1.0)) / 3
+    mu1, mu3 = 2 * np.cos(phi), 2 * np.cos(phi + 2 * np.pi / 3)
+    mu2 = -mu1 - mu3
+    top_apart = (mu1 - mu2 >= mu2 - mu3) | (p == 0)
+
+    mu = np.where(top_apart, mu1, mu3) * (p > 0)  # 0 where C = 0, so every cross product vanishes there
+    rows = (c00 - mu, c10, c20), (c10, c11 - mu, c21), (c20, c21, c22 - mu)
+    s = _cross(rows[0], rows[1])
+    norm = _dot(s, s)
+    for i, j in (0, 2), (1, 2):
+        other = _cross(rows[i], rows[j])
+        larger = _dot(other, other)
+        larger, norm = larger > norm, np.maximum(larger, norm)
+        s = [np.where(larger, x, y) for x, y in zip(other, s)]
+    flat = norm == 0
+    s[2] = np.where(flat, 1.0, s[2])
+    scale = 1 / np.sqrt(np.where(flat, 1.0, norm))
+    s = [x * scale for x in s]
+
+    # u is the axis of s's smaller-magnitude entry of 0 and 2, crossed with s: |u|^2 > 1/2
+    first = np.abs(s[0]) > np.abs(s[2])
+    u = np.where(first, -s[1], 0.0), np.where(first, s[0], -s[2]), np.where(first, 0.0, s[1])
+    scale = 1 / np.sqrt(_dot(u, u))
+    u = [x * scale for x in u]
+    w = _cross(s, u)
+    cu, cw = [_dot(row, u) for row in c], [_dot(row, w) for row in c]
+    theta = np.arctan2(2 * _dot(u, cw), _dot(u, cu) - _dot(w, cw)) / 2
+    cos, sin = np.cos(theta), np.sin(theta)
+    v = np.empty((len(a), 3))
+    for i in range(3):
+        v[:, i] = np.where(top_apart, s[i], cos * u[i] + sin * w[i])
+    return q + np.ldexp(p * _dot(v.T, [_dot(row, v.T) for row in c]), exponent), v
+
+
+def _cross(x, y):
+    """The cross product of 3-vectors given as sequences of three arrays of their entries."""
+    return x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]
+
+
+def _dot(x, y):
+    """The dot product of 3-vectors given as sequences of three arrays of their entries."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
     """Envelope of an already rank-reduced (T, k) indicator matrix."""
     y = np.asarray(indicators, dtype=float)
@@ -143,12 +218,18 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
         raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")
 
+    del dft, period  # the (T, k, k) spectra, before the solve adds its own arrays
     n_freq = T // 2
     frequencies = np.arange(1, n_freq + 1) / T
     whiten = np.linalg.inv(np.linalg.cholesky(cov))
-    values, vectors = np.linalg.eigh(whiten @ smooth @ whiten.T)
-    envelope = values[:, -1]
-    scalings = vectors[:, :, -1] @ whiten
+    whitened = whiten @ smooth @ whiten.T
+    del smooth
+    if y.shape[1] == 3:
+        envelope, top = _top_eigenpairs3(whitened)
+    else:
+        values, vectors = np.linalg.eigh(whitened)
+        envelope, top = values[:, -1], vectors[:, :, -1]
+    scalings = top @ whiten
     magnitudes = np.abs(scalings)
     largest = magnitudes.max(axis=1, keepdims=True)
     top = (magnitudes >= largest - 1e-9 * largest).argmax(axis=1)  # the first of entries tied within rounding

@@ -1072,6 +1072,20 @@ def test_a_canonical_bitexact_file_is_read_as_bytes(tmp_path, block_cells):
     assert back.values.view(np.uint64).tolist() == dm.values.view(np.uint64).tolist()
 
 
+def test_a_decimal_file_is_left_before_the_hex_kernel(tmp_path):
+    """A decimal file, a first cell of which does not start 0x or -0x, is
+    read as text: the hex kernel is never called for it."""
+    upper = np.triu(np.random.default_rng(4).uniform(0.0, 40.0, (9, 9)), 1)
+    dm = DistanceMatrix(upper + upper.T, "db", 1, tuple("abcdefghi"))
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, dm)
+    with mock.patch("catseries.io._hex_values", side_effect=AssertionError("hex kernel called")) as kernel:
+        back = read_distance_csv(path)
+    assert kernel.call_count == 0
+    assert back.ids == dm.ids
+    np.testing.assert_allclose(back.values, dm.values, rtol=1e-9, atol=0)
+
+
 def test_a_header_of_many_ids_over_short_rows_is_not_square(tmp_path):
     """20,000 ids, each with a row of no cells: no matrix of 20,000 rows is
     made before the shape is checked."""

@@ -82,6 +82,25 @@ def test_distance_matrix_rejects_ids_of_the_wrong_length():
         distance_matrix(corpus, "dcc", ids=list("abcd"))
 
 
+@pytest.mark.parametrize("metric", ["db", "dcc"])
+def test_distance_matrix_rejects_a_repeated_id_before_counting_a_lag_table(metric, monkeypatch):
+    import catseries.mining
+
+    rng = np.random.default_rng(8)
+    corpus = [random_series(rng, r=3, T=50, require_all=True) for _ in range(4)]
+    counted = []
+    tables = catseries.mining.corpus_lag_tables
+    monkeypatch.setattr(catseries.mining, "corpus_lag_tables", lambda *args: counted.append(args) or tables(*args))
+    with pytest.raises(ValueError) as err:
+        distance_matrix(corpus, metric, ids=["a", "b", "c", "b"])
+    assert str(err.value) == "distance matrix id 'b' is repeated at positions 2 and 4"
+    assert counted == []
+    with pytest.raises(ValueError) as err:
+        DistanceMatrix(np.zeros((4, 4)), metric, 1, ["a", "b", "c", "b"])
+    assert str(err.value) == "distance matrix id 'b' is repeated at positions 2 and 4"
+    assert distance_matrix(corpus, metric, ids=list("abcd")).ids == tuple("abcd") and counted
+
+
 _SERIES = CategoricalSeries(np.tile([1, 2, 3], 5), Alphabet.of_size(3))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 import oracles
 from catseries import Alphabet, CategoricalSeries, scaled_series, spectral_envelope
 from catseries.series import binarize
-from catseries.spectral import _daniell2, default_window, envelope_from_indicators, smoothed_spectrum
+from catseries.simulate import NdarmaModel, generate_series
+from catseries.spectral import (
+    _daniell2,
+    _top_eigenpairs3,
+    default_window,
+    envelope_from_indicators,
+    smoothed_spectrum,
+)
 
 from conftest import random_series, series_with_every_category
 
@@ -266,6 +274,94 @@ def test_envelope_agrees_with_the_oracle_for_a_flat_iid_series():
     rng = np.random.default_rng(9)
     y = binarize(random_series(rng, r=4, T=1000, require_all=True))[:, :-1]
     _assert_agrees_with_the_per_frequency_oracle(y, default_window(1000))
+
+
+def test_envelope_agrees_with_the_oracle_for_a_long_four_letter_series():
+    # r = 4, the DNA case, is the one the closed-form 3x3 solver takes: held here whatever hypothesis draws
+    model = NdarmaModel(p=2, q=1, selection=[0.5, 0.2, 0.2, 0.1], innovation=[0.1, 0.4, 0.3, 0.2], burn_in=50)
+    series = generate_series(model, 2000, 28, Alphabet(("A", "C", "G", "T")))
+    _assert_agrees_with_the_per_frequency_oracle(binarize(series)[:, :-1], default_window(2000))
+
+
+def test_three_indicators_are_solved_without_eigh(monkeypatch):
+    rng = np.random.default_rng(11)
+    y = binarize(random_series(rng, r=4, T=300, require_all=True))[:, :-1]
+    expected = envelope_from_indicators(y, 17)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: pytest.fail("eigh called"))
+    env = envelope_from_indicators(y, 17)
+    assert np.array_equal(env.envelope, expected.envelope) and np.array_equal(env.scalings, expected.scalings)
+    with pytest.raises(pytest.fail.Exception, match="eigh called"):
+        envelope_from_indicators(y[:, :2], 17)
+
+
+_KINDS = ["separated", "top pair tied", "bottom pair tied", "scalar", "diagonal"]
+
+
+@given(st.sampled_from(_KINDS), st.sampled_from([1e-150, 1e-9, 1.0, 1e9, 1e150]), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_the_3x3_solver_agrees_with_eigh(kind, scale, n, seed):
+    """Batches of symmetric positive semidefinite 3x3 matrices of one kind: eigenvalues apart,
+    the top or the bottom two within 1e-15 relative, c I (c = 0 for about half), or diagonal.  The
+    eigenvalue, the residual and the vector's length hold to rounding in units of ||A||, and the
+    vector agrees with eigh's up to sign wherever the top eigenvalue's relative gap g is at least
+    1e-6, within 16 eps / g (Davis and Kahan: both solvers err by a few eps ||A|| / gap)."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.uniform(0.0, 1.0, (n, 3)), axis=1)
+    if kind == "top pair tied":
+        values[:, 1] = values[:, 2] * (1 - 1e-15 * rng.uniform(0.0, 1.0, n))
+    elif kind == "bottom pair tied":
+        values[:, 0] = values[:, 1] * (1 - 1e-15 * rng.uniform(0.0, 1.0, n))
+    elif kind == "scalar":
+        values[:] = values[:, 2:] * (rng.uniform(0.0, 1.0, (n, 1)) < 0.5)
+    if kind in ("scalar", "diagonal"):
+        a = np.zeros((n, 3, 3))
+        a[:, [0, 1, 2], [0, 1, 2]] = rng.permuted(values, axis=1)
+    else:
+        rotations = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        a = np.einsum("nij,nj,nkj->nik", rotations, values, rotations)
+        a = (a + a.transpose(0, 2, 1)) / 2
+    a *= scale
+
+    envelope, vectors = _top_eigenpairs3(a)
+    reference, basis = np.linalg.eigh(a)
+    size = np.abs(reference).max(axis=1)
+    size[size == 0] = 1.0
+    eps = np.finfo(float).eps
+    assert (np.abs(envelope - reference[:, -1]) <= 16 * eps * size).all()
+    residual = np.einsum("nij,nj->ni", a / size[:, None, None], vectors) - (envelope / size)[:, None] * vectors
+    assert (np.linalg.norm(residual, axis=1) <= 8 * eps).all()
+    assert (np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 4 * eps).all()
+    gap = (reference[:, -1] - reference[:, -2]) / size
+    separated = gap >= 1e-6
+    top = basis[:, :, -1]
+    turn = np.minimum(np.linalg.norm(vectors - top, axis=1), np.linalg.norm(vectors + top, axis=1))
+    assert (turn[separated] <= 16 * eps / gap[separated]).all(), np.max(turn[separated] * gap[separated] / eps)
+
+
+def test_a_multiple_of_the_identity_gets_a_unit_vector():
+    # where q = tr A / 3 is exact, B = 0 and every cross product vanishes: e3 stands in for them;
+    # where it is not (c = 0.1), B is a tiny multiple of I and any vector it gives is an eigenvector
+    c = np.array([0.0, 1.0, 2.0**-1000, 0.1, 1e-300])
+    envelope, vectors = _top_eigenpairs3(c[:, None, None] * np.eye(3))
+    np.testing.assert_allclose(envelope, c, rtol=np.finfo(float).eps, atol=0)
+    assert (vectors[:3] == [0.0, 0.0, 1.0]).all()
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=np.finfo(float).eps)
+
+
+def test_the_envelope_of_a_long_four_letter_series_holds_at_most_16_4_mib():
+    """T = 50,000 and k = 3: the periodograms are dropped before the solve, and the solve keeps one
+    array of n entries per matrix entry.  16.43 MiB is what the batched eigh solve held."""
+    rng = np.random.default_rng(12)
+    y = binarize(CategoricalSeries(rng.integers(1, 5, 50_000), Alphabet.of_size(4)))[:, :-1]
+    envelope_from_indicators(y, default_window(50_000))
+    tracemalloc.start()
+    try:
+        envelope_from_indicators(y, default_window(50_000))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.43, peak
 
 
 @given(st.data())
