@@ -27,8 +27,8 @@ With k = 3 indicators (r = 4, the DNA case) every frequency's 3x3 top
 eigenpair is found in closed form, in numpy arithmetic over all frequencies
 at once (see :func:`_top_eigenpairs3`): Smith's trigonometric eigenvalues,
 an eigenvector from cross products of rows, and the Rayleigh quotient.  One
-batched ``numpy.linalg.eigh`` makes one LAPACK call per frequency and took
-three times as long; it stays the solver for every other k.  A batched
+batched ``numpy.linalg.eigh`` makes one LAPACK call per frequency and takes
+four to seven times as long; it stays the solver for every other k.  A batched
 Jacobi sweep (slower than ``eigh``) and ``eigvalsh`` followed by inverse
 iteration (no clear gain) were tried and dropped.  The periodograms are
 deleted before the solve, so its arrays do not raise the peak memory above
@@ -225,11 +225,11 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     whitened = whiten @ smooth @ whiten.T
     del smooth
     if y.shape[1] == 3:
-        envelope, top = _top_eigenpairs3(whitened)
+        envelope, u = _top_eigenpairs3(whitened)
     else:
         values, vectors = np.linalg.eigh(whitened)
-        envelope, top = values[:, -1], vectors[:, :, -1]
-    scalings = top @ whiten
+        envelope, u = values[:, -1], vectors[:, :, -1]
+    scalings = u @ whiten
     magnitudes = np.abs(scalings)
     largest = magnitudes.max(axis=1, keepdims=True)
     top = (magnitudes >= largest - 1e-9 * largest).argmax(axis=1)  # the first of entries tied within rounding
