@@ -46,16 +46,16 @@ longer than csv's field limit, and every row is its header id, ``,`` and
 one canonical cell per id, split by ``,``: as ``--bitexact`` writes it
 unless an id needs a quote.  :func:`read_distance_csv` reads such a file
 as bytes, parsing each block of rows in place with the hex kernel
-:func:`_hex_values`, if :class:`~catseries.mining.DistanceMatrix` accepts
-its values; a file whose first cell does not start ``0x`` or ``-0x``,
-such as a decimal one, is left after its header and first id.  It reads
-any other file as text: a line without a quote and within csv's field
-limit is split once, at the id's comma, and any other row by strict
-:mod:`csv`.  A block of quote-free rows of canonical cells
-is parsed by the same kernel, any other block row by row by
-``float``/``float.fromhex``, which read the same values and name a bad
-cell; :class:`~catseries.mining.DistanceMatrix` checks the values (and
-names ids ``series_1`` .. ``series_n`` when none are given).
+:func:`_hex_values`; a file whose first cell does not start ``0x`` or
+``-0x``, such as a decimal one, is left after its header and first id.
+It reads any other file as text, row by row: a line without a quote and
+within csv's field limit is split once, at the id's comma, and any other
+row by strict :mod:`csv`; each row's cells are parsed by
+``float``/``float.fromhex``, which read the kernel's values and name a
+bad cell.  Either way :class:`~catseries.mining.DistanceMatrix` checks the
+values (and names ids ``series_1`` .. ``series_n`` when none are given),
+and its error, with the path, is raised as it is: a canonical file it
+rejects is not read again as text.
 Every value is written with the same text as :func:`format_number` gives.
 """
 
@@ -488,15 +488,21 @@ def read_distance_csv(path) -> DistanceMatrix:
     order; a cell that is not a number is named by file, line and column.
     :class:`DistanceMatrix` checks the values, and its error gains the path.
     """
-    return _read_canonical_distances(path) or _read_distance_text(path)
+    values, ids = _read_canonical_distances(path) or _read_distance_text(path)
+    try:
+        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+    except ValueError as err:
+        raise ValueError(f"{err}: {path}") from None
 
 
-def _read_canonical_distances(path) -> DistanceMatrix | None:
-    """What :func:`_read_distance_text` reads from a canonical distance file
-    (see the module docstring), or None for it to read the file and name
-    what is wrong with it.  The file is read into one buffer, padded for
-    the hex kernel's reads past a cell; its line ends are found one by one,
-    and the cells of each block of rows are cut at the block's commas."""
+def _read_canonical_distances(path) -> tuple[np.ndarray, tuple[str, ...]] | None:
+    """The values and ids :func:`_read_distance_text` reads from a canonical
+    distance file (see the module docstring), or None for it to read the
+    file and name what is wrong with it.  The file is read into one buffer,
+    padded for the hex kernel's reads past a cell and dropped on return,
+    before :class:`DistanceMatrix` copies the values; its line ends are
+    found one by one, and the cells of each block of rows are cut at the
+    block's commas."""
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         data = bytearray(size + 32)  # a short read leaves NULs, so no "\n" ends the file
@@ -537,16 +543,13 @@ def _read_canonical_distances(path) -> DistanceMatrix | None:
         if parsed is None:
             return None
         values[start:stop] = parsed
-    del buffer, data  # the file's bytes, before DistanceMatrix copies the values
-    try:
-        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
-    except ValueError:
-        return None
+    return values, ids
 
 
-def _read_distance_text(path) -> DistanceMatrix:
-    """The matrix of any distance file, read as text, row by row (see
-    :func:`_distance_rows`), or the error that names what is wrong with it."""
+def _read_distance_text(path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The values and ids of any distance file, read as text and parsed row
+    by row (see :func:`_distance_rows`), or the error that names what is
+    wrong with its text or shape."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = _distance_rows(handle, path)
     if len(rows) < 2 or rows[0][1] != "id":
@@ -560,19 +563,9 @@ def _read_distance_text(path) -> DistanceMatrix:
     if tuple(head for _, head, _ in body) != ids:
         raise ValueError(f"row ids do not match the header ids: {path}")
     values = np.empty((n, n))
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        block = body[start:start + step]
-        texts = [cells for _, _, cells in block if isinstance(cells, str)]
-        parsed = _parse_hex(",".join(texts)) if len(texts) == len(block) else None
-        if parsed is None:
-            parsed = [_parse_row(cells.split(",") if isinstance(cells, str) else cells, line, path)
-                      for line, _, cells in block]
-        values[start:start + step] = np.reshape(parsed, (len(block), n))
-    try:
-        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
-    except ValueError as err:
-        raise ValueError(f"{err}: {path}") from None
+    for row, (line, _, cells) in enumerate(body):
+        values[row] = _parse_row(cells.split(",") if isinstance(cells, str) else cells, line, path)
+    return values, ids
 
 
 def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:
@@ -606,18 +599,6 @@ def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:
 
 _HEX_HEAD = int.from_bytes(b"0x1.", "little")
 _HEX_ZERO = int.from_bytes(b"0x0.0p+0", "little")
-
-
-def _parse_hex(text: str) -> np.ndarray | None:
-    """The values of comma-separated cells that are each a normal number or
-    zero exactly as ``float.hex`` writes it; None when any cell is not.
-    Text that does not start as hex, such as a decimal file's, is not
-    looked at further."""
-    if not text.startswith(_HEX_PREFIXES):
-        return None
-    data = np.frombuffer((text + ",").encode() + bytes(32), np.uint8)
-    ends = np.flatnonzero(data == ord(","))
-    return _hex_values(data, np.concatenate(([0], ends[:-1] + 1)), ends)
 
 
 def _hex_values(data, starts, ends) -> np.ndarray | None:

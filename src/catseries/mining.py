@@ -263,13 +263,20 @@ def two_dimensional_scaling(dm: DistanceMatrix | np.ndarray) -> Embedding:
     Double-centers -D^2/2, takes the top two eigenpairs and scales the
     eigenvectors by the square roots of the (zero-clamped) eigenvalues.
     Column signs are fixed so the largest-magnitude coordinate in each
-    column is positive.
+    column is positive.  Raises, naming the ids of the largest distance,
+    when the double-centred matrix overflows (distances above about 1e154).
     """
-    d = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)).values
+    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)
+    d = dm.values
     if len(d) < 3:
         raise ValueError(f"need at least three objects for 2-D scaling, got {len(d)}")
-    centered = -0.5 * d**2
-    centered = centered - centered.mean(axis=0) - centered.mean(axis=1)[:, None] + centered.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = -0.5 * d**2
+        centered = centered - centered.mean(axis=0) - centered.mean(axis=1)[:, None] + centered.mean()
+    if not np.isfinite(centered).all():
+        i, j = np.unravel_index(np.argmax(d), d.shape)
+        raise ValueError(f"distances too large for 2-D scaling: the double-centred matrix overflows; "
+                         f"the largest distance is {d[i, j]} between {dm.ids[i]!r} and {dm.ids[j]!r}")
     eigvals, eigvecs = np.linalg.eigh((centered + centered.T) / 2.0)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -288,10 +295,13 @@ def outlier_scores(dm: DistanceMatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
 
     The score of an object is the sum of its distances to all others; the
     returned order lists indices by decreasing score, ties broken by
-    ascending index.
+    ascending index.  Raises, naming the first id, when a sum overflows.
     """
-    d = (dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)).values
-    scores = d.sum(axis=1)
+    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)
+    with np.errstate(over="ignore"):
+        scores = dm.values.sum(axis=1)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"the distance sum of {dm.ids[np.argmin(np.isfinite(scores))]!r} overflows")
     order = np.lexsort((np.arange(scores.size), -scores))
     return scores, order
 

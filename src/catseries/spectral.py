@@ -99,6 +99,13 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
     return _circular_mean(once, window, len(values) // 2 + 1)[1:]
 
 
+def _cross_spectrum(yc: np.ndarray, window: int) -> np.ndarray:
+    """Rows 1..T//2 of the smoothed real cross-periodogram of centred (T, k) indicators, exactly
+    symmetric: (i, j) and (j, i) take the same products and the smoother's same arithmetic."""
+    dft = np.fft.fft(yc, axis=0)
+    return _daniell2((dft[:, :, None] * dft.conj()[:, None, :] / len(yc)).real, window)
+
+
 def _check_window(window, T: int) -> None:
     """The smoothing span must be a positive odd integer below T/2."""
     if not _is_integer(window) or window % 2 == 0 or window < 1:
@@ -211,14 +218,10 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
             "drop unused categories from the alphabet and retry"
         )
 
-    dft = np.fft.fft(yc, axis=0)
-    period = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
-    smooth = _daniell2(period, window)
-    smooth = (smooth + smooth.transpose(0, 2, 1)) / 2.0
+    smooth = _cross_spectrum(yc, window)  # the (T, k, k) periodograms are dropped before the solve
     if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
         raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")
 
-    del dft, period  # the (T, k, k) spectra, before the solve adds its own arrays
     n_freq = T // 2
     frequencies = np.arange(1, n_freq + 1) / T
     whiten = np.linalg.inv(np.linalg.cholesky(cov))
@@ -241,9 +244,14 @@ def spectral_envelope(series: CategoricalSeries, window: int | None = None) -> S
     """Sample spectral envelope of a categorical series.
 
     ``window`` is the odd length of the flat smoothing span; defaults to
-    :func:`default_window`.  Raises when some declared category is constant
-    over the series (the covariance of the indicators is then singular).
+    :func:`default_window`.  Raises, naming them, when declared categories
+    never occur: exactly when the indicators' covariance is singular.
     """
+    present = np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] > 0
+    if not present.all():
+        absent = ", ".join(repr(symbol) for symbol, seen in zip(series.alphabet.symbols, present) if not seen)
+        raise ValueError(f"indicator covariance is singular: the series never takes {absent}; "
+                         "drop unused categories from the alphabet and retry")
     if window is None:
         window = default_window(len(series))
     return envelope_from_indicators(binarize(series)[:, :-1], window)

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -432,6 +433,21 @@ def test_mds_and_outliers_exit_2_on_a_repeated_id_naming_the_file(tmp_path, caps
     dist.write_text("".join(",".join(row) + "\n" for row in [["id", *"aabc"], *rows]))
     assert main([command, "--dist", str(dist), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: distance matrix id 'a' is repeated at positions 1 and 2: {dist}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("mds", "distances too large for 2-D scaling: the double-centred matrix overflows; "
+            "the largest distance is 1.5e+308 between 'b' and 'c'"),
+    ("outliers", "the distance sum of 'b' overflows"),
+], ids=["mds", "outliers"])
+def test_mds_and_outliers_exit_2_on_huge_finite_distances_without_a_warning(tmp_path, capsys, command, message):
+    dist, out = tmp_path / "dist.csv", tmp_path / "out"
+    dist.write_text("id,a,b,c\na,0,5e307,1e308\nb,5e307,0,1.5e308\nc,1e308,1.5e308,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--dist", str(dist), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -31,9 +31,9 @@ from catseries.io import (
     _distance_rows,
     _fixed_text,
     _hex_text,
+    _hex_values,
     _integer_text,
     _jsonify,
-    _parse_hex,
     _parse_row,
     _read_canonical,
     format_number,
@@ -890,7 +890,9 @@ def _hex_cells():
 def test_hex_parser_reads_exactly_the_canonical_cells(cells):
     """Cells joined by "," parse in numpy only when every one is float.hex
     text of a normal number or zero, and then to float.fromhex's bits."""
-    parsed = _parse_hex(",".join(cells))
+    data = np.frombuffer((",".join(cells) + ",").encode() + bytes(32), np.uint8)
+    ends = np.flatnonzero(data == ord(","))
+    parsed = _hex_values(data, np.concatenate(([0], ends[:-1] + 1)), ends)
     if all(map(_canonical, cells)):
         assert parsed is not None
         assert parsed.view(np.uint64).tolist() == np.array(list(map(float.fromhex, cells))).view(np.uint64).tolist()
@@ -1022,6 +1024,8 @@ def _read_outcome(read, path):
 @example(_HEX_FILE.replace("\nbc,", "\nb,"), 8192)  # a row id that is a prefix of its header id
 @example(_HEX_FILE.replace("p+0,0x1", "p+0,,0x1", 1), 1)  # one extra comma
 @example(_HEX_FILE.replace("a", "a" * 2**17), 8192)  # a line over csv's field limit
+@example(_HEX_FILE.replace("\n", "\r\n"), 8192)  # "\r\n" line ends
+@example(_HEX_FILE.replace("bc", '"b,c"'), 8192)  # a quoted id
 @given(distance_files(), st.integers(1, 20))
 @settings(max_examples=500, deadline=None)
 def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
@@ -1036,7 +1040,11 @@ def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells
         assert _read_outcome(lambda p: (lambda dm: (dm.ids, dm.values))(read_distance_csv(p)), path) == expected
 
 
-def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parser(tmp_path):
+def test_a_file_the_bytes_reader_leaves_goes_row_by_row_to_the_row_parser(tmp_path):
+    """A subnormal cell or a quoted id leaves the file to the text reader,
+    which hands every body row, by its line, to the row parser once, rows
+    of canonical cells too, whatever the block of rows the writer and the
+    bytes reader take at a time."""
     values = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 5e-324], [2.0, 5e-324, 0.0]])
     path = tmp_path / "dist.csv"
     write_distance_csv(path, DistanceMatrix(values, "db", 1, ("a", "b", "c")), bitexact=True)
@@ -1044,9 +1052,7 @@ def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parse
             mock.patch("catseries.io._parse_row", side_effect=_parse_row) as rows:
         back = read_distance_csv(path)
     assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
-    # rows 2 and 3 hold the subnormal; row 1 is read in numpy
-    assert [call.args[1] for call in rows.call_args_list] == [3, 4]
-    # a quoted id sends its own row, read by csv.reader, to the row parser and no other
+    assert [call.args[1] for call in rows.call_args_list] == [2, 3, 4]
     values[1, 2] = values[2, 1] = 2.5
     write_distance_csv(path, DistanceMatrix(values, "db", 1, ("a", "b,c", "d")), bitexact=True)
     with mock.patch("catseries.io._BLOCK_CELLS", 3), \
@@ -1054,7 +1060,20 @@ def test_numpy_blocks_read_canonical_rows_and_hand_other_blocks_to_the_row_parse
         back = read_distance_csv(path)
     assert back.ids == ("a", "b,c", "d")
     assert back.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
-    assert [call.args[1] for call in rows.call_args_list] == [3]
+    assert [call.args[1] for call in rows.call_args_list] == [2, 3, 4]
+
+
+def test_a_canonical_file_the_matrix_rejects_is_not_read_again_as_text(tmp_path):
+    """The bytes reader's values go to DistanceMatrix as they are: its
+    message gains the path, and the text reader's row splitter is never
+    called."""
+    path = tmp_path / "dist.csv"
+    path.write_text("id,a,b\na,0x0.0p+0,0x1.0000000000000p+0\nb,0x1.8000000000000p+0,0x0.0p+0\n")
+    with mock.patch("catseries.io._distance_rows", side_effect=AssertionError("read as text")) as rows, \
+            pytest.raises(ValueError) as err:
+        read_distance_csv(path)
+    assert str(err.value) == f"distance matrix must be symmetric with a zero diagonal: {path}"
+    assert rows.call_count == 0
 
 
 @pytest.mark.parametrize("block_cells", [1, 7, 8192])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,19 +172,40 @@ def _with(cells):
     (np.zeros((4, 4)), "db", 1, ("a", "b", "c", "b"), "distance matrix id 'b' is repeated at positions 2 and 4"),
     (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, ("a", "a", "b"),
      "distance matrix id 'a' is repeated at positions 1 and 2"),
+    # finite distances that a consumer's arithmetic overflows: the matrix holds them, each consumer names its own
+    (_VALID * 1e155, "db", 1, None, {
+        two_dimensional_scaling: "distances too large for 2-D scaling: the double-centred matrix overflows; "
+                                 "the largest distance is 3e+155 between 'series_2' and 'series_3'",
+        outlier_scores: None}),
+    (_VALID * 5e307, "db", 1, None, {
+        two_dimensional_scaling: "distances too large for 2-D scaling: the double-centred matrix overflows; "
+                                 "the largest distance is 1.5e+308 between 'series_2' and 'series_3'",
+        outlier_scores: "the distance sum of 'series_2' overflows"}),
 ])
 def test_a_distance_matrix_checks_itself_and_so_do_its_consumers(values, metric, max_lag, ids, message):
     """The constructor raises the message; scaling and outlier scoring,
     given the bare array of a bad-values case, raise it too (NaN reached
-    the eigensolver and raised LinAlgError before)."""
-    with pytest.raises(ValueError) as err:
+    the eigensolver and raised LinAlgError before).  A message per
+    consumer is for values the constructor accepts, None for a consumer
+    that reads them; no consumer warns (overflows warned, then scaling
+    said only that eigenvalues did not converge)."""
+    if isinstance(message, str):
+        with pytest.raises(ValueError) as err:
+            DistanceMatrix(values, metric, max_lag, ids)
+        assert str(err.value) == message
+        message = dict.fromkeys((two_dimensional_scaling, outlier_scores), message)
+    else:
         DistanceMatrix(values, metric, max_lag, ids)
-    assert str(err.value) == message
     if values is not _VALID and ids is None:  # the cases of bad values, which a bare array can hold
-        for consume in (two_dimensional_scaling, outlier_scores):
-            with pytest.raises(ValueError) as err:
-                consume(values)
-            assert str(err.value) == message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for consume, text in message.items():
+                if text is None:
+                    consume(values)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    consume(values)
+                assert str(err.value) == text
 
 
 def test_a_distance_matrix_stores_float64_values_and_a_tuple_of_ids():

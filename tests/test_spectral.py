@@ -11,6 +11,7 @@ from catseries import Alphabet, CategoricalSeries, scaled_series, spectral_envel
 from catseries.series import binarize
 from catseries.simulate import NdarmaModel, generate_series
 from catseries.spectral import (
+    _cross_spectrum,
     _daniell2,
     _top_eigenpairs3,
     default_window,
@@ -131,6 +132,34 @@ def test_errors():
     constant_cat = CategoricalSeries(np.tile([1, 2], 50), Alphabet.of_size(3))
     with pytest.raises(ValueError, match="drop unused categories"):
         spectral_envelope(constant_cat)
+
+
+@pytest.mark.parametrize("codes, absent", [
+    ([1, 2], "'3'"),  # the last category, whose indicator is dropped: the others sum to 1
+    ([1, 3], "'2'"),
+    ([3, 3, 3, 1], "'2'"),
+    ([4, 4], "'1', '2', '3'"),
+])
+def test_the_envelope_names_the_categories_the_series_never_takes(codes, absent):
+    series = CategoricalSeries(np.tile(codes, 60), Alphabet.of_size(max(3, *codes)))
+    with pytest.raises(ValueError) as err:
+        spectral_envelope(series)
+    assert str(err.value) == (f"indicator covariance is singular: the series never takes {absent}; "
+                              "drop unused categories from the alphabet and retry")
+
+
+@given(st.integers(8, 300), st.integers(1, 4), st.floats(1e-150, 1e150), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_smoothed_cross_periodogram_is_exactly_symmetric(T, k, scale, indicators, data):
+    """No symmetrization is needed before the solve: the smoothed real
+    cross-periodogram equals its transpose bit for bit, for indicators or
+    any centred values at any scale."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = scale * (rng.integers(0, 2, (T, k)) if indicators else rng.normal(size=(T, k)))
+    window = data.draw(st.integers(0, (T - 3) // 4), label="half") * 2 + 1  # odd and below T/2
+    smooth = _cross_spectrum(y - y.mean(axis=0), window)
+    assert smooth.shape == (T // 2, k, k)
+    assert (smooth.view(np.uint64) == smooth.transpose(0, 2, 1).view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("window, message", [
