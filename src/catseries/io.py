@@ -382,14 +382,25 @@ def _fixed_text(template: str, columns, sep: str) -> str:
     ``{}`` of the template takes the ``"{:.2f}".format`` text of the row's
     value in that column; the template and ``sep`` hold no other brace and
     no NUL.  The columns are rounded by :func:`_hundredths` and written by
-    :func:`_digit_text` together; when any value is non-finite or of
-    magnitude 2**40 or more, Python formats every value instead."""
+    :func:`_digit_text` together, as many rows at a time as ``_BLOCK_CELLS``
+    cells fill, and the blocks' kept bytes are joined once; when any value
+    is non-finite or of magnitude 2**40 or more, Python formats every value
+    instead."""
     bits = np.column_stack(columns).astype(np.float64, copy=False).view(np.uint64)
     if not np.all(bits >> 52 & 0x7FF < 1023 + 40):
         fill = template.replace("{}", "{:.2f}").format
         return sep.join(map(fill, *bits.view(np.float64).T.tolist()))
-    text, keep = _digit_text((template + sep).encode().split(b"{}"), *_hundredths(bits), point=True)
-    return text[keep].tobytes().decode().removesuffix(sep)  # every row ends in ``sep``
+    parts = (template + sep).encode().split(b"{}")
+    step = max(1, _BLOCK_CELLS // bits.shape[1])
+    blocks = []
+    for start in range(0, len(bits), step):
+        text, keep = _digit_text(parts, *_hundredths(bits[start:start + step]), point=True)
+        blocks.append(text[keep].tobytes())
+    if blocks:  # every row ends in ``sep``
+        blocks[-1] = blocks[-1].removesuffix(sep.encode())
+    text = b"".join(blocks)
+    del blocks
+    return text.decode()
 
 
 _KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1

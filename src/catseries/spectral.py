@@ -18,21 +18,29 @@ Fourier ordinates equals the indicator covariance matrix.
 
 Only the real part of the cross-periodogram is smoothed: the envelope is a
 symmetric-definite generalized eigenproblem f(w) gamma = lambda V gamma in
-the real part alone.  The covariance V is the same at every frequency, so it
-is reduced once: with V = L L' (Cholesky) and W = inv(L), the top eigenpair
-(lambda, u) of the symmetric W f(w) W' gives the envelope lambda and the
-scaling gamma = W' u, and gamma' V gamma = u' u = 1 by construction.
+the real part alone.  Of its (T, k, k) entries only the k(k+1)/2 columns of
+the lower triangle are formed, from the complex DFT, and smoothed; the
+symmetric (T/2, k, k) array is built from them as the input to the
+whitening below, with the bits of the whole product's.  The covariance V is
+the same at every frequency, so it is reduced once: with V = L L'
+(Cholesky) and W = inv(L), the top eigenpair (lambda, u) of the symmetric
+W f(w) W' gives the envelope lambda and the scaling gamma = W' u, and
+gamma' V gamma = u' u = 1 by construction.
 
 With k = 3 indicators (r = 4, the DNA case) every frequency's 3x3 top
-eigenpair is found in closed form, in numpy arithmetic over all frequencies
-at once (see :func:`_top_eigenpairs3`): Smith's trigonometric eigenvalues,
-an eigenvector from cross products of rows, and the Rayleigh quotient.  One
-batched ``numpy.linalg.eigh`` makes one LAPACK call per frequency and takes
-four to seven times as long; it stays the solver for every other k.  A batched
-Jacobi sweep (slower than ``eigh``) and ``eigvalsh`` followed by inverse
-iteration (no clear gain) were tried and dropped.  The periodograms are
-deleted before the solve, so its arrays do not raise the peak memory above
-theirs.
+eigenpair is found in closed form, in numpy arithmetic over a block of
+frequencies at once (see :func:`_top_eigenpairs3`): Smith's trigonometric
+eigenvalues, an eigenvector from cross products of rows, and the Rayleigh
+quotient.  One batched ``numpy.linalg.eigh`` makes one LAPACK call per
+frequency and takes four to seven times as long; it stays the solver for
+every other k.  A batched Jacobi sweep (slower than ``eigh``) and
+``eigvalsh`` followed by inverse iteration (no clear gain) were tried and
+dropped.  The kernel runs over ``_SOLVE_BLOCK`` frequencies at a time,
+which bounds its temporaries and keeps its bits: each frequency's
+arithmetic is its own.  At T = 50,000 one envelope holds at most 6.9 MiB
+(traced): the centred indicators, their DFT and the six periodogram
+columns.  A real FFT, or whitening before the transform, would be faster
+but change the bits.
 """
 
 from __future__ import annotations
@@ -99,11 +107,29 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
     return _circular_mean(once, window, len(values) // 2 + 1)[1:]
 
 
+def _lower_periodogram(yc: np.ndarray) -> np.ndarray:
+    """The (T, k(k+1)/2) real cross-periodogram of centred (T, k) indicators: the columns of its
+    lower triangle in row order, (0, 0), (1, 0), (1, 1), (2, 0), ...  Each column is formed from
+    the complex DFT as ``(dft[:, i] * dft[:, j].conj() / T).real``, with the bits of the (T, k, k)
+    broadcast product's entry; the real-arithmetic ``re_i re_j + im_i im_j`` does not have them."""
+    T, k = yc.shape
+    dft = np.fft.fft(yc, axis=0)
+    period = np.empty((T, k * (k + 1) // 2))
+    for column, (i, j) in enumerate(zip(*np.tril_indices(k))):
+        period[:, column] = (dft[:, i] * dft[:, j].conj() / T).real
+    return period
+
+
 def _cross_spectrum(yc: np.ndarray, window: int) -> np.ndarray:
     """Rows 1..T//2 of the smoothed real cross-periodogram of centred (T, k) indicators, exactly
-    symmetric: (i, j) and (j, i) take the same products and the smoother's same arithmetic."""
-    dft = np.fft.fft(yc, axis=0)
-    return _daniell2((dft[:, :, None] * dft.conj()[:, None, :] / len(yc)).real, window)
+    symmetric: only the lower triangle's k(k+1)/2 columns are formed and smoothed (see
+    :func:`_lower_periodogram`), and each is written to both of its (i, j) and (j, i) entries, so
+    no (T, k, k) periodogram is ever held."""
+    smooth = _daniell2(_lower_periodogram(yc), window)
+    rows, columns = np.tril_indices(yc.shape[1])
+    full = np.empty((len(smooth), yc.shape[1], yc.shape[1]))
+    full[:, rows, columns] = full[:, columns, rows] = smooth
+    return full
 
 
 def _check_window(window, T: int) -> None:
@@ -120,14 +146,27 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
     Uses the same centering, normalization and iterated Daniell smoothing as
     the envelope computation, and rejects the windows it rejects, so the
     spectrum of a scaled series divided by its variance can be compared
-    against the envelope directly.
+    against the envelope directly.  Raises, naming it, on input that is
+    not 1-D, on the first value that is not finite, and on values so large
+    that the spectrum overflows.
     """
     z = np.asarray(values, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {z.shape}")
     _check_window(window, z.size)
-    zc = z - z.mean()
-    dft = np.fft.fft(zc)
-    period = (dft * dft.conj()).real / z.size
-    return _daniell2(period, window)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"value at position {bad[0] + 1} (1-based) is not finite: {z[bad[0]]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        zc = z - z.mean()
+        dft = np.fft.fft(zc)
+        spectrum = _daniell2((dft * dft.conj()).real / z.size, window)
+    if not np.isfinite(spectrum).all():
+        raise ValueError("smoothed spectrum is not finite (values too large)")
+    return spectrum
+
+
+_SOLVE_BLOCK = 8192  # frequencies solved at a time by _top_eigenpairs3; bounds its temporaries
 
 
 def _top_eigenpairs3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +257,8 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
             "drop unused categories from the alphabet and retry"
         )
 
-    smooth = _cross_spectrum(yc, window)  # the (T, k, k) periodograms are dropped before the solve
+    smooth = _cross_spectrum(yc, window)
+    del yc
     if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
         raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")
 
@@ -228,7 +268,10 @@ def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnv
     whitened = whiten @ smooth @ whiten.T
     del smooth
     if y.shape[1] == 3:
-        envelope, u = _top_eigenpairs3(whitened)
+        envelope, u = np.empty(n_freq), np.empty((n_freq, 3))
+        for start in range(0, n_freq, _SOLVE_BLOCK):
+            block = slice(start, start + _SOLVE_BLOCK)
+            envelope[block], u[block] = _top_eigenpairs3(whitened[block])
     else:
         values, vectors = np.linalg.eigh(whitened)
         envelope, u = values[:, -1], vectors[:, :, -1]
@@ -262,4 +305,7 @@ def scaled_series(series: CategoricalSeries, gamma) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if g.shape != (series.alphabet.size,):
         raise ValueError("scaling vector length must equal the alphabet size")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"scaling of category {series.alphabet.symbols[bad[0]]!r} is not finite: {g[bad[0]]}")
     return g[series.codes - 1]

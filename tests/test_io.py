@@ -529,6 +529,24 @@ def test_two_decimal_text_is_python_format(values):
     assert _fixed_text(mark, [column, column[::-1]], " | ") == expected
 
 
+@example(3, [k / 1000 for k in range(-1000, 1000)])  # many blocks, of 1 to 3 rows
+@example(1, [0.125, 2.675, 0.005, -0.005, 999.995])
+@example(5, [0.5, math.nan, 1.0, math.inf, -2.0, 2.0**40, 3.0])  # Python formats every value
+@example(7, [])
+@given(st.integers(1, 9), st.lists(_TWO_DECIMAL_VALUES, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_two_decimal_text_written_a_block_at_a_time_is_the_one_shot_text(block_cells, values):
+    """However few cells a block holds, one to three columns give the text of a single block
+    (``_BLOCK_CELLS`` above every cell) and of the Python oracle."""
+    columns = [np.array(values, dtype=float), np.array(values[::-1], dtype=float), np.array(values) * -3.0]
+    for template, sep, width in ("{}", "\n", 1), ("{},{}", " ", 2), ('<c x="{}" y="{}" r="{}"/>', "\n", 3):
+        with mock.patch("catseries.io._BLOCK_CELLS", block_cells):
+            blocked = _fixed_text(template, columns[:width], sep)
+        with mock.patch("catseries.io._BLOCK_CELLS", 3 * len(values) + 1):
+            assert blocked == _fixed_text(template, columns[:width], sep)
+        assert blocked == oracles.fixed_text(template, columns[:width], sep)
+
+
 @example([-2**63, 2**63 - 1, 0, -1, 9999, 10000, -10000, 10**18])
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20))
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import oracles
 from catseries import Alphabet, CategoricalSeries, scaled_series, spectral_envelope
 from catseries.series import binarize
 from catseries.simulate import NdarmaModel, generate_series
+from catseries import spectral
 from catseries.spectral import (
     _cross_spectrum,
     _daniell2,
+    _lower_periodogram,
     _top_eigenpairs3,
     default_window,
     envelope_from_indicators,
@@ -378,9 +381,11 @@ def test_a_multiple_of_the_identity_gets_a_unit_vector():
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=np.finfo(float).eps)
 
 
-def test_the_envelope_of_a_long_four_letter_series_holds_at_most_16_4_mib():
-    """T = 50,000 and k = 3: the periodograms are dropped before the solve, and the solve keeps one
-    array of n entries per matrix entry.  16.43 MiB is what the batched eigh solve held."""
+def test_the_envelope_of_a_long_four_letter_series_holds_at_most_7_5_mib():
+    """T = 50,000 and k = 3: no (T, k, k) periodogram is formed, only its six lower-triangle
+    columns, and the 3x3 solve runs over blocks of frequencies.  The peak is 6.9 MiB: the
+    centred indicators, their DFT, the six columns and two column temporaries.  The (T, 3, 3)
+    periodograms and the whole-array solve held 16.4 MiB."""
     rng = np.random.default_rng(12)
     y = binarize(CategoricalSeries(rng.integers(1, 5, 50_000), Alphabet.of_size(4)))[:, :-1]
     envelope_from_indicators(y, default_window(50_000))
@@ -390,7 +395,66 @@ def test_the_envelope_of_a_long_four_letter_series_holds_at_most_16_4_mib():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 16.43, peak
+    assert peak <= 7.5, peak
+
+
+@given(st.integers(8, 300), st.integers(1, 6), st.floats(1e-150, 1e150), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_lower_periodogram_has_the_bits_of_the_full_product(T, k, scale, indicators, data):
+    """Each of the k(k+1)/2 columns is the (i, j) entry of the (T, k, k) broadcast product of the
+    DFT with its conjugate, bit for bit, for indicators or any centred values at any scale."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = scale * (rng.integers(0, 2, (T, k)) if indicators else rng.normal(size=(T, k)))
+    yc = y - y.mean(axis=0)
+    dft = np.fft.fft(yc, axis=0)
+    full = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
+    period = _lower_periodogram(yc)
+    rows, columns = np.tril_indices(k)
+    assert period.shape == (T, len(rows))
+    assert (period.view(np.uint64) == full[:, rows, columns].view(np.uint64)).all()
+
+
+def test_the_blocked_3x3_solve_has_the_bits_of_one_whole_call():
+    """T // 2 = 2 * 8192 + 5 frequencies: three blocks, the last of five, give the bits that one
+    call over every frequency gives."""
+    T = 2 * (2 * spectral._SOLVE_BLOCK + 5)
+    y = binarize(random_series(np.random.default_rng(13), r=4, T=T, require_all=True))[:, :-1]
+    sizes = []
+
+    def solve(a):
+        sizes.append(len(a))
+        return _top_eigenpairs3(a)
+
+    with mock.patch.object(spectral, "_top_eigenpairs3", solve):
+        blocked = envelope_from_indicators(y, 101)
+        assert sizes == [8192, 8192, 5]
+        with mock.patch.object(spectral, "_SOLVE_BLOCK", T):
+            whole = envelope_from_indicators(y, 101)
+        assert sizes[3:] == [T // 2]
+    assert (blocked.envelope.view(np.uint64) == whole.envelope.view(np.uint64)).all()
+    assert (blocked.scalings.view(np.uint64) == whole.scalings.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((40, 2)), r"series must be 1-D, got shape \(40, 2\)"),
+    (np.ones((1, 40)), r"series must be 1-D, got shape \(1, 40\)"),
+    (np.r_[1.0, np.nan, np.inf, np.zeros(37)], r"value at position 2 \(1-based\) is not finite: nan"),
+    (np.r_[np.zeros(39), -np.inf], r"value at position 40 \(1-based\) is not finite: -inf"),
+    (np.r_[np.full(20, 1e308), np.full(20, -1e308)], r"smoothed spectrum is not finite \(values too large\)"),
+    (np.r_[np.full(20, 1e200), np.zeros(20)], r"smoothed spectrum is not finite \(values too large\)"),
+])
+def test_the_smoothed_spectrum_names_bad_input(values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            smoothed_spectrum(values, 5)
+
+
+def test_scaled_series_names_a_category_whose_scaling_is_not_finite():
+    series = CategoricalSeries(np.array([1, 2, 3, 1]), Alphabet(("a", "b", "c")))
+    for gamma, name in (([1.0, np.nan, 2.0], "'b'"), ([np.inf, 0.0, -np.inf], "'a'")):
+        with pytest.raises(ValueError, match=f"scaling of category {name} is not finite"):
+            scaled_series(series, gamma)
 
 
 @given(st.data())
