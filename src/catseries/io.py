@@ -392,15 +392,10 @@ def _fixed_text(template: str, columns, sep: str) -> str:
         return sep.join(map(fill, *bits.view(np.float64).T.tolist()))
     parts = (template + sep).encode().split(b"{}")
     step = max(1, _BLOCK_CELLS // bits.shape[1])
-    blocks = []
-    for start in range(0, len(bits), step):
-        text, keep = _digit_text(parts, *_hundredths(bits[start:start + step]), point=True)
-        blocks.append(text[keep].tobytes())
-    if blocks:  # every row ends in ``sep``
-        blocks[-1] = blocks[-1].removesuffix(sep.encode())
-    text = b"".join(blocks)
-    del blocks
-    return text.decode()
+    blocks = (_digit_text(parts, *_hundredths(bits[start:start + step]), point=True)
+              for start in range(0, len(bits), step))
+    text = b"".join(text[keep].tobytes() for text, keep in blocks).decode()
+    return text.removesuffix(sep)  # every row ends in ``sep``
 
 
 _KEEP = np.array([int("01" * n or "0", 16) for n in range(9)], np.uint64)  # n bytes of 1
