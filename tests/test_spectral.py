@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from catseries import Alphabet, CategoricalSeries, scaled_series, spectral_envelope
+from catseries import Alphabet, CategoricalSeries, scaled_series, spectral, spectral_envelope
 from catseries.series import binarize
 from catseries.simulate import NdarmaModel, generate_series
-from catseries import spectral
 from catseries.spectral import (
     _cross_spectrum,
     _daniell2,
