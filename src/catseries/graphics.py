@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inference import TEST_FAMILIES, TestReport
-from .series import CategoricalSeries, _is_integer, binarize, marginal_probabilities
+from .series import CategoricalSeries, _is_integer, marginal_probabilities
 
 __all__ = [
     "RateEvolution",
@@ -52,7 +52,7 @@ class RateEvolution:
 def rate_evolution(series: CategoricalSeries) -> RateEvolution:
     """Running occurrence counts of every category; linear growth indicates
     a stable marginal distribution."""
-    counts = np.cumsum(binarize(series).astype(np.int64), axis=0)
+    counts = np.cumsum(np.eye(series.alphabet.size, dtype=np.int64)[series.codes - 1], axis=0)
     return RateEvolution(counts, series.alphabet.symbols)
 
 
@@ -199,9 +199,8 @@ def ifs_circle_transform(
     start = np.asarray(f0, dtype=float)
     if start.shape != (2,) or not np.all(np.isfinite(start)):
         raise ValueError("f0 must be a finite 2-D point")
-    targets = circle_corners(series.alphabet.size)[series.codes - 1]
-    # beta * x is formed once in numpy, with the same rounding as per step
-    points = _recursion(beta * targets, start, alpha)
+    # beta * x is formed once per corner in numpy, with the same rounding as per step
+    points = _recursion((beta * circle_corners(series.alphabet.size))[series.codes - 1], start, alpha)
     return FractalSeries(points, alpha, beta, (float(f0[0]), float(f0[1])))
 
 
@@ -336,8 +335,8 @@ def ewma_marginal_chart(
         raise ValueError("every in-control probability must lie strictly inside (0, 1)")
 
     T = len(series)
-    # (1 - lam) * Y_t is formed once in numpy, with the same rounding as per step
-    pi = _recursion((1.0 - lam) * binarize(series), c, lam)
+    # (1 - lam) * Y_t is formed once per category in numpy, with the same rounding as per step
+    pi = _recursion(((1.0 - lam) * np.eye(r))[series.codes - 1], c, lam)
 
     # lam ** (2t) is exactly 0 for every t > cut (below 2**-1076): those rows share the factor 1.0 = 1 - 0
     cut = min(T, math.ceil(1076 / (-2 * math.log2(lam))))

@@ -41,13 +41,14 @@ its alphabet's byte table, a symbol at every other byte between ``,``.
 A hex cell is canonical when it is ``0x1.`` with 13 lowercase digits and
 a normal exponent, or ``0x0.0p+0``, either signed, as ``float.hex`` writes
 it.  A distance file is canonical when its first line is ``id,`` and ids in
-UTF-8 without a quote or ``\r``, every line ends in ``\n`` and none is
-longer than csv's field limit, and every row is its header id, ``,`` and
-one canonical cell per id, split by ``,``: as ``--bitexact`` writes it
-unless an id needs a quote.  :func:`read_distance_csv` reads such a file
-as bytes, parsing each block of rows in place with the hex kernel
-:func:`_hex_values`; a file whose first cell does not start ``0x`` or
-``-0x``, such as a decimal one, is left after its header and first id.
+UTF-8 without a quote or ``\r``, none longer in bytes than csv's field
+limit (nor that limit below 24, the bytes of the longest cell), every line
+ends in ``\n``, and every row is its header id, ``,`` and one canonical
+cell per id, split by ``,``: as ``--bitexact`` writes it unless an id needs
+a quote.  :func:`read_distance_csv` reads such a file as bytes, a block of
+rows at a time into one reused buffer, parsing each block in place with
+the hex kernel :func:`_hex_values`; a file whose first cell does not start
+``0x`` or ``-0x``, such as a decimal one, is left after its first block.
 It reads any other file as text, row by row: a line without a quote and
 within csv's field limit is split once, at the id's comma, and any other
 row by strict :mod:`csv`; each row's cells are parsed by
@@ -504,51 +505,60 @@ def read_distance_csv(path) -> DistanceMatrix:
 def _read_canonical_distances(path) -> tuple[np.ndarray, tuple[str, ...]] | None:
     """The values and ids :func:`_read_distance_text` reads from a canonical
     distance file (see the module docstring), or None for it to read the
-    file and name what is wrong with it.  The file is read into one buffer,
-    padded for the hex kernel's reads past a cell and dropped on return,
-    before :class:`DistanceMatrix` copies the values; its line ends are
-    found one by one, and the cells of each block of rows are cut at the
-    block's commas."""
+    file and name what is wrong with it, perhaps after some blocks have
+    parsed.  After the header, the rows are read a block at a time, as many
+    as ``_BLOCK_CELLS`` cells fill, into one buffer that holds the longest
+    canonical block and is padded for the hex kernel's reads past a cell.
+    Each read fills the buffer behind the bytes the last block left; the
+    block's line ends are found one by one, each line must start with its
+    header id, and the block's cells are cut at its commas."""
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        data = bytearray(size + 32)  # a short read leaves NULs, so no "\n" ends the file
-        handle.readinto(memoryview(data)[:size])
-    end = data.find(b"\n", 0, size)
-    header = bytes(data[:max(end, 0)])
-    if not header.startswith(b"id,") or b'"' in header or b"\r" in header:
-        return None
-    try:
-        ids = tuple(header[3:].decode("utf-8").split(","))
-    except UnicodeDecodeError:
-        return None
-    raw = header[3:].split(b",")
-    if not data.startswith((b"0x", b"-0x"), end + len(raw[0]) + 2):  # the first cell: a decimal file is not read
-        return None
-    n = len(ids)
-    ends = np.empty(n + 1, np.intp)  # the header's line end, then each row's
-    ends[0] = end
-    for row, ident in enumerate(raw, start=1):
-        if end < 0 or not data.startswith(ident + b",", end + 1):
+        header = handle.readline()
+        if not header.startswith(b"id,") or not header.endswith(b"\n") or b'"' in header or b"\r" in header:
             return None
-        ends[row] = end = data.find(b"\n", end + 1, size)
-    # every canonical cell takes 8 bytes or more and its ","
-    if end != size - 1 or np.diff(ends, prepend=-1).max() > csv.field_size_limit() or size < 9 * n * n:
-        return None
-    buffer = np.frombuffer(data, np.uint8)
-    id_commas = ends[:-1] + 1 + np.fromiter(map(len, raw), np.intp, n)
-    values = np.empty((n, n))
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        commas = np.flatnonzero(buffer[id_commas[start]:ends[stop]] == ord(",")) + id_commas[start]
-        # n commas a row, the first after its id: each row's cells end at its next comma or its line end
-        if len(commas) != (stop - start) * n or not np.array_equal(commas[::n], id_commas[start:stop]):
+        try:
+            ids = tuple(header[3:-1].decode("utf-8").split(","))
+        except UnicodeDecodeError:
             return None
-        commas = commas.reshape(-1, n)
-        parsed = _hex_values(buffer, commas + 1, np.column_stack((commas[:, 1:], ends[start + 1:stop + 1])))
-        if parsed is None:
+        heads = [ident + b"," for ident in header[3:-1].split(b",")]
+        n = len(ids)
+        widths = np.fromiter(map(len, heads), np.intp, n)
+        # a canonical cell takes 8 to 24 bytes and its "," or "\n", so of the fields only an id can pass csv's limit
+        if size < 9 * n * n or max(24, widths.max() - 1) > csv.field_size_limit():
             return None
-        values[start:stop] = parsed
+        step = max(1, _BLOCK_CELLS // n)
+        # a canonical row is its id, "," and at most 25 bytes a cell
+        room = int(np.add.reduceat(widths, np.arange(0, n, step)).max()) + min(step, n) * 25 * n
+        data = bytearray(room + 32)
+        view, buffer = memoryview(data), np.frombuffer(data, np.uint8)
+        id_commas, ends = np.empty(step, np.intp), np.empty(step, np.intp)
+        values = np.empty((n, n))
+        filled = 0  # bytes of the file in the buffer, from its start
+        for start in range(0, n, step):
+            rows = min(step, n - start)
+            filled += handle.readinto(view[filled:room])
+            at = 0
+            for row, head in enumerate(heads[start:start + rows]):
+                end = data.find(b"\n", at, filled)
+                if end < 0 or not data.startswith(head, at):
+                    return None
+                id_commas[row], ends[row], at = at + len(head) - 1, end, end + 1
+            if start == 0 and not data.startswith((b"0x", b"-0x"), id_commas[0] + 1):  # a decimal file is not read
+                return None
+            commas = np.flatnonzero(buffer[id_commas[0]:at] == ord(",")) + id_commas[0]
+            # n commas a row, the first after its id: each row's cells end at its next comma or its line end
+            if len(commas) != rows * n or not np.array_equal(commas[::n], id_commas[:rows]):
+                return None
+            commas = commas.reshape(rows, n)
+            parsed = _hex_values(buffer, commas + 1, np.column_stack((commas[:, 1:], ends[:rows])))
+            if parsed is None:
+                return None
+            values[start:start + rows] = parsed
+            view[:filled - at] = view[at:filled]  # the next block's first bytes
+            filled -= at
+        if filled or handle.read(1):
+            return None
     return values, ids
 
 

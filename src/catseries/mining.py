@@ -17,6 +17,7 @@ the diagonal, and has one id per row (``series_1``, ... by default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,22 +266,39 @@ def two_dimensional_scaling(dm: DistanceMatrix | np.ndarray) -> Embedding:
     Column signs are fixed so the largest-magnitude coordinate in each
     column is positive.  Raises, naming the ids of the largest distance,
     when the double-centred matrix overflows (distances above about 1e154).
+
+    The matrix is centred in one working array, and only its lower
+    triangle, the one ``eigh`` reads, is made symmetric, a block of rows at
+    a time: besides the distances, the scaling holds that array and
+    ``eigh``'s own.
     """
     dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)
     d = dm.values
-    if len(d) < 3:
-        raise ValueError(f"need at least three objects for 2-D scaling, got {len(d)}")
+    n = len(d)
+    if n < 3:
+        raise ValueError(f"need at least three objects for 2-D scaling, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = -0.5 * d**2
-        centered = centered - centered.mean(axis=0) - centered.mean(axis=1)[:, None] + centered.mean()
+        centered = np.square(d)
+        centered *= -0.5
+        column_means, row_means, mean = centered.mean(axis=0), centered.mean(axis=1)[:, None], centered.mean()
+        centered -= column_means
+        centered -= row_means
+        centered += mean
     if not np.isfinite(centered).all():
         i, j = np.unravel_index(np.argmax(d), d.shape)
         raise ValueError(f"distances too large for 2-D scaling: the double-centred matrix overflows; "
                          f"the largest distance is {d[i, j]} between {dm.ids[i]!r} and {dm.ids[j]!r}")
-    eigvals, eigvecs = np.linalg.eigh((centered + centered.T) / 2.0)
+    step = math.isqrt(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        half = (centered[start:stop, :stop] + centered[:stop, start:stop].T) / 2.0
+        centered[start:stop, :start] = half[:, :start]
+        np.copyto(centered[start:stop, start:stop], half[:, start:], where=np.tri(stop - start, dtype=bool))
+    eigvals, eigvecs = np.linalg.eigh(centered)
+    del centered
     order = np.argsort(eigvals)[::-1]
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    coords = eigvecs[:, :2] * np.sqrt(np.maximum(eigvals[:2], 0.0))
+    eigvals = eigvals[order]
+    coords = eigvecs[:, order[:2]] * np.sqrt(np.maximum(eigvals[:2], 0.0))
     for col in range(2):
         top = np.argmax(np.abs(coords[:, col]))
         if coords[top, col] < 0:
@@ -324,7 +342,7 @@ def boxplot_outlier_count(scores, range_factor: float = 1.0) -> BoxplotOutliers:
     1.5 for the conventional fence."""
     s = np.asarray(scores, dtype=float)
     if s.size < 4:
-        raise ValueError("need at least four scores for the boxplot rule")
+        raise ValueError(f"need at least four scores for the boxplot rule, got {s.size}")
     if not np.all(finite := np.isfinite(s)):
         raise ValueError(f"scores must be finite, got {s[~finite][0]} at index {np.argmin(finite)}")
     if not 0.0 <= range_factor < np.inf:

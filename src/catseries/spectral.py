@@ -110,13 +110,14 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
 def _lower_periodogram(yc: np.ndarray) -> np.ndarray:
     """The (T, k(k+1)/2) real cross-periodogram of centred (T, k) indicators: the columns of its
     lower triangle in row order, (0, 0), (1, 0), (1, 1), (2, 0), ...  Each column is formed from
-    the complex DFT as ``(dft[:, i] * dft[:, j].conj() / T).real``, with the bits of the (T, k, k)
-    broadcast product's entry; the real-arithmetic ``re_i re_j + im_i im_j`` does not have them."""
+    the complex DFT, taken as (k, T) rows, as ``(dft[i] * dft[j].conj() / T).real``, with the bits
+    of the (T, k, k) broadcast product's entry; the real-arithmetic ``re_i re_j + im_i im_j`` does
+    not have them."""
     T, k = yc.shape
-    dft = np.fft.fft(yc, axis=0)
+    dft = np.fft.fft(yc.T, out=np.empty((k, T), complex))  # one contiguous row per indicator
     period = np.empty((T, k * (k + 1) // 2))
     for column, (i, j) in enumerate(zip(*np.tril_indices(k))):
-        period[:, column] = (dft[:, i] * dft[:, j].conj() / T).real
+        period[:, column] = (dft[i] * dft[j].conj() / T).real
     return period
 
 

@@ -665,6 +665,29 @@ def series_distance_matrix(corpus, metric, max_lag, ids=None):
     return values
 
 
+
+def two_dimensional_scaling(d):
+    """(coordinates, eigenvalues, clamped mass) of classical scaling as the
+    package first computed it, one whole-matrix temporary at each step:
+    -D^2/2 double-centred, symmetrised as (c + c.T) / 2, every eigenpair
+    reordered by decreasing eigenvalue, each coordinate column's sign fixed
+    so that its largest-magnitude entry is positive."""
+    import numpy as np
+
+    centered = -0.5 * d**2
+    centered = centered - centered.mean(axis=0) - centered.mean(axis=1)[:, None] + centered.mean()
+    eigvals, eigvecs = np.linalg.eigh((centered + centered.T) / 2.0)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    coords = eigvecs[:, :2] * np.sqrt(np.maximum(eigvals[:2], 0.0))
+    for col in range(2):
+        top = np.argmax(np.abs(coords[:, col]))
+        if coords[top, col] < 0:
+            coords[:, col] = -coords[:, col]
+    magnitude = float(np.sum(np.abs(eigvals)))
+    clamped = float(np.sum(np.maximum(-eigvals, 0.0)) / magnitude) if magnitude > 0 else 0.0
+    return coords, eigvals, clamped
+
 def series_feature_row(series, measures, lags, expand):
     """(values, schema) of one series as ``catseries features`` writes its
     row: dispersion and marginal columns, then each measure at each lag."""

@@ -436,6 +436,16 @@ def test_mds_and_outliers_exit_2_on_a_repeated_id_naming_the_file(tmp_path, caps
     assert not out.exists()
 
 
+
+def test_outliers_of_three_series_exit_2_naming_the_count(tmp_path, capsys):
+    """The boxplot rule needs four scores: a 3x3 file is read, and the
+    error says how many series it holds."""
+    dist, out = tmp_path / "dist.csv", tmp_path / "out.json"
+    dist.write_text("id,a,b,c\na,0,1,2\nb,1,0,3\nc,2,3,0\n")
+    assert main(["outliers", "--dist", str(dist), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need at least four scores for the boxplot rule, got 3\n"
+    assert not out.exists()
+
 @pytest.mark.parametrize("command, message", [
     ("mds", "distances too large for 2-D scaling: the double-centred matrix overflows; "
             "the largest distance is 1.5e+308 between 'b' and 'c'"),

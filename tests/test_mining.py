@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catseries import (
     Alphabet,
@@ -286,6 +288,42 @@ def test_mds_eigenvalues_and_errors():
         two_dimensional_scaling(D)
 
 
+def _points_distances(points):
+    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def point_distance_matrices(draw):
+    """Euclidean distances of 3 to 40 normal points in 1 to 4 dimensions at
+    a scale from 1e-5 to 1e5, half the time rounded to a grid so that points
+    and eigenvalues tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-5, 1e5))
+    points = rng.normal(size=(draw(st.integers(3, 40)), draw(st.integers(1, 4)))) * scale
+    return _points_distances(np.round(points / scale) * scale if draw(st.booleans()) else points)
+
+
+@example(np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]]))  # n = 3
+@example(np.ones((5, 5)) - np.eye(5))  # a simplex: four tied eigenvalues
+@example(_points_distances(np.repeat(np.eye(3), 3, axis=0)))  # tied points and tied eigenvalues
+@example(np.zeros((4, 4)))  # every eigenvalue zero
+@given(point_distance_matrices())
+@settings(max_examples=200, deadline=None)
+def test_scaling_in_one_array_has_the_bits_of_the_whole_matrix_formula(d):
+    """Centring in place and making only eigh's lower triangle symmetric, a
+    block of rows at a time, gives the coordinates, eigenvalues and clamped
+    mass of the whole-matrix formula bit for bit, with tied points and tied
+    eigenvalues too."""
+    emb = two_dimensional_scaling(d)
+    coords, eigvals, clamped = oracles.two_dimensional_scaling(d)
+    assert emb.coordinates.view(np.uint64).tolist() == coords.view(np.uint64).tolist()
+    assert emb.eigenvalues.view(np.uint64).tolist() == eigvals.view(np.uint64).tolist()
+    assert emb.clamped_mass == clamped
+
+
 def test_outlier_scores_collinear():
     pts = np.array([[0.0], [1.0], [10.0]])
     scores, order = outlier_scores(np.abs(pts - pts.T))
@@ -304,7 +342,7 @@ def test_boxplot_rule():
     out = boxplot_outlier_count([1.0, 1.0, 1.0, 1.0, 10.0], 1.5)
     assert out.count == 1 and out.indices == (4,)
     assert boxplot_outlier_count([2.0, 2.0, 2.0, 2.0], 1.0).count == 0
-    with pytest.raises(ValueError, match="four"):
+    with pytest.raises(ValueError, match="^need at least four scores for the boxplot rule, got 3$"):
         boxplot_outlier_count([1.0, 2.0, 3.0], 1.0)
     with pytest.raises(ValueError, match="scores must be finite, got nan at index 2"):
         boxplot_outlier_count([1.0, 2.0, float("nan"), 4.0, 100.0])
