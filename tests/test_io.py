@@ -1025,41 +1025,6 @@ def _read_outcome(read, path):
     return ids, np.array(values, dtype=float).reshape(len(ids), len(ids)).view(np.uint64).tolist()
 
 
-@example(_first_row_file("a", ["0x1p0", "1.5"]), 8192)
-@example(_first_row_file("a,b", ["0x1p0", " 0x1p0", "0x1p0\u3000"]), 8192)
-@example(_first_row_file('say "x"', ["1.5", "0x1p0"]), 1)
-@example(_first_row_file("two\r\nlines\r", ["0x1p0", "+0x1p0"]), 2)
-@example(_first_row_file("\n", ["2", "abc", "-0x1p0"]), 8192)
-@example('a,"b\r\nc",d\n\n"e""",\r"\n', 8192)
-@example('"unterminated\n,x', 8192)
-@example('x\r\ny\rz\n\r\n,\n', 8192)
-@example('id,a,b\r\na,"0",0x1p0\r\nb,1,0\r\n', 1)
-# a canonical hex file with one flaw, which the bytes reader leaves to the text reader
-@example(_HEX_FILE[:-1], 8192)  # no final "\n"
-@example(_HEX_FILE + "\n", 8192)  # a trailing blank line
-@example(_HEX_FILE.replace("\n", "\r", 1), 8192)  # a lone "\r", which ends a line
-@example("\ufeff" + _HEX_FILE, 8192)  # a UTF-8 byte order mark
-@example(_HEX_FILE.encode().replace(b",b", b",b\xff", 1), 8192)  # a byte that is not UTF-8 in the header
-@example(_HEX_FILE.replace("\nbc,", "\nb,"), 8192)  # a row id that is a prefix of its header id
-@example(_HEX_FILE.replace("p+0,0x1", "p+0,,0x1", 1), 1)  # one extra comma
-@example(_HEX_FILE.replace("a", "a" * 2**17), 8192)  # a line over csv's field limit
-@example(_HEX_FILE.replace("\n", "\r\n"), 8192)  # "\r\n" line ends
-@example(_HEX_FILE.replace("bc", '"b,c"'), 8192)  # a quoted id
-@given(distance_files(), st.integers(1, 20))
-@settings(max_examples=500, deadline=None)
-def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
-    """Any file reads as the reference reader reads it, csv.reader row by
-    row and float.fromhex or float cell by cell: the same ids and value
-    bits, or the same message naming file, line and column, whatever the
-    block of rows parsed at a time."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells):
-        path = Path(tmp) / "dist.csv"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        expected = _read_outcome(oracles.read_distance_csv, path)
-        assert _read_outcome(lambda p: (lambda dm: (dm.ids, dm.values))(read_distance_csv(p)), path) == expected
-
-
-
 def _canonical_distance_file(data):
     """Whether a distance file is canonical as the io module defines it:
     its first line is "id," and ids in UTF-8 without a quote or "\r", none
@@ -1085,7 +1050,6 @@ def _canonical_distance_file(data):
     return True
 
 
-
 @st.composite
 def canonical_distance_files(draw):
     """The bytes of a canonical distance file of 1 to 6 ids, as --bitexact
@@ -1104,6 +1068,28 @@ def canonical_distance_files(draw):
     return {"none": data, "inserted": data[:at] + byte + data[at:], "replaced": data[:at] + byte + data[at + 1:],
             "dropped": data[:at] + data[at + 1:], "cut": data[:at]}[edit]
 
+
+@example(_first_row_file("a", ["0x1p0", "1.5"]), 8192)
+@example(_first_row_file("a,b", ["0x1p0", " 0x1p0", "0x1p0\u3000"]), 8192)
+@example(_first_row_file('say "x"', ["1.5", "0x1p0"]), 1)
+@example(_first_row_file("two\r\nlines\r", ["0x1p0", "+0x1p0"]), 2)
+@example(_first_row_file("\n", ["2", "abc", "-0x1p0"]), 8192)
+@example('a,"b\r\nc",d\n\n"e""",\r"\n', 8192)
+@example('"unterminated\n,x', 8192)
+@example('x\r\ny\rz\n\r\n,\n', 8192)
+@example('id,a,b\r\na,"0",0x1p0\r\nb,1,0\r\n', 1)
+# a canonical hex file with one flaw, which the bytes reader leaves to the text reader
+@example(_HEX_FILE[:-1], 8192)  # no final "\n"
+@example(_HEX_FILE + "\n", 8192)  # a trailing blank line
+@example(_HEX_FILE.replace("\n", "\r", 1), 8192)  # a lone "\r", which ends a line
+@example("\ufeff" + _HEX_FILE, 8192)  # a UTF-8 byte order mark
+@example(_HEX_FILE.encode().replace(b",b", b",b\xff", 1), 8192)  # a byte that is not UTF-8 in the header
+@example(_HEX_FILE.replace("\nbc,", "\nb,"), 8192)  # a row id that is a prefix of its header id
+@example(_HEX_FILE.replace("p+0,0x1", "p+0,,0x1", 1), 1)  # one extra comma
+@example(_HEX_FILE.replace("a", "a" * 2**17), 8192)  # an id at csv's field limit, on lines over it
+@example(_HEX_FILE.replace("a", "a" * (2**17 + 1)), 9)  # an id over csv's field limit
+@example(_HEX_FILE.replace("\n", "\r\n"), 8192)  # "\r\n" line ends
+@example(_HEX_FILE.replace("bc", '"b,c"'), 8192)  # a quoted id
 @example(_HEX_FILE, 1)
 @example(_HEX_FILE[:-1], 2)  # no final "\n": left after the first row has parsed
 @example(_HEX_FILE + "x", 1)  # a byte after the last row
@@ -1112,15 +1098,15 @@ def canonical_distance_files(draw):
 @example(_HEX_FILE.replace("bc,0x1.8", "bc,0x1.0"), 1)  # canonical but not symmetric
 @example(_HEX_FILE.replace("\nbc,", "\nbd,"), 1)  # a row id of its header id's length that differs
 @example(_HEX_FILE.replace("0x1.8000000000000p+1", "0x0.0000000000001p-1022"), 2)  # subnormal cells
-@example(_HEX_FILE.replace("a", "a" * 2**17), 9)  # an id at csv's field limit, on lines over it
-@example(_HEX_FILE.replace("a", "a" * (2**17 + 1)), 9)  # an id over csv's field limit
-@given(distance_files() | canonical_distance_files(), st.integers(1, 9))
-@settings(max_examples=500, deadline=None)
-def test_the_streaming_reader_reads_what_the_reference_reader_reads(text, block_cells):
-    """Read a block of 1 to 9 cells' rows at a time, any file reads as the
-    reference reader reads it, and exactly the files that are not canonical
-    go to the text reader, whatever the block at which the bytes reader
-    leaves them."""
+@given(distance_files() | canonical_distance_files(), st.integers(1, 20))
+@settings(max_examples=800, deadline=None)
+def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
+    """Any file reads as the reference reader reads it, csv.reader row by
+    row and float.fromhex or float cell by cell: the same ids and value
+    bits, or the same message naming file, line and column, whatever the
+    block of rows parsed at a time.  Exactly the files that are not
+    canonical go to the text reader, whatever the block at which the bytes
+    reader leaves them."""
     data = text if isinstance(text, bytes) else text.encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells), \
             mock.patch("catseries.io._read_distance_text", side_effect=_read_distance_text) as text_reader:
