@@ -163,7 +163,10 @@ def _cmd_outliers(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = corpus_spec_from_dict(json.load(handle))
+        try:
+            spec = corpus_spec_from_dict(json.load(handle))
+        except ValueError as err:  # a JSONDecodeError too
+            raise ValueError(f"{err}: {args.spec}") from None
     corpus, labels = generate_corpus(spec)
     io.write_corpus(args.out, corpus, labels)
     return 0

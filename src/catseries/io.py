@@ -171,7 +171,7 @@ def _read_text(path, alphabet: Alphabet | None, fmt: str):
     if not distinct <= known:
         line_no, pos, symbol = next((line_no, pos, s) for line_no, symbols in rows
                                     for pos, s in enumerate(symbols, start=1) if s not in known)
-        raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}")
+        raise ValueError(f"unknown symbol {symbol!r} at line {line_no}, position {pos}: {path}")
     code = {symbol: alphabet.code(symbol) for symbol in distinct}.__getitem__
     return alphabet, [np.fromiter(map(code, symbols), np.int64, len(symbols)) for _, symbols in rows], ids, labels
 
@@ -496,6 +496,7 @@ def read_distance_csv(path) -> DistanceMatrix:
     :class:`DistanceMatrix` checks the values, and its error gains the path.
     """
     values, ids = _read_canonical_distances(path) or _read_distance_text(path)
+    values.flags.writeable = False  # so DistanceMatrix keeps it rather than a copy
     try:
         return DistanceMatrix(values, "euclidean-on-features", 0, ids)
     except ValueError as err:

@@ -63,7 +63,9 @@ class DistanceMatrix:
     ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
     a bool; every value is finite and non-negative; the matrix is exactly
     symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
-    values are stored as a read-only float64 copy and the ids as a tuple;
+    values are stored read-only as float64: a read-only float64 ndarray
+    that owns its data is kept as it is, and anything else is copied, so
+    the caller's array stays as it was.  The ids are stored as a tuple;
     ids left out become ``series_1`` .. ``series_n``.
     """
 
@@ -73,7 +75,10 @@ class DistanceMatrix:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)  # a copy, so freezing it leaves the caller's array alone
+        values = self.values
+        if not (type(values) is np.ndarray and values.dtype == np.float64
+                and values.flags.owndata and not values.flags.writeable):
+            values = np.array(values, dtype=np.float64)  # a copy, so freezing it leaves the caller's array alone
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {values.shape}")
         n = values.shape[0]
@@ -241,6 +246,7 @@ def distance_matrix(
     for a in range(n - 1):
         diff = features[a + 1 :] - features[a]
         values[a, a + 1 :] = values[a + 1 :, a] = np.einsum("ij,ij->i", diff, diff)
+    values.flags.writeable = False  # so DistanceMatrix keeps it rather than a copy
     return DistanceMatrix(values, metric, max_lag, ids)
 
 

@@ -9,10 +9,14 @@ Corpus generation derives the seed of series i as ``corpus seed + i``
 (counter mode), so corpora are reproducible and extensible.  It draws the
 same uniforms in the same order as one :func:`generate_series` per series,
 so the draw order and this contract hold for a corpus as for a series.
-Markov chains, hidden paths and emissions all look up the next state by a
-uniform's bin and the current state (:func:`_edge_moves`); a group of
-:data:`_LOCKSTEP_CHAINS` chains or more takes one numpy step per time
-step, and NDARMA series are made one at a time.
+Every draw is binned by :func:`_draw`, one exact table over
+:data:`_STEPS` equal steps of [0, 1) that searches only the uniforms in a
+step an entry splits.  Markov chains, hidden paths and emissions all look
+up the next state by a uniform's bin and the current state
+(:func:`_edge_moves`); a group of :data:`_LOCKSTEP_CHAINS` chains or more
+takes one numpy step per time step.  An NDARMA group bins its innovations
+and selections a whole group at a time, then resolves each series' copies
+on its own.
 
 Specs are plain frozen dataclasses with a JSON round-trip
 (:func:`corpus_spec_from_dict` / :meth:`CorpusSpec.to_dict`); coefficients
@@ -66,9 +70,33 @@ def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
     return cum
 
 
+# Uniforms are binned by a table over this many equal steps of [0, 1): a
+# power of two, so ``u * _STEPS`` and its floor are exact.  With fewer steps
+# more are split by an entry and searched, with more every draw pays a
+# slower table (timings in the README's simulator notes).
+_STEPS = 4096
+
+
 def _draw(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """0-based categories of ``us``: ``bisect_right`` over an array."""
-    return np.searchsorted(cum, us, side="right")
+    """0-based categories of ``us``: ``bisect_right(cum, u)`` for every u of
+    an array of uniforms, in the narrowest unsigned type that holds them.
+    A uniform takes the count of entries at or below its step's start,
+    unless an entry lies strictly inside its step: those few are searched.
+    Fewer uniforms than steps are all searched, as the table would cost
+    more than it saves (a T=100 series took 4 times as long)."""
+    dtype = np.min_scalar_type(len(cum) + 1)  # room for the split-step mark
+    if us.size < _STEPS:
+        return np.searchsorted(cum, us, side="right").astype(dtype)
+    grid = np.arange(_STEPS + 1) / _STEPS
+    low = np.searchsorted(cum, grid[:-1], side="right")
+    table = low.astype(dtype)
+    table[np.searchsorted(cum, grid[1:], side="left") > low] = len(cum) + 1  # a split step
+    steps = np.empty(us.shape, np.intp)
+    np.multiply(us, _STEPS, out=steps, casting="unsafe")
+    bins = table[steps]
+    split = bins > len(cum)
+    bins[split] = np.searchsorted(cum, us[split], side="right")
+    return bins
 
 
 def _edge_moves(cum_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +128,7 @@ def _walks(transition: np.ndarray, initial: np.ndarray, us: np.ndarray) -> np.nd
     one lookup ``moves[bin * r + state]``."""
     r = len(transition)
     edges, moves = _edge_moves(_cumulative_rows(transition))
-    path = np.searchsorted(edges, us.T, side="right")  # (T, chains): bins, then states
-    path *= r
+    path = _draw(edges, us.T) * np.intp(r)  # (T, chains): bins widened by the intp factor, then states
     path[0] = _draw(_cumulative_rows(initial)[0], us[:, 0])
     if len(us) >= _LOCKSTEP_CHAINS:
         index = np.empty(len(us), dtype=np.intp)
@@ -198,7 +225,7 @@ class HiddenMarkovModel:
         us = _uniforms(rngs, 2 * length)
         hidden = _walks(self.transition, self.initial, us[:, :length])
         edges, moves = _edge_moves(_cumulative_rows(self.emission))
-        return moves[np.searchsorted(edges, us[:, length:], side="right") * len(self.emission) + hidden] + 1
+        return moves[_draw(edges, us[:, length:]) * np.intp(len(self.emission)) + hidden] + 1
 
 
 @dataclass(frozen=True)
@@ -242,25 +269,30 @@ class NdarmaModel:
         followed by one selection uniform.  X fills slots p + t after p
         presample slots; a step that copies X_{t-k} points k slots back, and
         pointer doubling resolves each copy chain to the value it repeats."""
-        cum_innov = _cumulative_rows(self.innovation)[0]
-        presample = _draw(cum_innov, rng.random(self.p))
-        eps = _draw(cum_innov, rng.random(self.q))
-        total = self.burn_in + length
-        us = rng.random(2 * total)
-        eps = np.concatenate([eps, _draw(cum_innov, us[0::2])])  # eps_t in slot q + t
-        choice = _draw(_cumulative_rows(self.selection)[0], us[1::2])
-        fresh = eps[self.q + np.arange(total) - np.maximum(choice - self.p, 0)]
-        ptr = np.arange(self.p + total)
-        ptr[self.p:] -= np.where(choice < self.p, choice + 1, 0)
-        while not np.array_equal(jumped := ptr[ptr], ptr):
-            ptr = jumped
-        return np.concatenate([presample, fresh])[ptr[self.p + self.burn_in:]] + 1
+        return self.sample_rows(length, [rng])[0]
 
     def sample_rows(self, length: int, rngs) -> list[np.ndarray]:
-        """What :meth:`sample` draws from each generator, one array each: one
-        series at a time, as batched pointer doubling holds several times
-        the group's codes."""
-        return [self.sample(length, rng) for rng in rngs]
+        """What :meth:`sample` draws from each generator, one array each.
+        The group's innovations are binned at once, and so are its
+        selections; pointer doubling then runs one series at a time, as
+        batched it holds several times the group's codes."""
+        p, q, total = self.p, self.q, self.burn_in + length
+        us = _uniforms(rngs, p + q + 2 * total)
+        cum_innov = _cumulative_rows(self.innovation)[0]
+        presamples = _draw(cum_innov, us[:, :p + q])
+        innovations = _draw(cum_innov, us[:, p + q::2])
+        choices = _draw(_cumulative_rows(self.selection)[0], us[:, p + q + 1::2])
+        rows = []
+        for presample, innovation, choice in zip(presamples, innovations, choices):
+            choice = choice.astype(np.intp)  # choice - p underflows in an unsigned type
+            eps = np.concatenate([presample[p:], innovation])  # eps_t in slot q + t
+            fresh = eps[q + np.arange(total) - np.maximum(choice - p, 0)]
+            ptr = np.arange(p + total)
+            ptr[p:] -= np.where(choice < p, choice + 1, 0)
+            while not np.array_equal(jumped := ptr[ptr], ptr):
+                ptr = jumped
+            rows.append(np.concatenate([presample[:p], fresh])[ptr[p + self.burn_in:]] + np.intp(1))  # intp codes
+        return rows
 
 
 Model = MarkovChainModel | HiddenMarkovModel | NdarmaModel

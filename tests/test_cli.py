@@ -233,7 +233,7 @@ def test_dist_metric_choices_are_the_metric_table(corpus_file, tmp_path, capsys)
     assert f"choose from {', '.join(map(repr, METRICS))}" in capsys.readouterr().err
 
 
-def test_validation_exit_codes(tmp_path, corpus_file):
+def test_validation_exit_codes(tmp_path, corpus_file, capsys):
     # unknown measure
     assert main(["features", "--input", str(corpus_file), "--alphabet", "1,2,3",
                  "--measures", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
@@ -243,15 +243,20 @@ def test_validation_exit_codes(tmp_path, corpus_file):
     # unknown symbol in corpus
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,9\n")
+    capsys.readouterr()
     assert main(["features", "--input", str(bad), "--alphabet", "1,2,3",
                  "--measures", "gini", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: unknown symbol '9' at line 1, position 3: {bad}\n"
     # bad series index
     assert main(["test", "--input", str(corpus_file), "--alphabet", "1,2,3",
                  "--index", "99", "--out", str(tmp_path / "x.json")]) == 2
     # malformed spec JSON
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
+    capsys.readouterr()
     assert main(["simulate", "--spec", str(broken), "--out", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err == f"error: Expecting property name enclosed in double quotes: " \
+                                      f"line 1 column 2 (char 1): {broken}\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -269,14 +274,17 @@ def test_validation_exit_codes(tmp_path, corpus_file):
      "corpus spec group 2 key 'selection' must be a list of numbers, got None"),
     (lambda spec: spec["groups"][0].update(initial=[0.5, 0.5, 0.5]),
      "corpus spec group 1: initial distribution must be a probability vector"),
+    (lambda spec: [1, 2], "corpus spec must be an object, got [1, 2]"),
 ])
 def test_simulate_rejects_bad_specs_by_name(tmp_path, capsys, edit, message):
+    """The error names what is wrong with the spec, then the spec file."""
     spec = json.loads(json.dumps(SPEC))
-    edit(spec)
+    spec = edit(spec) or spec  # an edit in place returns None
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))  # json writes a float NaN as the literal NaN, which json reads back
     assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "y.csv")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.endswith(f": {path}\n")
     assert not (tmp_path / "y.csv").exists()
 
 

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catseries import (
@@ -23,7 +23,7 @@ from catseries import (
 )
 from catseries.inference import chi2_quantile
 from catseries.series import conditional_probabilities
-from catseries.simulate import _LOCKSTEP_CHAINS, FAMILIES, _walks, generate_series
+from catseries.simulate import _LOCKSTEP_CHAINS, _STEPS, FAMILIES, _draw, _walks, generate_series
 
 from oracles import hmm_sample, mc_sample, ndarma_sample, walk
 
@@ -396,6 +396,35 @@ def test_mc_sample_matches_sequential_oracle(r, length, seed):
 def test_hmm_sample_matches_sequential_oracle(r, h, length, seed):
     rng = np.random.default_rng(seed)
     _same_draws(HiddenMarkovModel(_law(rng, h, h), _law(rng, r, h), _law(rng, h)), length, seed, hmm_sample)
+
+
+# a point of [0, 1): anywhere, a step's start k / _STEPS or the float just below it
+_UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.integers(0, _STEPS - 1).map(lambda k: k / _STEPS),
+                      st.integers(0, _STEPS - 1).map(lambda k: float(np.nextafter(k / _STEPS, 0.0))))
+
+
+@example(list(np.cumsum(np.full(19, 0.05))), True, [0.0, 0.05, 0.5, 0.95, 0.999] * 4)  # r = 20
+@given(st.lists(st.tuples(st.one_of(_UNIFORMS, st.just(1.0)), st.integers(1, 3)), max_size=19)
+       .map(lambda entries: sorted(x for x, repeat in entries for _ in range(repeat))[:19]),
+       st.booleans(), st.lists(_UNIFORMS, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_the_step_table_bins_as_bisect_right(inner, closed, uniforms):
+    """_draw bins every uniform as np.searchsorted(cum, u, side="right") does:
+    for rows of 1 to 20 entries, closed by 1.0 as a cumulative row or not as
+    _walks' edges, with tied entries, entries at a step's start or just below
+    it and 1.0 reached early, and for uniforms in a 1-D array, a 2-D array,
+    its transpose and every other of its columns.  Each entry below 1.0 and
+    its two neighbouring floats join the uniforms, so split steps are hit,
+    and the uniforms repeat to 2 * _STEPS, so the table is used, as well as
+    a short array, which is searched."""
+    cum = np.array(inner + [1.0] * closed)
+    us = np.array(uniforms + [x for c in inner for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if x < 1.0])
+    grid = np.resize(us, (2 * _STEPS // 4, 4)) if us.size else us.reshape(0, 4)
+    for layout in (us, grid, grid.T, grid[:, 1::2]):
+        bins = _draw(cum, layout)
+        assert bins.shape == layout.shape and bins.dtype.kind == "u"
+        assert np.array_equal(bins, np.searchsorted(cum, layout, side="right"))
 
 
 @given(st.integers(1, 6), st.lists(st.integers(1, 80), min_size=3, max_size=3), st.integers(1, 300),
