@@ -72,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mining import DistanceMatrix
+from .mining import DistanceMatrix, _Kept
 from .series import Alphabet, CategoricalSeries, _is_integer
 
 __all__ = [
@@ -496,9 +496,8 @@ def read_distance_csv(path) -> DistanceMatrix:
     :class:`DistanceMatrix` checks the values, and its error gains the path.
     """
     values, ids = _read_canonical_distances(path) or _read_distance_text(path)
-    values.flags.writeable = False  # so DistanceMatrix keeps it rather than a copy
     try:
-        return DistanceMatrix(values, "euclidean-on-features", 0, ids)
+        return DistanceMatrix(_Kept(values), "euclidean-on-features", 0, ids)
     except ValueError as err:
         raise ValueError(f"{err}: {path}") from None
 

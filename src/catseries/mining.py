@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,10 +63,9 @@ class DistanceMatrix:
     ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
     a bool; every value is finite and non-negative; the matrix is exactly
     symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
-    values are stored read-only as float64: a read-only float64 ndarray
-    that owns its data is kept as it is, and anything else is copied, so
-    the caller's array stays as it was.  The ids are stored as a tuple;
-    ids left out become ``series_1`` .. ``series_n``.
+    values are stored as a read-only float64 copy, so the caller's array
+    stays as it was and cannot change the checked matrix, and the ids as a
+    tuple; ids left out become ``series_1`` .. ``series_n``.
     """
 
     values: np.ndarray
@@ -75,10 +74,8 @@ class DistanceMatrix:
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = self.values
-        if not (type(values) is np.ndarray and values.dtype == np.float64
-                and values.flags.owndata and not values.flags.writeable):
-            values = np.array(values, dtype=np.float64)  # a copy, so freezing it leaves the caller's array alone
+        given = self.values
+        values = given.values if type(given) is _Kept else np.array(given, dtype=np.float64)  # a copy to freeze
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {values.shape}")
         n = values.shape[0]
@@ -102,6 +99,14 @@ class DistanceMatrix:
     @property
     def size(self) -> int:
         return int(self.values.shape[0])
+
+
+class _Kept(NamedTuple):
+    """Values handed to :class:`DistanceMatrix` by a function of this
+    package that made them, a float64 array it holds no other reference to:
+    kept and frozen rather than copied, so no second n x n array is held."""
+
+    values: np.ndarray
 
 
 def _check_unique_ids(ids: Sequence[str]) -> None:
@@ -246,8 +251,7 @@ def distance_matrix(
     for a in range(n - 1):
         diff = features[a + 1 :] - features[a]
         values[a, a + 1 :] = values[a + 1 :, a] = np.einsum("ij,ij->i", diff, diff)
-    values.flags.writeable = False  # so DistanceMatrix keeps it rather than a copy
-    return DistanceMatrix(values, metric, max_lag, ids)
+    return DistanceMatrix(_Kept(values), metric, max_lag, ids)
 
 
 @dataclass(frozen=True, eq=False)

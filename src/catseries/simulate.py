@@ -71,9 +71,9 @@ def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 # Uniforms are binned by a table over this many equal steps of [0, 1): a
-# power of two, so ``u * _STEPS`` and its floor are exact.  With fewer steps
-# more are split by an entry and searched, with more every draw pays a
-# slower table (timings in the README's simulator notes).
+# power of two, so ``cum * _STEPS``, ``u * _STEPS`` and their floors are
+# exact.  With fewer steps more are split by an entry and searched, with more
+# every draw pays a larger table (timings in the README's simulator notes).
 _STEPS = 4096
 
 
@@ -81,16 +81,12 @@ def _draw(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
     """0-based categories of ``us``: ``bisect_right(cum, u)`` for every u of
     an array of uniforms, in the narrowest unsigned type that holds them.
     A uniform takes the count of entries at or below its step's start,
-    unless an entry lies strictly inside its step: those few are searched.
-    Fewer uniforms than steps are all searched, as the table would cost
-    more than it saves (a T=100 series took 4 times as long)."""
-    dtype = np.min_scalar_type(len(cum) + 1)  # room for the split-step mark
-    if us.size < _STEPS:
-        return np.searchsorted(cum, us, side="right").astype(dtype)
-    grid = np.arange(_STEPS + 1) / _STEPS
-    low = np.searchsorted(cum, grid[:-1], side="right")
-    table = low.astype(dtype)
-    table[np.searchsorted(cum, grid[1:], side="left") > low] = len(cum) + 1  # a split step
+    unless an entry lies strictly inside its step: those few are searched."""
+    scaled = cum * _STEPS
+    above = np.minimum(np.ceil(scaled), _STEPS).astype(np.intp)  # the first step starting at or above each entry
+    table = np.repeat(np.arange(len(cum) + 1, dtype=np.min_scalar_type(len(cum) + 1)),  # room for the mark
+                      np.diff(np.concatenate(([0], above, [_STEPS]))))  # step k: the entries <= k / _STEPS
+    table[above[above > scaled] - 1] = len(cum) + 1  # a step split by an entry
     steps = np.empty(us.shape, np.intp)
     np.multiply(us, _STEPS, out=steps, casting="unsafe")
     bins = table[steps]
@@ -274,24 +270,28 @@ class NdarmaModel:
     def sample_rows(self, length: int, rngs) -> list[np.ndarray]:
         """What :meth:`sample` draws from each generator, one array each.
         The group's innovations are binned at once, and so are its
-        selections; pointer doubling then runs one series at a time, as
-        batched it holds several times the group's codes."""
-        p, q, total = self.p, self.q, self.burn_in + length
+        selections, and each X slot takes its fresh value a whole group at
+        a time; pointer doubling then runs one series at a time, as batched
+        it holds several times the group's codes."""
+        p, q, burn_in = self.p, self.q, self.burn_in
+        total = burn_in + length
         us = _uniforms(rngs, p + q + 2 * total)
         cum_innov = _cumulative_rows(self.innovation)[0]
         presamples = _draw(cum_innov, us[:, :p + q])
-        innovations = _draw(cum_innov, us[:, p + q::2])
+        eps = np.concatenate([presamples[:, p:], _draw(cum_innov, us[:, p + q::2])], axis=1)  # eps_t in column q + t
         choices = _draw(_cumulative_rows(self.selection)[0], us[:, p + q + 1::2])
+        del us
+        values = np.concatenate([presamples[:, :p], eps[:, q:]], axis=1)  # slot p + t holds eps_t ...
+        for lag in range(1, q + 1):  # ... or the eps_{t-lag} its step picks
+            np.copyto(values[:, p:], eps[:, q - lag:q - lag + total], where=choices == p + lag)
+        hops = np.where(choices < p, choices + 1, 0)  # a step that copies X_{t-k} points k slots back
         rows = []
-        for presample, innovation, choice in zip(presamples, innovations, choices):
-            choice = choice.astype(np.intp)  # choice - p underflows in an unsigned type
-            eps = np.concatenate([presample[p:], innovation])  # eps_t in slot q + t
-            fresh = eps[q + np.arange(total) - np.maximum(choice - p, 0)]
+        for value, hop in zip(values, hops):
             ptr = np.arange(p + total)
-            ptr[p:] -= np.where(choice < p, choice + 1, 0)
+            ptr[p:] -= hop
             while not np.array_equal(jumped := ptr[ptr], ptr):
                 ptr = jumped
-            rows.append(np.concatenate([presample[:p], fresh])[ptr[p + self.burn_in:]] + np.intp(1))  # intp codes
+            rows.append(value[ptr[p + burn_in:]] + np.intp(1))  # intp codes
         return rows
 
 

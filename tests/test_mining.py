@@ -228,19 +228,18 @@ def test_distance_values_are_a_read_only_copy_of_the_callers_array():
     assert outlier_scores(dm)[0].tolist() == [3.0, 4.0, 5.0]
 
 
-def test_distance_values_are_kept_only_when_read_only_and_owned():
-    """A read-only float64 array that owns its data is kept as it is; a
-    writeable array and a read-only view of one are copied, and the
-    caller's array stays writeable and unchanged."""
-    owned = _VALID.copy()
-    owned.flags.writeable = False
-    assert DistanceMatrix(owned, "db", 1).values is owned
+def test_distance_values_are_copied_from_every_caller_array():
+    """A caller's array is copied, a read-only one that owns its data too,
+    so the caller can neither see nor make a change to the checked matrix;
+    the caller's writeable array stays writeable and unchanged."""
     values = _VALID.copy()
     view = values.view()
     view.flags.writeable = False
-    for given in (values, view):
+    owned = _VALID.copy()
+    owned.flags.writeable = False
+    for given in (values, view, owned):
         dm = DistanceMatrix(given, "db", 1)
-        assert not np.shares_memory(dm.values, values) and not dm.values.flags.writeable
+        assert not np.shares_memory(dm.values, given) and not dm.values.flags.writeable
     assert values.flags.writeable and np.array_equal(values, _VALID)
 
 

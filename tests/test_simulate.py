@@ -415,12 +415,10 @@ def test_the_step_table_bins_as_bisect_right(inner, closed, uniforms):
     _walks' edges, with tied entries, entries at a step's start or just below
     it and 1.0 reached early, and for uniforms in a 1-D array, a 2-D array,
     its transpose and every other of its columns.  Each entry below 1.0 and
-    its two neighbouring floats join the uniforms, so split steps are hit,
-    and the uniforms repeat to 2 * _STEPS, so the table is used, as well as
-    a short array, which is searched."""
+    its two neighbouring floats join the uniforms, so split steps are hit."""
     cum = np.array(inner + [1.0] * closed)
     us = np.array(uniforms + [x for c in inner for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if x < 1.0])
-    grid = np.resize(us, (2 * _STEPS // 4, 4)) if us.size else us.reshape(0, 4)
+    grid = np.resize(us, (-(-us.size // 4), 4)) if us.size else us.reshape(0, 4)
     for layout in (us, grid, grid.T, grid[:, 1::2]):
         bins = _draw(cum, layout)
         assert bins.shape == layout.shape and bins.dtype.kind == "u"
