@@ -15,8 +15,8 @@ step an entry splits.  Markov chains, hidden paths and emissions all look
 up the next state by a uniform's bin and the current state
 (:func:`_edge_moves`); a group of :data:`_LOCKSTEP_CHAINS` chains or more
 takes one numpy step per time step.  An NDARMA group bins its innovations
-and selections a whole group at a time, then resolves each series' copies
-on its own.
+and selections and picks each step's fresh value a whole group at a time,
+then resolves each series' copies on its own.
 
 Specs are plain frozen dataclasses with a JSON round-trip
 (:func:`corpus_spec_from_dict` / :meth:`CorpusSpec.to_dict`); coefficients
@@ -72,8 +72,9 @@ def _cumulative_rows(matrix: np.ndarray) -> np.ndarray:
 
 # Uniforms are binned by a table over this many equal steps of [0, 1): a
 # power of two, so ``cum * _STEPS``, ``u * _STEPS`` and their floors are
-# exact.  With fewer steps more are split by an entry and searched, with more
-# every draw pays a larger table (timings in the README's simulator notes).
+# exact, and one byte a step for up to 254 entries.  With fewer steps more
+# uniforms fall in a step an entry splits and are searched (timings in the
+# README's simulator notes).
 _STEPS = 4096
 
 
@@ -280,7 +281,7 @@ class NdarmaModel:
         presamples = _draw(cum_innov, us[:, :p + q])
         eps = np.concatenate([presamples[:, p:], _draw(cum_innov, us[:, p + q::2])], axis=1)  # eps_t in column q + t
         choices = _draw(_cumulative_rows(self.selection)[0], us[:, p + q + 1::2])
-        del us
+        del us  # freed before the group-wide arrays below, which keeps the transient under the HMM group's
         values = np.concatenate([presamples[:, :p], eps[:, q:]], axis=1)  # slot p + t holds eps_t ...
         for lag in range(1, q + 1):  # ... or the eps_{t-lag} its step picks
             np.copyto(values[:, p:], eps[:, q - lag:q - lag + total], where=choices == p + lag)

@@ -1277,7 +1277,7 @@ def test_table_write_holds_a_bounded_amount_of_memory(tmp_path):
 def test_corpus_generation_holds_a_bounded_amount_of_memory():
     """600 series of T=1000 from three families of 200, r=3, as the
     benchmark's corpus: each group's uniforms are binned at once, and its
-    working arrays stay a few times its codes.  The corpus peaks at 9.6 MiB,
+    working arrays stay a few times its codes.  The corpus peaks at 9.5 MiB,
     in the hidden-Markov group; the NDARMA group stays below it, which it
     would not if its innovations were binned over all its uniforms (11.6
     MiB).  A tiny corpus first loads what numpy imports on first use."""
