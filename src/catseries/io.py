@@ -49,11 +49,12 @@ a quote.  :func:`read_distance_csv` reads such a file as bytes, a block of
 rows at a time into one reused buffer, parsing each block in place with
 the hex kernel :func:`_hex_values`; a file whose first cell does not start
 ``0x`` or ``-0x``, such as a decimal one, is left after its first block.
-It reads any other file as text, row by row: a line without a quote and
-within csv's field limit is split once, at the id's comma, and any other
-row by strict :mod:`csv`; each row's cells are parsed by
-``float``/``float.fromhex``, which read the kernel's values and name a
-bad cell.  Either way :class:`~catseries.mining.DistanceMatrix` checks the
+It reads any other file as text, a row at a time: a line without a quote
+and within csv's field limit is split at every comma, and any other row
+by strict :mod:`csv`; each row's cells are parsed into the matrix as the
+row is read, by ``float``/``float.fromhex``, which read the kernel's
+values and name a bad cell, and no row's text is kept once it has parsed.
+Either way :class:`~catseries.mining.DistanceMatrix` checks the
 values (and names ids ``series_1`` .. ``series_n`` when none are given),
 and its error, with the path, is raised as it is: a canonical file it
 rejects is not read again as text.
@@ -68,7 +69,7 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -563,54 +564,63 @@ def _read_canonical_distances(path) -> tuple[np.ndarray, tuple[str, ...]] | None
 
 
 def _read_distance_text(path) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The values and ids of any distance file, read as text and parsed row
-    by row (see :func:`_distance_rows`), or the error that names what is
-    wrong with its text or shape."""
+    """The values and ids of any distance file, read as text a row at a time
+    (see :func:`_distance_rows`), or the error that names what is wrong with
+    its text or shape.  Each row is parsed into the matrix as it is read,
+    and only the first bad cell's error is kept; every row is read, so a
+    later malformed row still wins.  Once all are read, it raises the first
+    of: not a distance file, not square, row ids other than the header's,
+    that bad cell.  The matrix is made only for an ``id`` header and a
+    file of at least n * n bytes, as the n commas of each of n rows take:
+    a long header over little data makes no n×n matrix."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = _distance_rows(handle, path)
-    if len(rows) < 2 or rows[0][1] != "id":
+        _, (head, *ids) = next(rows, (0, [""]))
+        n = len(ids)
+        values = np.empty((n, n)) if head == "id" and os.fstat(handle.fileno()).st_size >= n * n else None
+        row, square, ordered, bad = -1, True, True, None  # row: the last body row's index
+        for row, (line, cells) in enumerate(rows):
+            square = square and row < n and len(cells) == n + 1
+            ordered = ordered and square and cells[0] == ids[row]
+            if ordered and values is not None and bad is None:
+                try:
+                    values[row] = _parse_row(cells[1:], line, path)
+                except ValueError as err:
+                    bad = err
+    if head != "id" or row < 0:
         raise ValueError(f"not a distance matrix file: {path}")
-    header, body = rows[0][2], rows[1:]
-    ids = tuple(header.split(",") if isinstance(header, str) else header)
-    n = len(ids)
-    if len(body) != n or any((cells.count(",") + 1 if isinstance(cells, str) else len(cells)) != n
-                             for _, _, cells in body):
+    if not square or row != n - 1:
         raise ValueError(f"distance matrix is not square: {path}")
-    if tuple(head for _, head, _ in body) != ids:
+    if not ordered:
         raise ValueError(f"row ids do not match the header ids: {path}")
-    values = np.empty((n, n))
-    for row, (line, _, cells) in enumerate(body):
-        values[row] = _parse_row(cells.split(",") if isinstance(cells, str) else cells, line, path)
-    return values, ids
+    if bad is not None:
+        raise bad
+    return values, tuple(ids)
 
 
-def _distance_rows(handle, path) -> list[tuple[int, str, str | list[str]]]:
-    r"""(last line number, id, cells) of every non-empty row, as a strict
-    csv.reader reads them from ``handle``, a file opened with ``newline=""``.
-    A line without a quote, no longer than csv's field limit, is split
-    once, at its first ",", and its cells stay one text; any other row goes
-    through csv.reader, which takes as many more lines as its quoted cells
-    span, and its cells stay a list.  A quote left open or followed by
-    anything but a "," or the line's end, or a field over the limit, raises,
-    naming the line of ``path``."""
-    rows = []
+def _distance_rows(handle, path) -> Iterator[tuple[int, list[str]]]:
+    r"""(last line number, cells, id first) of every non-empty row, as a
+    strict csv.reader reads them from ``handle``, a file opened with
+    ``newline=""``.  A line without a quote, no longer than csv's field
+    limit, is split at every ","; any other row goes through csv.reader,
+    which takes as many more lines as its quoted cells span.  A quote left
+    open or followed by anything but a "," or the line's end, or a field
+    over the limit, raises, naming the line of ``path``."""
     line_num = 0
     for line in handle:
         line_num += 1
         if '"' in line or len(line) > csv.field_size_limit():
             reader = csv.reader(chain((line,), handle), strict=True)
             try:
-                head, *cells = next(reader)
+                cells = next(reader)
             except csv.Error as err:
                 raise ValueError(f"malformed CSV ({err}) at line {line_num + reader.line_num - 1} of {path}") from None
             line_num += reader.line_num - 1
         elif line := line.rstrip("\r\n"):
-            head, comma, cells = line.partition(",")
-            cells = cells if comma else []
+            cells = line.split(",")
         else:
             continue
-        rows.append((line_num, head, cells))
-    return rows
+        yield line_num, cells
 
 
 _HEX_HEAD = int.from_bytes(b"0x1.", "little")

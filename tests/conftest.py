@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -60,3 +62,12 @@ def ragged_corpus(draw, min_r=2, max_r=8, max_series=5):
     subsets = st.none() | st.lists(st.integers(1, r), min_size=1, max_size=r, unique=True).map(sorted)
     return [ragged_series(rng, r, draw(st.integers(10, 300)), draw(subsets))
             for _ in range(draw(st.integers(1, max_series)))]
+
+
+def traced_peak_mib(call):
+    """``call()``'s result and the peak of the memory traced while it ran, in MiB."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -50,7 +49,7 @@ from catseries.io import (
 )
 
 import oracles
-from conftest import random_series
+from conftest import random_series, traced_peak_mib
 
 
 def test_symbol_csv_round_trip(tmp_path):
@@ -793,14 +792,12 @@ def _csv_reader_rows(text):
 
 
 def _split_rows(text):
-    """The rows :func:`_distance_rows` splits ``text`` into, as csv.reader
-    gives them: the line number and the list of cells, id first; or the
-    message of its error."""
+    """The rows :func:`_distance_rows` yields from ``text``: the line number
+    and the list of cells, id first; or the message of its error."""
     try:
-        rows = _distance_rows(io.StringIO(text, newline=""), "f.csv")
+        return list(_distance_rows(io.StringIO(text, newline=""), "f.csv"))
     except ValueError as err:
         return str(err)
-    return [(line, [head, *(cells.split(",") if isinstance(cells, str) else cells)]) for line, head, cells in rows]
 
 
 @example(["0x1p0", "1.5"], "a")
@@ -1098,6 +1095,12 @@ def canonical_distance_files(draw):
 @example(_HEX_FILE.replace("bc,0x1.8", "bc,0x1.0"), 1)  # canonical but not symmetric
 @example(_HEX_FILE.replace("\nbc,", "\nbd,"), 1)  # a row id of its header id's length that differs
 @example(_HEX_FILE.replace("0x1.8000000000000p+1", "0x0.0000000000001p-1022"), 2)  # subnormal cells
+# a first error the text reader meets before a later one that the reference reader names first
+@example("id,a,b\na,0,x\nb,1\n", 8192)  # a bad cell, then a short row
+@example("id,a,b\na,0,x\nc,1,0\n", 8192)  # a bad cell, then a wrong row id
+@example('id,a,b\na,0,x\n"b,1,0\n', 8192)  # a bad cell, then an open quote
+@example('ix,a,b\na,0,1\n"b,1,0\n', 8192)  # a bad header, then an open quote
+@example("id,a,b\nb,0,1\n", 8192)  # a wrong row id, then too few rows
 @given(distance_files() | canonical_distance_files(), st.integers(1, 20))
 @settings(max_examples=800, deadline=None)
 def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells):
@@ -1210,50 +1213,44 @@ def test_a_decimal_file_is_left_before_the_hex_kernel(tmp_path):
     np.testing.assert_allclose(back.values, dm.values, rtol=1e-9, atol=0)
 
 
-def test_a_header_of_many_ids_over_short_rows_is_not_square(tmp_path):
-    """20,000 ids, each with a row of no cells: no matrix of 20,000 rows is
-    made before the shape is checked."""
-    ids = list(map(str, range(20_000)))  # a header within csv's field limit
+@pytest.mark.parametrize("n, rows, bound", [(20_000, 20_000, 32.0), (5_000, 1, 2.0)])
+def test_a_header_of_many_ids_over_short_rows_is_not_square(tmp_path, n, rows, bound):
+    """Many ids over short rows, each of at most two cells: the file has far
+    fewer than the n * n bytes that the n commas of each of n rows take, so
+    no n x n matrix (190 MiB for 5,000 ids) is made before the shape is
+    checked."""
+    ids = list(map(str, range(n)))  # a header within csv's field limit
     path = tmp_path / "dist.csv"
-    path.write_text("".join(line + "\n" for line in [",".join(["id", *ids]), *(f"{i}," for i in ids)]))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as err:
-            read_distance_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    path.write_text("".join(line + "\n" for line in [",".join(["id", *ids]), *(f"{i}," for i in ids[:rows])]))
+    err, peak = traced_peak_mib(lambda: pytest.raises(ValueError, read_distance_csv, path))
     assert str(err.value) == f"distance matrix is not square: {path}"
-    assert peak <= 32.0, peak
+    assert peak <= bound, peak
 
 
-def test_bitexact_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
-    """A 600x600 file is made into text and parsed a block at a time: neither
-    direction holds a Python object per cell of the matrix, with or without
-    a quoted id.  A canonical file is read a block of rows at a time into a
-    matrix that DistanceMatrix keeps without a copy, so its read holds the
-    matrix and one block (4.1 MiB), not a second matrix (5.9 MiB) or the
-    7.6 MB file besides (11.2 MiB)."""
+def test_distance_io_holds_a_bounded_amount_of_memory(tmp_path):
+    """A 600x600 file is made into text and parsed a block or a row at a
+    time: neither direction holds a Python object per cell of the matrix.
+    A canonical file is read a block of rows at a time into a matrix that
+    DistanceMatrix keeps without a copy, so its read holds the matrix and
+    one block (4.1 MiB), not a second matrix (5.9 MiB) or the 7.6 MB file
+    besides (11.2 MiB).  A file with a quoted id, or a decimal one, is read
+    as text a row at a time into that matrix (3.2 MiB): no row's text is
+    kept once it has parsed (10.2 and 7.1 MiB when every row's was)."""
     rng = np.random.default_rng(7)
     upper = np.triu(rng.uniform(0.5, 40.0, (600, 600)), 1)
     ids = tuple(f"series_{i}" for i in range(1, 601))
     path = tmp_path / "dist.csv"
-    for dm, read_bound in ((DistanceMatrix(upper + upper.T, "db", 1, ids), 4.5),
-                           (DistanceMatrix(upper + upper.T, "db", 1, ("a,b", *ids[1:])), 20.0)):
-        write_distance_csv(path, dm, bitexact=True)  # builds the kernel's tables outside the measurement
-        peaks = {}
-        calls = {"write": lambda: write_distance_csv(path, dm, bitexact=True), "read": lambda: read_distance_csv(path)}
-        for name, call in calls.items():
-            tracemalloc.start()
-            try:
-                result = call()
-                peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
-            finally:
-                tracemalloc.stop()
+    for dm, bitexact in ((DistanceMatrix(upper + upper.T, "db", 1, ids), True),
+                         (DistanceMatrix(upper + upper.T, "db", 1, ("a,b", *ids[1:])), True),
+                         (DistanceMatrix(upper + upper.T, "db", 1, ids), False)):
+        write_distance_csv(path, dm, bitexact)  # builds the kernel's tables outside the measurement
+        _, write_peak = traced_peak_mib(lambda: write_distance_csv(path, dm, bitexact))
+        result, read_peak = traced_peak_mib(lambda: read_distance_csv(path))
+        written = dm.values if bitexact else np.reshape(list(map(float, format_numbers(dm.values.ravel()))), (600, 600))
         assert result.ids == dm.ids
-        assert np.array_equal(result.values, dm.values)
-        assert peaks["write"] <= 4.0, (dm.ids[0], peaks)
-        assert peaks["read"] <= read_bound, (dm.ids[0], peaks)
+        assert np.array_equal(result.values, written)
+        assert write_peak <= 4.0, (dm.ids[0], bitexact, write_peak)
+        assert read_peak <= 4.5, (dm.ids[0], bitexact, read_peak)
 
 
 def test_table_write_holds_a_bounded_amount_of_memory(tmp_path):
@@ -1264,12 +1261,7 @@ def test_table_write_holds_a_bounded_amount_of_memory(tmp_path):
     header, columns = ["t", "a", "b", "c", "d"], [np.arange(1, 50_001), *rng.normal(size=(4, 50_000))]
     path = tmp_path / "table.csv"
     write_table_csv(path, header, columns, bitexact=True)  # builds the kernels' tables outside the measurement
-    tracemalloc.start()
-    try:
-        write_table_csv(path, header, columns, bitexact=True)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak_mib(lambda: write_table_csv(path, header, columns, bitexact=True))
     assert path.stat().st_size > 4 * 2**20
     assert peak <= 4.0, peak
 
@@ -1288,11 +1280,6 @@ def test_corpus_generation_holds_a_bounded_amount_of_memory():
     )
     spec = CorpusSpec(groups, 1000, 1)
     generate_corpus(CorpusSpec(tuple((model, 1) for model, _ in groups), 10, 1))
-    tracemalloc.start()
-    try:
-        corpus, labels = generate_corpus(spec)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    (corpus, labels), peak = traced_peak_mib(lambda: generate_corpus(spec))
     assert len(corpus) == 600 and {len(series) for series in corpus} == {1000}
     assert peak <= 10.0, peak

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,7 +20,7 @@ from catseries.spectral import (
     smoothed_spectrum,
 )
 
-from conftest import random_series, series_with_every_category
+from conftest import random_series, series_with_every_category, traced_peak_mib
 
 
 def test_scaled_series_lookup(s1):
@@ -388,12 +387,7 @@ def test_the_envelope_of_a_long_four_letter_series_holds_at_most_7_5_mib():
     rng = np.random.default_rng(12)
     y = binarize(CategoricalSeries(rng.integers(1, 5, 50_000), Alphabet.of_size(4)))[:, :-1]
     envelope_from_indicators(y, default_window(50_000))
-    tracemalloc.start()
-    try:
-        envelope_from_indicators(y, default_window(50_000))
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak_mib(lambda: envelope_from_indicators(y, default_window(50_000)))
     assert peak <= 7.5, peak
 
 

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak_mib
 
 from catseries import (
     Alphabet,
@@ -282,10 +282,5 @@ def test_the_ifs_scatter_of_a_long_series_holds_at_most_6_5_mib():
     series = CategoricalSeries(np.random.default_rng(30).integers(1, 5, 50_000), Alphabet.of_size(4))
     data = ifs_circle_transform(series, 0.5, 0.5)
     render_svg(data)
-    tracemalloc.start()
-    try:
-        render_svg(data)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak_mib(lambda: render_svg(data))
     assert peak <= 6.5, peak
