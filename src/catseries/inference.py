@@ -17,6 +17,7 @@ baked in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,31 +38,111 @@ __all__ = [
     "kappa_null_variance",
 ]
 
-
-def chi2_upper_tail(x: float, df: float) -> float:
-    """P(X >= x) for X chi-square with df degrees of freedom."""
-    from scipy import special
-
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def chi2_quantile(q: float, df: float) -> float:
-    """Inverse chi-square CDF."""
-    from scipy import special
+def _check_df(df) -> None:
+    if not _is_integer(df) or df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
 
-    return float(2.0 * special.gammaincinv(df / 2.0, q))
+
+def _check_probability(q) -> None:
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q!r}")
+
+
+def chi2_upper_tail(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with ``df`` degrees of freedom.
+
+    ``df`` must be a positive integer (every test here has (r - 1)^2);
+    non-integer df is not supported.  With g = x/2 the tail is the finite sum
+    of e^-g g^(b-1) / Gamma(b) over b = df/2, df/2 - 1, ... down to 1 or 3/2,
+    plus erfc(sqrt(g)) for odd df.  Each term is one ``exp`` of its
+    logarithm, so none under- or overflows unless its value does.
+    """
+    _check_df(df)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"x must be a finite number >= 0, got {x!r}")
+    g = x / 2.0
+    if g == 0.0:
+        return 1.0
+    log_g = math.log(g)
+    terms = [math.exp((b - 1.0) * log_g - g - math.lgamma(b)) for b in (df / 2.0 - k for k in range(df // 2))]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(g)))
+    return math.fsum(terms)
+
+
+def chi2_quantile(q: float, df: int) -> float:
+    """Inverse chi-square CDF: the x with P(X <= x) = q, for q in (0, 1).
+
+    Newton's method on the smaller tail.  From the median up it steps on
+    log Q by the density, starting from the Wilson-Hilferty guess, and never
+    to below half the current x.  Below the median it steps in log x on
+    log P, where P(df/2, g) = e^-g g^a S(g) / Gamma(a + 1) with a = df/2 and
+    S = 1 + g/(a+1) + g^2/((a+1)(a+2)) + ...; the start g^a / Gamma(a + 1) = q
+    lies below the root and log P is concave in log g, so the steps climb to
+    it from below and never under- or overflow.  Either stops once a step
+    is at most 1e-15 of x or no smaller than the one before (the steps have
+    reached the tail's rounding, about 1e-14 of x), or after 100 steps.
+    ``df`` must be a positive integer.
+    """
+    _check_df(df)
+    _check_probability(q)
+    a = df / 2.0
+    last = math.inf
+    if q >= 0.5:
+        log_y = math.log1p(-q)
+        x = df * (1.0 - 2.0 / (9.0 * df) + normal_quantile(q) * math.sqrt(2.0 / (9.0 * df))) ** 3
+        for _ in range(100):
+            g = x / 2.0
+            density = math.exp((a - 1.0) * math.log(g) - g - math.lgamma(a)) / 2.0
+            tail = chi2_upper_tail(x, df)
+            step = (math.log(tail) - log_y) * tail / density
+            x = max(x + step, x / 2.0)
+            if abs(step) <= 1e-15 * x or abs(step) >= last:
+                break
+            last = abs(step)
+        return x
+    log_q = math.log(q)
+    log_g = (log_q + math.lgamma(a + 1.0)) / a
+    for _ in range(100):
+        g = math.exp(log_g)
+        term = series = 1.0
+        n = 1
+        while term > 1e-17 * series:
+            term *= g / (a + n)
+            series += term
+            n += 1
+        log_p = a * log_g - g - math.lgamma(a + 1.0) + math.log(series)
+        step = (log_q - log_p) * series / a
+        log_g += step
+        if abs(step) <= 1e-15 or abs(step) >= last:
+            break
+        last = abs(step)
+    return 2.0 * math.exp(log_g)
 
 
 def normal_cdf(z: float) -> float:
-    from scipy import special
-
-    return float(special.ndtr(z))
+    """P(Z <= z) for Z standard normal, in Cephes' ``ndtr`` form: erf while
+    |z| / sqrt(2) < 1 (scipy's split), erfc of |z| / sqrt(2) beyond, so the
+    lower tail keeps its relative accuracy far out."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    x = z * _SQRT_HALF
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0.0 else tail
 
 
 def normal_quantile(q: float) -> float:
-    from scipy import special
+    """Inverse standard normal CDF, for q in (0, 1) (Wichura's AS241, as
+    implemented by :class:`statistics.NormalDist`)."""
+    _check_probability(q)
+    from statistics import NormalDist
 
-    return float(special.ndtri(q))
+    return NormalDist().inv_cdf(q)
 
 
 def kappa_null_variance(p) -> float:

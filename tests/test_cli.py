@@ -657,24 +657,40 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
         assert _fresh_python(f"import sys, {module}; print(*{_SCIPY_LOADED})").split() == [], module
 
 
-def test_commands_load_scipy_only_to_test(corpus_file, tmp_path):
-    """The corpus chain and the plots that do not test run in one fresh
-    interpreter without loading scipy; ``test`` and ``plot dependence`` each
-    import what they need in their own."""
+def test_no_command_loads_scipy(corpus_file, tmp_path):
+    """Every subcommand and plot kind, ``test`` and ``plot dependence``
+    included, runs in one fresh interpreter without loading scipy."""
     source = ["--input", str(corpus_file), "--alphabet", "1,2,3"]
     dist = str(tmp_path / "dist.csv")
     plots = {"series": [], "rate": [], "pattern": ["--category", "1"], "ifs": ["--alpha", "0.5", "--beta", "0.1"],
-             "cycle-chart": ["--category", "1"], "ewma-chart": [], "envelope": []}
-    lean = [
+             "dependence": [], "cycle-chart": ["--category", "1"], "ewma-chart": [], "envelope": []}
+    argvs = [
         ["simulate", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "again.csv")],
         ["features", *source, "--measures", ",".join(MEASURES), "--out", str(tmp_path / "features.csv")],
         ["dist", *source, "--out", dist],
         ["mds", "--dist", dist, "--out", str(tmp_path / "mds.csv")],
         ["outliers", "--dist", dist, "--out", str(tmp_path / "outliers.json")],
+        *(["test", *source, "--family", family, "--out", str(tmp_path / f"test-{family}.json")]
+          for family in ("v", "kappa")),
         *(["plot", kind, *source, *extra, "--out", str(tmp_path / f"{kind}.svg")] for kind, extra in plots.items()),
     ]
+    assert {argv[0] for argv in argvs} == set(COMMANDS) and set(plots) == set(PLOT_KINDS)
     run = f"import json, sys; from catseries.cli import main\nfor argv in json.loads(sys.argv[1]): print(main(argv), *{_SCIPY_LOADED})"
-    assert _fresh_python(run, json.dumps(lean)).splitlines() == ["0"] * len(lean)
-    for argv in (["test", *source, "--out", str(tmp_path / "test.json")],
-                 ["plot", "dependence", *source, "--out", str(tmp_path / "dependence.svg")]):
-        assert _fresh_python(run, json.dumps([argv])).split()[0] == "0", argv
+    assert _fresh_python(run, json.dumps(argvs)).splitlines() == ["0"] * len(argvs)
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    """``statistics`` is imported by the normal quantile when it is called, not by ``import catseries.cli``."""
+    assert _fresh_python("import sys, catseries.cli; print('statistics' in sys.modules)").split() == ["False"]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    import ast
+
+    found = []
+    for path in sorted(Path(catseries.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
