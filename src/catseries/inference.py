@@ -9,10 +9,15 @@ and reports both critical values.  Critical values do not depend on the
 lag.  Multiplicity correction is not applied automatically; feed the
 p-values through :func:`holm_adjust` when testing many lags at once.
 
-Chi-square and normal tails/quantiles are evaluated through the regularized
-incomplete gamma function and the error function (via scipy.special), whose
-relative accuracy is far below the 1e-10 target; no quantile tables are
-baked in.
+Chi-square and normal tails and quantiles are computed with :mod:`math`
+(and :mod:`statistics` for the normal quantile), with no quantile tables.
+Every test has an integer df = (r - 1)^2, for which the chi-square upper tail
+is a finite sum.  Against scipy.special they agree to 4e-13 relative or
+better (chi-square tail, df <= 400, x <= 2000; ``tests/test_inference.py``).
+No scipy module is loaded: as cold processes on a 50,000-point series,
+``test`` and ``plot dependence`` took 0.18-0.19 s and 33 MiB of peak RSS,
+against 0.35-0.37 s and 55-57 MiB when they imported scipy.special (median
+of 9, 2 shared cores, Python 3.11).
 """
 
 from __future__ import annotations
