@@ -690,7 +690,11 @@ def test_no_module_of_the_package_imports_scipy():
     found = []
     for path in sorted(Path(catseries.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else \
-                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []
