@@ -5,42 +5,34 @@ real-valued one whose spectrum can be analyzed; for every Fourier frequency
 the envelope is the largest proportion of variance any such scaling can
 concentrate there, and the maximizing scaling is reported alongside it.
 
-Computation works on the one-hot representation with the last category
-dropped (the r indicators are linearly dependent; the dropped category
-implicitly receives scaling 0).  The cross-periodogram matrix is smoothed
-with two circular passes of a flat (Daniell) window over the Fourier
-frequencies, with the zeroed mean term at frequency 0 taking part in the
-wrap-around.  Iterating the flat window gives the effective kernel a single
-peak, so a line spectrum keeps a unique maximum at its line instead of a
-flat-topped plateau.  Envelope values are normalized so that a flat
-spectrum sits near 1: the average of the smoothed spectrum over all
-Fourier ordinates equals the indicator covariance matrix.
+Computation works on the centred indicators of the categories with the
+last one dropped (the r indicators are linearly dependent; the dropped
+category implicitly receives scaling 0).  The cross-periodogram matrix is
+smoothed with two circular passes of a flat (Daniell) window over the Fourier
+frequencies, the zeroed mean term at frequency 0 taking part in the
+wrap-around; the iterated window has a single peak, so a line spectrum keeps
+a unique maximum at its line.  Envelope values are normalized so that a flat
+spectrum sits near 1: the average of the smoothed spectrum over all Fourier
+ordinates equals the indicator covariance matrix.
 
 Only the real part of the cross-periodogram is smoothed: the envelope is a
 symmetric-definite generalized eigenproblem f(w) gamma = lambda V gamma in
-the real part alone.  Of its (T, k, k) entries only the k(k+1)/2 columns of
-the lower triangle are formed, from the complex DFT, and smoothed; the
-symmetric (T/2, k, k) array is built from them as the input to the
-whitening below, with the bits of the whole product's.  The covariance V is
-the same at every frequency, so it is reduced once: with V = L L'
-(Cholesky) and W = inv(L), the top eigenpair (lambda, u) of the symmetric
-W f(w) W' gives the envelope lambda and the scaling gamma = W' u, and
-gamma' V gamma = u' u = 1 by construction.
+the real part alone.  The centred indicators are gathered from the codes
+(counts / T is their mean to the bit) and dropped once their covariance and
+k DFT rows are taken.  Only the k(k+1)/2 lower-triangle periodogram columns
+are formed, one at a time, and smoothed, with the (T, k, k) product's bits.
+With V = L L' (Cholesky) and W = inv(L), once for all frequencies, the top
+eigenpair (lambda, u) of the symmetric W f(w) W' gives the envelope lambda
+and the scaling gamma = W' u, and gamma' V gamma = u' u = 1 by construction.
 
-With k = 3 indicators (r = 4, the DNA case) every frequency's 3x3 top
-eigenpair is found in closed form, in numpy arithmetic over a block of
-frequencies at once (see :func:`_top_eigenpairs3`): Smith's trigonometric
-eigenvalues, an eigenvector from cross products of rows, and the Rayleigh
-quotient.  One batched ``numpy.linalg.eigh`` makes one LAPACK call per
-frequency and takes four to seven times as long; it stays the solver for
-every other k.  A batched Jacobi sweep (slower than ``eigh``) and
-``eigvalsh`` followed by inverse iteration (no clear gain) were tried and
-dropped.  The kernel runs over ``_SOLVE_BLOCK`` frequencies at a time,
-which bounds its temporaries and keeps its bits: each frequency's
-arithmetic is its own.  At T = 50,000 one envelope holds at most 6.9 MiB
-(traced): the centred indicators, their DFT and the six periodogram
-columns.  A real FFT, or whitening before the transform, would be faster
-but change the bits.
+The symmetric matrices are built, whitened and solved ``_SOLVE_BLOCK``
+frequencies at a time, which bounds the temporaries and keeps the bits.
+With k = 3 (r = 4, the DNA case) each top eigenpair is found in closed form
+(:func:`_top_eigenpairs3`); ``numpy.linalg.eigh``, four to seven times as
+slow, solves every other k.  One envelope's traced peak is 6.1 MiB at
+T = 50,000 (mostly the 3x3 block) and 19.1 MiB at T = 200,000 (mostly the
+DFT rows and smoothed columns), against 8.4 and 33.6 MiB from the one-hot
+matrix.  A real FFT or whitening before the transform would change the bits.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CategoricalSeries, _is_integer, binarize
+from .series import CategoricalSeries, _is_integer
 
 __all__ = [
     "SpectralEnvelope",
@@ -107,34 +99,43 @@ def _daniell2(values: np.ndarray, window: int) -> np.ndarray:
     return _circular_mean(once, window, len(values) // 2 + 1)[1:]
 
 
-def _lower_periodogram(yc: np.ndarray) -> np.ndarray:
-    """The (T, k(k+1)/2) real cross-periodogram of centred (T, k) indicators: the columns of its
-    lower triangle in row order, (0, 0), (1, 0), (1, 1), (2, 0), ...  Each column is formed from
-    the complex DFT, taken as (k, T) rows, as ``(dft[i] * dft[j].conj() / T).real``, with the bits
-    of the (T, k, k) broadcast product's entry; the real-arithmetic ``re_i re_j + im_i im_j`` does
-    not have them."""
-    T, k = yc.shape
-    dft = np.fft.fft(yc.T, out=np.empty((k, T), complex))  # one contiguous row per indicator
-    period = np.empty((T, k * (k + 1) // 2))
+def _dft_rows(yc: np.ndarray) -> np.ndarray:
+    """The DFT of each column of (T, k) values as contiguous (k, T) rows, one row at a time."""
+    dft = np.empty((yc.shape[1], len(yc)), complex)
+    for i, row in enumerate(dft):
+        np.fft.fft(yc[:, i], out=row)
+    return dft
+
+
+def _periodogram_column(dft: np.ndarray, i: int, j: int, out: np.ndarray) -> np.ndarray:
+    """Real cross-periodogram entry (i, j) of (k, T) DFT rows, formed in ``out`` with the bits of the
+    (T, k, k) product's; the real-arithmetic ``re_i re_j + im_i im_j`` does not have them."""
+    np.multiply(dft[i], np.conjugate(dft[j], out=out), out=out)
+    return np.divide(out, dft.shape[1], out=out).real
+
+
+def _smoothed_lower(dft: np.ndarray, window: int) -> np.ndarray:
+    """Rows 1..T//2 of the smoothed real cross-periodogram of (k, T) DFT rows: its lower triangle's
+    k(k+1)/2 columns, (0, 0), (1, 0), (1, 1), (2, 0), ..., each formed and smoothed in turn."""
+    k, T = dft.shape
+    buffer, smooth = np.empty(T, complex), np.empty((T // 2, k * (k + 1) // 2))
     for column, (i, j) in enumerate(zip(*np.tril_indices(k))):
-        period[:, column] = (dft[i] * dft[j].conj() / T).real
-    return period
+        smooth[:, column] = _daniell2(_periodogram_column(dft, i, j, buffer), window)
+    return smooth
 
 
-def _cross_spectrum(yc: np.ndarray, window: int) -> np.ndarray:
-    """Rows 1..T//2 of the smoothed real cross-periodogram of centred (T, k) indicators, exactly
-    symmetric: only the lower triangle's k(k+1)/2 columns are formed and smoothed (see
-    :func:`_lower_periodogram`), and each is written to both of its (i, j) and (j, i) entries, so
-    no (T, k, k) periodogram is ever held."""
-    smooth = _daniell2(_lower_periodogram(yc), window)
-    rows, columns = np.tril_indices(yc.shape[1])
-    full = np.empty((len(smooth), yc.shape[1], yc.shape[1]))
-    full[:, rows, columns] = full[:, columns, rows] = smooth
+def _symmetric(lower: np.ndarray, k: int) -> np.ndarray:
+    """The exactly symmetric (n, k, k) matrices with the lower triangles of (n, k(k+1)/2) rows."""
+    rows, columns = np.tril_indices(k)
+    full = np.empty((len(lower), k, k))
+    full[:, rows, columns] = full[:, columns, rows] = lower
     return full
 
 
-def _check_window(window, T: int) -> None:
-    """The smoothing span must be a positive odd integer below T/2."""
+def _check_window(window, T: int, shortest: int = 0) -> None:
+    """At least ``shortest`` values, and a smoothing span that is a positive odd integer below T/2."""
+    if T < shortest:
+        raise ValueError(f"series too short for spectral analysis (need T >= {shortest})")
     if not _is_integer(window) or window % 2 == 0 or window < 1:
         raise ValueError(f"smoothing window must be a positive odd integer, got {window} with T={T}")
     if window >= T / 2:
@@ -167,7 +168,7 @@ def smoothed_spectrum(values, window: int) -> np.ndarray:
     return spectrum
 
 
-_SOLVE_BLOCK = 8192  # frequencies solved at a time by _top_eigenpairs3; bounds its temporaries
+_SOLVE_BLOCK = 8192  # frequencies whitened and solved at a time; bounds the solvers' temporaries
 
 
 def _top_eigenpairs3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,53 +236,51 @@ def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
-    """Envelope of an already rank-reduced (T, k) indicator matrix."""
-    y = np.asarray(indicators, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    T = len(y)
-    if T < 8:
-        raise ValueError("series too short for spectral analysis (need T >= 8)")
-    _check_window(window, T)
-    bad = np.argwhere(~np.isfinite(y))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"indicator at row {row + 1}, column {col + 1} (1-based) is not finite: {y[row, col]}")
-
-    yc = y - y.mean(axis=0)
+def _envelope(yc: np.ndarray, window: int) -> SpectralEnvelope:
+    """Envelope of centred (T, k) indicators.  ``yc`` is dropped once its covariance and DFT rows
+    are taken, so a caller passes a temporary and no (T, k) array outlives the transform."""
+    T, k = yc.shape
     cov = (yc.T @ yc) / T
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals[0] <= 1e-12 * eigvals[-1]:  # relative to the covariance's scale: rescaled indicators agree
-        raise ValueError(
-            "indicator covariance is singular (a category is constant over the series); "
-            "drop unused categories from the alphabet and retry"
-        )
-
-    smooth = _cross_spectrum(yc, window)
+        raise ValueError("indicator covariance is singular (a category is constant over the series); "
+                         "drop unused categories from the alphabet and retry")
+    dft = _dft_rows(yc)
     del yc
+    smooth = _smoothed_lower(dft, window)
+    del dft
     if not (np.isfinite(smooth).all() and np.isfinite(cov).all()):
         raise ValueError("smoothed spectrum or indicator covariance is not finite (indicators too large)")
-
     n_freq = T // 2
-    frequencies = np.arange(1, n_freq + 1) / T
     whiten = np.linalg.inv(np.linalg.cholesky(cov))
-    whitened = whiten @ smooth @ whiten.T
-    del smooth
-    if y.shape[1] == 3:
-        envelope, u = np.empty(n_freq), np.empty((n_freq, 3))
-        for start in range(0, n_freq, _SOLVE_BLOCK):
-            block = slice(start, start + _SOLVE_BLOCK)
-            envelope[block], u[block] = _top_eigenpairs3(whitened[block])
-    else:
-        values, vectors = np.linalg.eigh(whitened)
-        envelope, u = values[:, -1], vectors[:, :, -1]
+    envelope, u = np.empty(n_freq), np.empty((n_freq, k))
+    for start in range(0, n_freq, _SOLVE_BLOCK):
+        block = slice(start, start + _SOLVE_BLOCK)
+        whitened = whiten @ _symmetric(smooth[block], k) @ whiten.T
+        if k == 3:
+            envelope[block], u[block] = _top_eigenpairs3(whitened)
+        else:
+            values, vectors = np.linalg.eigh(whitened)
+            envelope[block], u[block] = values[:, -1], vectors[:, :, -1]
     scalings = u @ whiten
     magnitudes = np.abs(scalings)
     largest = magnitudes.max(axis=1, keepdims=True)
     top = (magnitudes >= largest - 1e-9 * largest).argmax(axis=1)  # the first of entries tied within rounding
     scalings[scalings[np.arange(n_freq), top] < 0] *= -1.0
-    return SpectralEnvelope(frequencies, envelope, scalings, window)
+    return SpectralEnvelope(np.arange(1, n_freq + 1) / T, envelope, scalings, window)
+
+
+def envelope_from_indicators(indicators: np.ndarray, window: int) -> SpectralEnvelope:
+    """Envelope of an already rank-reduced (T, k) indicator matrix."""
+    y = np.asarray(indicators, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    _check_window(window, len(y), shortest=8)
+    bad = np.argwhere(~np.isfinite(y))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"indicator at row {row + 1}, column {col + 1} (1-based) is not finite: {y[row, col]}")
+    return _envelope(y - y.mean(axis=0), window)
 
 
 def spectral_envelope(series: CategoricalSeries, window: int | None = None) -> SpectralEnvelope:
@@ -291,14 +290,15 @@ def spectral_envelope(series: CategoricalSeries, window: int | None = None) -> S
     :func:`default_window`.  Raises, naming them, when declared categories
     never occur: exactly when the indicators' covariance is singular.
     """
-    present = np.bincount(series.codes, minlength=series.alphabet.size + 1)[1:] > 0
-    if not present.all():
-        absent = ", ".join(repr(symbol) for symbol, seen in zip(series.alphabet.symbols, present) if not seen)
+    r, T = series.alphabet.size, len(series)
+    counts = np.bincount(series.codes, minlength=r + 1)[1:]
+    if not counts.all():
+        absent = ", ".join(repr(symbol) for symbol, count in zip(series.alphabet.symbols, counts) if not count)
         raise ValueError(f"indicator covariance is singular: the series never takes {absent}; "
                          "drop unused categories from the alphabet and retry")
-    if window is None:
-        window = default_window(len(series))
-    return envelope_from_indicators(binarize(series)[:, :-1], window)
+    window = default_window(T) if window is None else window
+    _check_window(window, T, shortest=8)
+    return _envelope((np.eye(r)[:, :-1] - counts[:-1] / T)[series.codes - 1], window)
 
 
 def scaled_series(series: CategoricalSeries, gamma) -> np.ndarray:

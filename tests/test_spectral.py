@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,9 +11,11 @@ from catseries import Alphabet, CategoricalSeries, scaled_series, spectral, spec
 from catseries.series import binarize
 from catseries.simulate import NdarmaModel, generate_series
 from catseries.spectral import (
-    _cross_spectrum,
     _daniell2,
-    _lower_periodogram,
+    _dft_rows,
+    _periodogram_column,
+    _smoothed_lower,
+    _symmetric,
     _top_eigenpairs3,
     default_window,
     envelope_from_indicators,
@@ -154,13 +156,21 @@ def test_the_envelope_names_the_categories_the_series_never_takes(codes, absent)
 def test_the_smoothed_cross_periodogram_is_exactly_symmetric(T, k, scale, indicators, data):
     """No symmetrization is needed before the solve: the smoothed real
     cross-periodogram equals its transpose bit for bit, for indicators or
-    any centred values at any scale."""
+    any centred values at any scale.  Its lower triangle, smoothed a column
+    at a time, has the bits of the whole (T, k, k) broadcast product's lower
+    triangle smoothed at once."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     y = scale * (rng.integers(0, 2, (T, k)) if indicators else rng.normal(size=(T, k)))
     window = data.draw(st.integers(0, (T - 3) // 4), label="half") * 2 + 1  # odd and below T/2
-    smooth = _cross_spectrum(y - y.mean(axis=0), window)
+    yc = y - y.mean(axis=0)
+    lower = _smoothed_lower(_dft_rows(yc), window)
+    smooth = _symmetric(lower, k)
     assert smooth.shape == (T // 2, k, k)
     assert (smooth.view(np.uint64) == smooth.transpose(0, 2, 1).view(np.uint64)).all()
+    dft = np.fft.fft(yc, axis=0)
+    rows, columns = np.tril_indices(k)
+    full = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
+    assert (lower.view(np.uint64) == _daniell2(full[:, rows, columns], window).view(np.uint64)).all()
 
 
 @pytest.mark.parametrize("window, message", [
@@ -380,9 +390,9 @@ def test_a_multiple_of_the_identity_gets_a_unit_vector():
 
 
 def test_the_envelope_of_a_long_four_letter_series_holds_at_most_7_5_mib():
-    """T = 50,000 and k = 3: no (T, k, k) periodogram is formed, only its six lower-triangle
-    columns, and the 3x3 solve runs over blocks of frequencies.  The peak is 6.9 MiB: the
-    centred indicators, their DFT, the six columns and two column temporaries.  The (T, 3, 3)
+    """T = 50,000 and k = 3: no (T, k, k) periodogram is formed, one lower-triangle column at a
+    time is, and the 3x3 solve runs over blocks of frequencies.  The peak is about 6.1 MiB, most
+    of it the 3x3 kernel's temporaries over one block with the smoothed columns.  The (T, 3, 3)
     periodograms and the whole-array solve held 16.4 MiB."""
     rng = np.random.default_rng(12)
     y = binarize(CategoricalSeries(rng.integers(1, 5, 50_000), Alphabet.of_size(4)))[:, :-1]
@@ -391,34 +401,51 @@ def test_the_envelope_of_a_long_four_letter_series_holds_at_most_7_5_mib():
     assert peak <= 7.5, peak
 
 
+def test_the_envelope_of_a_very_long_four_letter_series_holds_at_most_24_mib():
+    """T = 200,000, r = 4, from the codes: no one-hot matrix, the centred indicators dropped once
+    transformed, and the frequencies whitened and solved a block at a time.  The peak is about
+    19 MiB; building the envelope from the one-hot matrix with (T/2, 3, 3) arrays held 33.6."""
+    series = CategoricalSeries(np.random.default_rng(14).integers(1, 5, 200_000), Alphabet.of_size(4))
+    spectral_envelope(series)
+    _, peak = traced_peak_mib(lambda: spectral_envelope(series))
+    assert peak <= 24, peak
+
+
 @given(st.integers(8, 300), st.integers(1, 6), st.floats(1e-150, 1e150), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_the_lower_periodogram_has_the_bits_of_the_full_product(T, k, scale, indicators, data):
-    """Each of the k(k+1)/2 columns is the (i, j) entry of the (T, k, k) broadcast product of the
-    DFT with its conjugate, bit for bit, for indicators or any centred values at any scale."""
+    """Each of the k(k+1)/2 columns, formed in one reused buffer from the DFT rows, is the (i, j)
+    entry of the (T, k, k) broadcast product of the DFT with its conjugate, bit for bit, for
+    indicators or any centred values at any scale."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     y = scale * (rng.integers(0, 2, (T, k)) if indicators else rng.normal(size=(T, k)))
     yc = y - y.mean(axis=0)
     dft = np.fft.fft(yc, axis=0)
     full = (dft[:, :, None] * dft.conj()[:, None, :] / T).real
-    period = _lower_periodogram(yc)
-    rows, columns = np.tril_indices(k)
-    assert period.shape == (T, len(rows))
-    assert (period.view(np.uint64) == full[:, rows, columns].view(np.uint64)).all()
+    dft_rows = _dft_rows(yc)
+    assert dft_rows.shape == (k, T) and dft_rows.flags.c_contiguous
+    buffer = np.empty(T, complex)
+    for i, j in zip(*np.tril_indices(k)):
+        column = _periodogram_column(dft_rows, i, j, buffer)
+        assert column.shape == (T,)
+        assert (column.view(np.uint64) == full[:, i, j].view(np.uint64)).all()
 
 
-def test_the_blocked_3x3_solve_has_the_bits_of_one_whole_call():
+@pytest.mark.parametrize("r, solver", [(4, "3x3"), (5, "eigh")])
+def test_the_blocked_solve_has_the_bits_of_one_whole_call(r, solver):
     """T // 2 = 2 * 8192 + 5 frequencies: three blocks, the last of five, give the bits that one
-    call over every frequency gives."""
+    call over every frequency gives, for the 3x3 kernel (r = 4) and for ``eigh`` (r = 5)."""
     T = 2 * (2 * spectral._SOLVE_BLOCK + 5)
-    y = binarize(random_series(np.random.default_rng(13), r=4, T=T, require_all=True))[:, :-1]
+    y = binarize(random_series(np.random.default_rng(13), r=r, T=T, require_all=True))[:, :-1]
     sizes = []
+    target, name = (spectral, "_top_eigenpairs3") if solver == "3x3" else (np.linalg, "eigh")
+    original = getattr(target, name)
 
     def solve(a):
         sizes.append(len(a))
-        return _top_eigenpairs3(a)
+        return original(a)
 
-    with mock.patch.object(spectral, "_top_eigenpairs3", solve):
+    with mock.patch.object(target, name, solve):
         blocked = envelope_from_indicators(y, 101)
         assert sizes == [8192, 8192, 5]
         with mock.patch.object(spectral, "_SOLVE_BLOCK", T):
@@ -426,6 +453,28 @@ def test_the_blocked_3x3_solve_has_the_bits_of_one_whole_call():
         assert sizes[3:] == [T // 2]
     assert (blocked.envelope.view(np.uint64) == whole.envelope.view(np.uint64)).all()
     assert (blocked.scalings.view(np.uint64) == whole.scalings.view(np.uint64)).all()
+
+
+@given(st.integers(2, 6), st.integers(8, 400), st.none() | st.integers(0, 200), st.integers(0, 2**32 - 1))
+@example(r=2, T=8, half=None, seed=0)
+@example(r=4, T=2001, half=None, seed=1)
+@example(r=20, T=600, half=7, seed=2)
+@example(r=5, T=2 * spectral._SOLVE_BLOCK + 41, half=None, seed=3)
+@settings(max_examples=100, deadline=None)
+def test_the_envelope_of_a_series_has_the_bits_of_its_indicators_envelope(r, T, half, seed):
+    """Centred indicators gathered from the codes, with counts / T as their mean, give the bits
+    that the one-hot matrix gives through ``envelope_from_indicators``, for both solvers and
+    across solve blocks."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(1, r + 1, T)
+    codes[rng.choice(T, r, replace=False)] = np.arange(1, r + 1)
+    series = CategoricalSeries(codes, Alphabet.of_size(r))
+    window = None if half is None else 2 * (half % ((T - 3) // 4 + 1)) + 1
+    env = spectral_envelope(series, window)
+    expected = envelope_from_indicators(binarize(series)[:, :-1], env.window)
+    for name in ("frequencies", "envelope", "scalings"):
+        got, want = getattr(env, name), getattr(expected, name)
+        assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all(), name
 
 
 @pytest.mark.parametrize("values, message", [
