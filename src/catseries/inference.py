@@ -56,6 +56,17 @@ def _check_probability(q) -> None:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
 
 
+def _upper_quantile_level(alpha: float, sides: float) -> float:
+    """1 - alpha / sides, the level of a critical value.  It rounds to 1 for alpha / sides at or
+    below 2^-54, where no finite critical value exists; that alpha is rejected by name, with
+    the smallest one this test takes."""
+    level = 1.0 - alpha / sides
+    if level == 1.0:
+        smallest = sides * math.nextafter(2.0**-54, 1.0)
+        raise ValueError(f"alpha is too small for a finite critical value: got {alpha!r}, need at least {smallest!r}")
+    return level
+
+
 def chi2_upper_tail(x: float, df: int) -> float:
     """P(X >= x) for X chi-square with ``df`` degrees of freedom.
 
@@ -205,7 +216,7 @@ def cramers_v_test(series: CategoricalSeries, max_lag: int = 10, alpha: float = 
     df = (r - 1) ** 2
     statistics = T * (r - 1) * estimates**2
     p_values = np.array([chi2_upper_tail(s, df) for s in statistics])
-    upper = float(np.sqrt(chi2_quantile(1.0 - alpha, df) / (T * (r - 1))))
+    upper = float(np.sqrt(chi2_quantile(_upper_quantile_level(alpha, 1.0), df) / (T * (r - 1))))
     return TestReport("cramers_v", alpha, max_lag, lags, estimates, statistics, p_values, None, upper)
 
 
@@ -217,7 +228,7 @@ def cohens_kappa_test(series: CategoricalSeries, max_lag: int = 10, alpha: float
     statistics = scale * (estimates + 1.0 / T)
     # lower-tail form keeps precision for large statistics
     p_values = np.array([2.0 * normal_cdf(-abs(z)) for z in statistics])
-    z_crit = normal_quantile(1.0 - alpha / 2.0)
+    z_crit = normal_quantile(_upper_quantile_level(alpha, 2.0))
     lower = float(-z_crit / scale - 1.0 / T)
     upper = float(z_crit / scale - 1.0 / T)
     return TestReport("cohens_kappa", alpha, max_lag, lags, estimates, statistics, p_values, lower, upper)

@@ -225,6 +225,28 @@ def test_test_argument_validation():
         kappa_null_variance([1.0, 0.0])
 
 
+@pytest.mark.parametrize("run, too_small, smallest", [
+    (cramers_v_test, [1e-17, 5.551115123125783e-17], 5.551115123125784e-17),
+    (cohens_kappa_test, [1e-17, 6e-17, 1.1102230246251565e-16], 1.1102230246251568e-16),
+], ids=["cramers_v_test", "cohens_kappa_test"])
+def test_an_alpha_too_small_for_a_finite_critical_value_is_named(run, too_small, smallest):
+    """1 - alpha (v) or 1 - alpha/2 (kappa) rounds to 1 below the smallest alpha, which names
+    itself in the error and still gives finite critical values with the same level's bits."""
+    series = balanced_series()
+    for alpha in too_small:
+        with pytest.raises(ValueError) as err:
+            run(series, 3, alpha)
+        assert str(err.value) == (f"alpha is too small for a finite critical value: got {alpha!r}, "
+                                  f"need at least {smallest!r}")
+    report = run(series, 3, smallest)
+    assert np.isfinite(report.upper_critical) and report.upper_critical > 0
+    if run is cramers_v_test:
+        T, r = len(series), series.alphabet.size
+        assert report.upper_critical == float(np.sqrt(chi2_quantile(1.0 - smallest, (r - 1) ** 2) / (T * (r - 1))))
+    else:
+        assert np.isfinite(report.lower_critical) and report.lower_critical < 0
+
+
 @pytest.mark.parametrize("max_lag", [2.5, True, np.float64(3.0), 3.0, "3"])
 @pytest.mark.parametrize("run", [
     cramers_v_test,
