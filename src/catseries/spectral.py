@@ -29,7 +29,7 @@ The symmetric matrices are built, whitened and solved ``_SOLVE_BLOCK``
 frequencies at a time, which bounds the temporaries and keeps the bits.
 With k = 3 (r = 4, the DNA case) each top eigenpair is found in closed form
 (:func:`_top_eigenpairs3`); ``numpy.linalg.eigh``, four to seven times as
-slow, solves every other k.  One envelope's traced peak is 6.1 MiB at
+slow, solves every other k.  One envelope's traced peak is 5.9 MiB at
 T = 50,000 (mostly the 3x3 block) and 19.1 MiB at T = 200,000 (mostly the
 DFT rows and smoothed columns), against 8.4 and 33.6 MiB from the one-hot
 matrix.  A real FFT or whitening before the transform would change the bits.

@@ -391,7 +391,7 @@ def test_a_multiple_of_the_identity_gets_a_unit_vector():
 
 def test_the_envelope_of_a_long_four_letter_series_holds_at_most_7_5_mib():
     """T = 50,000 and k = 3: no (T, k, k) periodogram is formed, one lower-triangle column at a
-    time is, and the 3x3 solve runs over blocks of frequencies.  The peak is about 6.1 MiB, most
+    time is, and the 3x3 solve runs over blocks of frequencies.  The peak is about 5.9 MiB, most
     of it the 3x3 kernel's temporaries over one block with the smoothed columns.  The (T, 3, 3)
     periodograms and the whole-array solve held 16.4 MiB."""
     rng = np.random.default_rng(12)
