@@ -9,11 +9,16 @@ writes the ``{:.2f}`` text of every coordinate into a byte template of the
 mark, and Python's ``format`` takes over only for a non-finite coordinate or
 one of magnitude 2**40 or more.  A polyline keeps only the M4 points of
 its pixel columns (``_pixel_columns``): in each run of consecutive vertices
-that share a column, the first, the last, the lowest and the highest.  The
-line covers the same pixels at the chart's own size, but a reader who zooms
-into a long one sees less detail than the data holds; the ``--table`` CSV
-keeps every point.  ``CHARTS`` maps each chart-data type to its renderer and
-to the header and columns of its ``--table`` CSV (``plot_table``).
+that share a column, the first, the last, the lowest and the highest.  A
+scatter, or one column's alarms, keeps only the first mark in data order
+whose centre falls in each whole-pixel cell (``_pixel_cells``), written at
+its own coordinates; every dropped mark lies within one pixel, on each
+axis, of a drawn mark of its ``marks`` call.  Lines and marks cover the
+same pixels at the chart's own size, but a reader who zooms into a long
+chart sees less detail than the data holds; the ``--table`` CSV keeps every
+point, and the IFS scatter's ``window`` re-frames it before its cells are
+formed.  ``CHARTS`` maps each chart-data type to its renderer and to the
+header and columns of its ``--table`` CSV (``plot_table``).
 """
 
 from __future__ import annotations
@@ -85,13 +90,15 @@ class _Frame:
         """Pixel y of a value or of an array of values."""
         return self.py0 + (np.asarray(v, dtype=float) - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
-    def marks(self, template: str, xs, ys) -> list[str]:
-        """``template`` filled with the pixel coordinates of each point (its
-        two ``{}`` take x and y at two decimals), one point a line, as one
-        block of text; no block when there is no point, so that the
+    def marks(self, template: str, xs, ys) -> tuple[list[str], int]:
+        """``template`` filled with the pixel coordinates of the first point
+        in each whole-pixel cell (``_pixel_cells``; its two ``{}`` take x and
+        y at two decimals), one mark a line, as one block of text, and the
+        number of marks drawn; no block when there is no point, so that the
         document gains no empty line."""
-        text = _fixed_text(template, (self.x(xs), self.y(ys)), "\n")
-        return [text] if text else []
+        px, py = _pixel_cells(self.x(xs), self.y(ys))
+        text = _fixed_text(template, (px, py), "\n")
+        return [text] if text else [], px.size
 
     def axes(self, xlab: str, ylab: str, yticks=None, xticks=None) -> list[str]:
         out = [
@@ -140,6 +147,38 @@ def _pixel_columns(px, py):
     for extreme in (np.minimum, np.maximum):
         reached = extreme.reduceat(py, starts)[run] == py
         keep[np.minimum.reduceat(np.where(reached, index, px.size), starts)] = True
+    return px[keep], py[keep]
+
+
+_GRID_CELLS = (WIDTH + 1) * (HEIGHT + 1)  # the whole-pixel cells that points on the canvas can span
+
+
+def _pixel_cells(px, py):
+    """The marks a scatter draws: of the points whose centres fall in one
+    whole-pixel cell ``(floor(px), floor(py))``, the first, in their order.
+    Each dropped point lies within one pixel, on each axis, of the point
+    kept for its cell.  Points with any non-finite coordinate are all kept.
+    The first point of each cell is found by ``np.minimum.at`` over an int32
+    grid of the cells the points span; points that span more cells than the
+    canvas holds are sorted by cell instead."""
+    if px.size < 2 or not (np.isfinite(px).all() and np.isfinite(py).all()):
+        return px, py
+    x0, y0 = np.floor(px.min()), np.floor(py.min())
+    width, height = np.floor(px.max()) - x0 + 1, np.floor(py.max()) - y0 + 1
+    if width * height > _GRID_CELLS:
+        cx, cy = np.floor(px), np.floor(py)
+        order = np.lexsort((cy, cx))  # stable: the first point of each cell leads its run
+        cx, cy = cx[order], cy[order]
+        keep = np.sort(order[np.r_[True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])]])
+        return px[keep], py[keep]
+    cell = np.floor(py) - y0
+    cell *= width
+    cell += np.floor(px) - x0
+    cell = cell.astype(np.int32)  # whole numbers below the grid's size, so exact
+    first = np.full(int(width * height), px.size, np.int32)  # per cell: its first point
+    np.minimum.at(first, cell, np.arange(px.size, dtype=np.int32))
+    first = first[cell]  # per point: the first point of its cell; the grid is dropped
+    keep = first == np.arange(px.size, dtype=np.int32)
     return px[keep], py[keep]
 
 
@@ -245,10 +284,9 @@ def _ifs_plot(data: FractalSeries, title, window=None) -> str:
     body = frame.axes("x", "y")
     # the marks inherit their fill from one group; each is still painted on its own
     circle = _el("circle", cx="{}", cy="{}", r="1.6")
-    body.append(f'<g fill="{_PALETTE[0]}" fill-opacity="0.7">')
-    body.extend(frame.marks(circle, pts[:, 0], pts[:, 1]))
-    body.append("</g>")
-    note = f"alpha={_label(data.alpha)} beta={_label(data.beta)} points={pts.shape[0]}"
+    blocks, drawn = frame.marks(circle, pts[:, 0], pts[:, 1])
+    body.extend([f'<g fill="{_PALETTE[0]}" fill-opacity="0.7">', *blocks, "</g>"])
+    note = f"alpha={_label(data.alpha)} beta={_label(data.beta)} points={pts.shape[0]} marks={drawn}"
     body.append(_el("text", _esc(note), x=_num(frame.px0), y=_num(HEIGHT - 26), text_anchor="start"))
     return _document(body, title or "IFS circle transformation")
 
@@ -295,7 +333,7 @@ def _control_plot(chart: ControlChart, title) -> str:
     for i in range(stats.shape[1]):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(frame.polyline(chart.times, stats[:, i], color))
-        body.extend(frame.marks(circle, chart.times[alarms[:, i]], stats[:, i][alarms[:, i]]))
+        body.extend(frame.marks(circle, chart.times[alarms[:, i]], stats[:, i][alarms[:, i]])[0])
     if stats.shape[1] > 1:
         body.extend(_legend(frame, chart.labels))
     return _document(body, title or f"control chart ({chart.kind})")

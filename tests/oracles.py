@@ -828,6 +828,21 @@ def pixel_columns(pixel_xs, pixel_ys):
     return sorted(keep)
 
 
+def pixel_cells(pixel_xs, pixel_ys):
+    """Indices, in order, of the points a scatter draws: each point whose
+    (floor(x), floor(y)) cell no earlier point fell in; every point when any
+    coordinate is not finite."""
+    xs, ys = list(map(float, pixel_xs)), list(map(float, pixel_ys))
+    if not all(map(math.isfinite, xs + ys)):
+        return list(range(len(xs)))
+    seen, keep = set(), []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if (math.floor(x), math.floor(y)) not in seen:
+            seen.add((math.floor(x), math.floor(y)))
+            keep.append(i)
+    return keep
+
+
 def fixed_text(template, columns, sep):
     """``sep.join`` of ``template`` filled row by row from ``columns``, every
     "{}" taking the "{:.2f}" text of its column's value."""

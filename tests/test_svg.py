@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,6 +13,7 @@ from conftest import traced_peak_mib
 from catseries import (
     Alphabet,
     CategoricalSeries,
+    FractalSeries,
     cycle_length_chart,
     cycle_lengths,
     dependence_plot_data,
@@ -163,9 +164,12 @@ def test_plot_table_has_one_value_per_row_in_every_column(demo_series):
 
 def _per_point_svg(data, **kwargs):
     """The SVG as it was written with one format call per coordinate pair:
-    marks extend the body by one element per point, none for no point."""
+    marks extend the body by one element per drawn point, the first of its
+    pixel cell (``oracles.pixel_cells``), none for no point."""
     def marks(frame, template, xs, ys):
-        return oracles.svg_marks(template, frame.x(xs), frame.y(ys))
+        px, py = frame.x(xs), frame.y(ys)
+        drawn = oracles.pixel_cells(px, py)
+        return oracles.svg_marks(template, px[drawn], py[drawn]), len(drawn)
 
     with mock.patch.object(svg._Frame, "marks", marks), mock.patch("catseries.svg._fixed_text", oracles.fixed_text):
         return render_svg(data, **kwargs)
@@ -205,6 +209,72 @@ def test_a_zero_height_frame_centres_its_value_on_a_unit_y_range():
     assert (frame.y0, frame.y1) == (1.5, 2.5)
     assert frame.y(2.0) == (frame.py0 + frame.py1) / 2
     assert frame.y(1.5) == frame.py0 and frame.y(2.5) == frame.py1
+
+
+# -- Marks drawn at their pixel cells ------------------------------------------
+
+
+def _check_cells(marks, template, px, py):
+    """``marks`` (``_Frame.marks``' blocks and count) against every mark of
+    the pixel coordinates ``px``, ``py``, one call being one mark class."""
+    blocks, count = marks
+    every = oracles.svg_marks(template, px, py)  # one mark per point
+    drawn = "\n".join(blocks).split("\n") if blocks else []
+    kept = oracles.pixel_cells(px, py)
+    assert drawn == [every[i] for i in kept] and count == len(kept)  # kept rises: a subsequence, same text
+    qx, qy = svg._pixel_cells(px, py)
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        assert kept == list(range(px.size)) and qx is px and qy is py
+        return
+    cells = list(zip(np.floor(qx).tolist(), np.floor(qy).tolist()))
+    assert len(set(cells)) == len(cells)  # at most one mark per cell
+    for x, y in zip(px.tolist(), py.tolist()):  # every point within one pixel of a drawn mark
+        assert np.any((np.abs(qx - x) < 1) & (np.abs(qy - y) < 1))
+
+
+_coordinate = (st.integers(-16, 16).map(lambda v: v / 640)  # about two values a pixel near the origin
+               | st.floats(-1.0, 1.0) | st.floats(-1e6, 1e6))  # the last may span more than the canvas
+_windows = st.tuples(st.integers(-24, 16), st.integers(1, 40), st.integers(-24, 16), st.integers(1, 40)).map(
+    lambda w: (w[0] / 640, (w[0] + w[1]) / 640, w[2] / 640, (w[2] + w[3]) / 640))
+_NAN = float("nan")
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), _coordinate, _coordinate), max_size=120), st.none() | _windows)
+@example([(0, 1.5, 0.5), (0, 1.0, 1.0), (0, 0.5, 1.5)], (0.0, 716.0, 0.0, 412.0))  # 1.0, 1.0 is at pixel 65, 451
+@example([(0, 0.0, 0.0), (1, 0.0, 0.0), (1, 0.0, 0.0)], None)  # two classes in one cell: one mark each
+@example([(0, 0.0, 0.0), (0, _NAN, 0.0), (0, 0.0, 0.0), (1, 0.0, 0.0), (1, 0.0, float("inf"))], None)
+@example([], None)
+@example([(0, 0.5, 0.5)], None)
+@example([(0, 0.0, 0.0), (0, 0.0, 0.0)], (10.0, 11.0, 10.0, 11.0))  # the window keeps no point
+@example([(1, 0.0, 0.0), (1, 1e6, 0.0), (1, 0.0, 0.0)], None)  # spans more than the canvas
+@settings(max_examples=300, deadline=None)
+def test_each_call_draws_the_first_mark_of_each_pixel_cell(points, window):
+    """One ``marks`` call per class on one frame, as a control chart draws
+    each column's alarms; then the IFS scatter of every point, which drops
+    the points outside ``window`` before it forms its cells."""
+    classes, xs, ys = np.array(points, dtype=float).reshape(-1, 3).T
+    frame = svg._Frame(*(window or (-1.0, 1.0, -1.0, 1.0)))  # (-1, 1) is the scatter's own frame below
+    for k in range(3):
+        template = f'<circle cx="{{}}" cy="{{}}" class="k{k}"/>'
+        x, y = xs[classes == k], ys[classes == k]
+        _check_cells(frame.marks(template, x, y), template, frame.x(x), frame.y(y))
+    text = render_svg(FractalSeries(np.column_stack([xs, ys]), 0.5, 0.5, (0.0, 0.0)), window=window)
+    inside = np.ones(xs.size, bool) if window is None else (
+        (xs >= window[0]) & (xs <= window[1]) & (ys >= window[2]) & (ys <= window[3]))
+    template = '<circle cx="{}" cy="{}" r="1.6"/>'
+    circles = re.findall(r"<circle [^>]*/>", text)
+    _check_cells(([("\n".join(circles))] if circles else [], len(circles)), template,
+                 frame.x(xs[inside]), frame.y(ys[inside]))
+    assert f"points={inside.sum()} marks={len(circles)}</text>" in text
+
+
+def test_the_ifs_scatter_of_200_000_points_holds_at_most_5_mb():
+    """About 110,000 of the 200,000 circles are drawn (4.6 MB); one circle
+    per point wrote 8.39 MB."""
+    series = CategoricalSeries(np.random.default_rng(36).integers(1, 5, 200_000), Alphabet.of_size(4))
+    text = render_svg(ifs_circle_transform(series, 0.5, 0.5))
+    assert len(text.encode()) <= 5_000_000
+    assert "points=200000 marks=" in text
 
 
 # -- Polylines drawn at their pixel columns (M4) ------------------------------
@@ -276,9 +346,10 @@ def test_long_charts_draw_at_most_four_points_per_pixel_column():
 
 
 def test_the_ifs_scatter_of_a_long_series_holds_at_most_6_5_mib():
-    """T = 50,000 circles: their coordinate text is made ``_BLOCK_CELLS`` cells at a time and the
-    blocks' bytes are joined once, so no 50,000-row template matrix and mask is held.  The peak
-    is 6.0 MiB, about three copies of the 2 MB document; the whole-array text held 10.9 MiB."""
+    """T = 50,000 points, 42,611 of them drawn at their pixel cells: their coordinate text is made
+    ``_BLOCK_CELLS`` cells at a time and the blocks' bytes are joined once, so no row-per-circle
+    template matrix and mask is held.  The peak is 5.1 MiB, about three copies of the 1.8 MB
+    document; a circle per point held 6.0 MiB, and the whole-array text 10.9 MiB."""
     series = CategoricalSeries(np.random.default_rng(30).integers(1, 5, 50_000), Alphabet.of_size(4))
     data = ifs_circle_transform(series, 0.5, 0.5)
     render_svg(data)
