@@ -263,8 +263,7 @@ def test_each_call_draws_the_first_mark_of_each_pixel_cell(points, window):
         (xs >= window[0]) & (xs <= window[1]) & (ys >= window[2]) & (ys <= window[3]))
     template = '<circle cx="{}" cy="{}" r="1.6"/>'
     circles = re.findall(r"<circle [^>]*/>", text)
-    _check_cells(([("\n".join(circles))] if circles else [], len(circles)), template,
-                 frame.x(xs[inside]), frame.y(ys[inside]))
+    _check_cells((circles, len(circles)), template, frame.x(xs[inside]), frame.y(ys[inside]))
     assert f"points={inside.sum()} marks={len(circles)}</text>" in text
 
 
