@@ -495,10 +495,11 @@ def read_distance_csv(path) -> DistanceMatrix:
     Rows must hold one cell per header id and repeat the header ids in
     order; a cell that is not a number is named by file, line and column.
     :class:`DistanceMatrix` checks the values, and its error gains the path.
+    The file names no metric or lag: ``metric`` and ``max_lag`` are ``None``.
     """
     values, ids = _read_canonical_distances(path) or _read_distance_text(path)
     try:
-        return DistanceMatrix(_Kept(values), "euclidean-on-features", 0, ids)
+        return DistanceMatrix(_Kept(values), ids=ids)
     except ValueError as err:
         raise ValueError(f"{err}: {path}") from None
 

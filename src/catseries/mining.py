@@ -10,9 +10,9 @@ Euclidean distances between per-series feature vectors:
   then the r marginals.
 
 Feature matrices can feed any external clustering or classification tool.
-A :class:`DistanceMatrix`, which scaling and outlier scoring also build from
-a bare array, is square, finite, non-negative, exactly symmetric, zero on
-the diagonal, and has one id per row (``series_1``, ... by default).
+A :class:`DistanceMatrix` is square, finite, non-negative, exactly symmetric,
+zero on the diagonal, with one id per row (``series_1``, ... by default);
+unless :func:`distance_matrix` made it, its metric and lag are ``None``.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class FeatureVector:
 class DistanceMatrix:
     """Symmetric pairwise dissimilarities over a corpus.
 
-    The constructor is the one place that decides what a distance matrix
-    is, and checks in this order: ``values`` is a square 2-D matrix with one
-    id per row, no id given twice; ``metric`` is a key of :data:`METRICS` or
-    ``"euclidean-on-features"``; ``max_lag`` is a non-negative integer, not
-    a bool; every value is finite and non-negative; the matrix is exactly
+    The constructor is the one place that decides what a distance matrix is,
+    and checks in this order: ``values`` is a square 2-D matrix with one id
+    per row, no id given twice; ``metric`` is a key of :data:`METRICS` and
+    ``max_lag`` a non-negative integer, not a bool, or either is ``None``,
+    not known; every value is finite and non-negative; the matrix is exactly
     symmetric with a zero diagonal.  A failure raises ``ValueError``.  The
     values are stored as a read-only float64 copy, so the caller's array
     stays as it was and cannot change the checked matrix, and the ids as a
@@ -69,8 +69,8 @@ class DistanceMatrix:
     """
 
     values: np.ndarray
-    metric: str
-    max_lag: int
+    metric: str | None = None
+    max_lag: int | None = None
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -83,10 +83,9 @@ class DistanceMatrix:
         if len(ids) != n:
             raise ValueError(f"distance matrix has {len(ids)} ids for {n} rows")
         _check_unique_ids(ids)
-        metrics = (*METRICS, "euclidean-on-features")
-        if self.metric not in metrics:
-            raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(metrics)}")
-        if not _is_integer(self.max_lag) or self.max_lag < 0:
+        if self.metric is not None and self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of {list(METRICS)} or None")
+        if self.max_lag is not None and (not _is_integer(self.max_lag) or self.max_lag < 0):
             raise ValueError(f"max_lag must be a non-negative integer, got {self.max_lag!r}")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("distances must be finite and non-negative")
@@ -282,7 +281,7 @@ def two_dimensional_scaling(dm: DistanceMatrix | np.ndarray) -> Embedding:
     a time: besides the distances, the scaling holds that array and
     ``eigh``'s own.
     """
-    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)
+    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)
     d = dm.values
     n = len(d)
     if n < 3:
@@ -325,7 +324,7 @@ def outlier_scores(dm: DistanceMatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     returned order lists indices by decreasing score, ties broken by
     ascending index.  Raises, naming the first id, when a sum overflows.
     """
-    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm, "euclidean-on-features", 0)
+    dm = dm if isinstance(dm, DistanceMatrix) else DistanceMatrix(dm)
     with np.errstate(over="ignore"):
         scores = dm.values.sum(axis=1)
     if not np.isfinite(scores).all():

@@ -1022,6 +1022,14 @@ def _read_outcome(read, path):
     return ids, np.array(values, dtype=float).reshape(len(ids), len(ids)).view(np.uint64).tolist()
 
 
+def _read_ids_and_values(path):
+    """The ids and values of :func:`read_distance_csv`'s matrix, which names
+    no metric or lag, as the file records neither."""
+    dm = read_distance_csv(path)
+    assert dm.metric is None and dm.max_lag is None
+    return dm.ids, dm.values
+
+
 def _canonical_distance_file(data):
     """Whether a distance file is canonical as the io module defines it:
     its first line is "id," and ids in UTF-8 without a quote or "\r", none
@@ -1109,14 +1117,14 @@ def test_distance_reader_reads_what_the_reference_reader_reads(text, block_cells
     bits, or the same message naming file, line and column, whatever the
     block of rows parsed at a time.  Exactly the files that are not
     canonical go to the text reader, whatever the block at which the bytes
-    reader leaves them."""
+    reader leaves them.  Either way the matrix names no metric or lag."""
     data = text if isinstance(text, bytes) else text.encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp, mock.patch("catseries.io._BLOCK_CELLS", block_cells), \
             mock.patch("catseries.io._read_distance_text", side_effect=_read_distance_text) as text_reader:
         path = Path(tmp) / "dist.csv"
         path.write_bytes(data)
         expected = _read_outcome(oracles.read_distance_csv, path)
-        assert _read_outcome(lambda p: (lambda dm: (dm.ids, dm.values))(read_distance_csv(p)), path) == expected
+        assert _read_outcome(_read_ids_and_values, path) == expected
     assert text_reader.call_count == (not _canonical_distance_file(data))
 
 
@@ -1134,7 +1142,7 @@ def test_lines_over_the_csv_limit_are_read_as_bytes_unless_an_id_passes_it(tmp_p
     saved = csv.field_size_limit(limit)
     try:
         with mock.patch("catseries.io._read_distance_text", side_effect=_read_distance_text) as text_reader:
-            outcome = _read_outcome(lambda p: (lambda back: (back.ids, back.values))(read_distance_csv(p)), path)
+            outcome = _read_outcome(_read_ids_and_values, path)
             assert outcome == _read_outcome(oracles.read_distance_csv, path)
             assert text_reader.call_count == (limit < 24)
             message = f"malformed CSV (field larger than field limit ({limit})) at line 1 of {long_id}"

@@ -129,6 +129,7 @@ def test_distances_match_double_sum_oracle():
         L = int(rng.integers(1, 4))
         dm_dcc = distance_matrix([a, b], "dcc", L)
         dm_db = distance_matrix([a, b], "db", L)
+        assert (dm_dcc.metric, dm_dcc.max_lag, dm_db.metric, dm_db.max_lag) == ("dcc", L, "db", L)
         ca, cb = a.codes.tolist(), b.codes.tolist()
         assert dm_dcc.values[0, 1] == pytest.approx(oracles.dcc_distance(ca, cb, r, L), abs=1e-12)
         assert dm_db.values[0, 1] == pytest.approx(oracles.db_distance(ca, cb, r, L), abs=1e-12)
@@ -162,7 +163,9 @@ def _with(cells):
     (np.zeros(3), "db", 1, None, "distance matrix must be square, got shape (3,)"),
     (np.zeros((2, 2)), "db", 1, ("a",), "distance matrix has 1 ids for 2 rows"),
     (np.zeros((600, 600)), "db", 1, tuple(map(str, range(601))), "distance matrix has 601 ids for 600 rows"),
-    (_VALID, "nope", 1, None, "unknown metric 'nope'; expected one of ['dcc', 'db', 'euclidean-on-features']"),
+    (_VALID, "nope", 1, None, "unknown metric 'nope'; expected one of ['dcc', 'db'] or None"),
+    (_VALID, "euclidean-on-features", 0, None,
+     "unknown metric 'euclidean-on-features'; expected one of ['dcc', 'db'] or None"),
     (_VALID, "db", -1, None, "max_lag must be a non-negative integer, got -1"),
     (_VALID, "db", True, None, "max_lag must be a non-negative integer, got True"),
     (_with({(0, 1): np.nan, (1, 0): np.nan}), "db", 1, None, "distances must be finite and non-negative"),
@@ -211,8 +214,10 @@ def test_a_distance_matrix_checks_itself_and_so_do_its_consumers(values, metric,
 
 
 def test_a_distance_matrix_stores_float64_values_and_a_tuple_of_ids():
-    dm = DistanceMatrix([[0, 1], [1, 0]], "euclidean-on-features", 0, ["a", "b"])
+    """A matrix given no metric or lag names neither: None is "not known"."""
+    dm = DistanceMatrix([[0, 1], [1, 0]], ids=["a", "b"])
     assert dm.values.dtype == np.float64 and dm.ids == ("a", "b")
+    assert dm.metric is None and dm.max_lag is None
     assert DistanceMatrix(_VALID, "dcc", np.int64(2)).ids == ("series_1", "series_2", "series_3")
 
 
